@@ -226,16 +226,18 @@ def main(argv=None) -> int:
         from nrt_ray.state import manifest as mf
         records = mf.load_manifest(args.out)
         rows = {}
-        points = 0
+        points = {"rollup_points": 0, "observed_buckets": 0}
         for r in records:
             for k, v in (r.get("row_counts") or {}).items():
                 rows[k] = rows.get(k, 0) + int(v)
-            points += int((r.get("metrics") or {})
-                          .get("rollup_points", 0))
+            for k in points:
+                points[k] += int((r.get("metrics") or {}).get(k, 0))
         print(json.dumps({
             "partitions_committed": len(records),
             "row_counts": rows,
-            "rollup_points": points,
+            # served tier points (observed + gap-fill) and the observed
+            # buckets among them; tier row_counts are stored rows
+            **points,
             "runs": sorted({r.get("run_id") for r in records}),
         }))
         return 0

@@ -17,9 +17,11 @@ report back):
 * monitor state is restored per partition, updated sequentially per url in
   ``warc_ts`` order, and written back atomically,
 * rollup tiers are merged mergeably (counts/sums add, min/min, max/max,
-  ``last`` = newest since ingest is monotone); the gap between a series'
-  previous last bucket and its first new bucket is gap-filled with the
-  same linear semantics; retention re-applied at the new high-water mark.
+  ``last`` = newest since ingest is monotone) over the stored observed
+  buckets, and retention is re-trimmed at the new high-water mark (each
+  series keeps its anchor); gap-fill is derived on read, so the gap
+  between a series' previous last bucket and its first new bucket fills
+  with the same linear semantics as a one-shot run.
 
 Float caveat (documented semantics): a bucket whose observations span an
 increment boundary accumulates its sum as ``sum_old + sum_new``, which can
@@ -134,43 +136,49 @@ class IncrementProcessor:
 
     # -- rollup merge ---------------------------------------------------
 
-    def _retention_filter(self, table: pa.Table, tier: rollup.TierSpec) \
+    def _retention_advance(self, table: pa.Table, tier: rollup.TierSpec) \
             -> tuple[pa.Table, np.ndarray]:
-        """Advance retention on already-committed tier rows WITHOUT
-        re-rolling them: a plain cutoff filter, provably identical to
-        re-running trim+gapfill+retention when no new observations
-        arrived (gap-fill anchors are observed buckets, which don't move
-        when only the cutoff advances).  Returns ``(filtered,
-        urls_with_dropped_rows)``."""
+        """Advance retention on already-committed stored rows to the new
+        high-water mark WITHOUT re-rolling them: ``trim_for_retention``
+        drops what left the window but keeps each series' anchor, so the
+        rows are exactly what a one-shot run would store.  A url changed
+        when its stored rows or its served span moved — served counts
+        before and after, from the gap lengths, no fill materialized.
+        Returns ``(table tagged at the new mark, changed urls)``."""
         if tier.retention_us is None or not table.num_rows:
-            return table, np.array([], dtype=object)
-        cutoff = self.new_hw - tier.retention_us
-        bts = table.column("bucket_ts").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        keep = bts + tier.width_us > cutoff
-        if keep.all():
-            return table, np.array([], dtype=object)
-        uu_ = table.column("url").to_pandas().to_numpy(dtype=object)
-        uu, inv = np.unique(uu_, return_inverse=True)
-        before = np.bincount(inv, minlength=len(uu))
-        after = np.bincount(inv[keep], minlength=len(uu))
-        return (table.filter(pa.array(keep, pa.bool_())),
-                uu[before != after])
+            return rollup.tag_tier(table, tier, self.new_hw), \
+                np.array([], dtype=object)
+        _, old_hw = rollup.tier_meta(table)
+        rolled, urls = rollup.table_rolled(table)
+        sidx = rolled["series_idx"]
+        keys = {"series_idx": sidx, "bucket_ts": rolled["bucket_ts"],
+                "row": np.arange(len(sidx))}
+        kept = rollup.trim_for_retention(keys, tier.width_us,
+                                         tier.retention_us, self.new_hw)
+        n = len(urls)
+        before = np.bincount(sidx, rollup.served_runs(keys, tier,
+                                                      old_hw)[2], n)
+        after = np.bincount(kept["series_idx"], rollup.served_runs(
+            kept, tier, self.new_hw)[2], n)
+        moved = (before != after) | (np.bincount(sidx, minlength=n)
+                                     != np.bincount(kept["series_idx"],
+                                                    minlength=n))
+        if len(kept["row"]) < table.num_rows:
+            table = table.take(pa.array(kept["row"]))
+        return (rollup.tag_tier(table, tier, self.new_hw),
+                urls.filter(pa.array(moved)).to_numpy(zero_copy_only=False))
 
     def _merge_tier(self, old: pa.Table | None, series: pa.Table,
                     tier: rollup.TierSpec) -> tuple[pa.Table, np.ndarray]:
-        """Merge one tier; returns ``(merged_table, changed_urls)``.
+        """Merge one tier's stored rows; returns ``(merged_table,
+        changed_urls)``.
 
-        O(touched) design: only urls with new observations are re-merged,
-        re-gapfilled and re-retention'd; UNTOUCHED urls' old rows pass
-        through a plain retention filter, which is provably identical to
-        re-running trim+gapfill+retention on them — gap-fill interpolates
-        between OBSERVED anchor buckets, and those anchors don't move when
-        only the retention cutoff advances (the boundary-gap fills were
-        already materialized from the same anchors at the previous
-        commit).  ``changed_urls`` (touched ∪ retention-trimmed) tells the
-        segment stage which (url, tier) payloads must be re-encoded; the
-        rest are reused byte-identical.
+        O(touched) design: only urls with new observations are re-merged
+        and re-trimmed; UNTOUCHED urls' old rows only advance retention
+        (:meth:`_retention_advance`).  ``changed_urls`` (touched ∪ urls
+        whose served rows moved) tells the segment stage which (url,
+        tier) payloads must be re-encoded; the rest are reused
+        byte-identical.
         """
         touched = np.unique(np.asarray(series.column("url").to_pandas(),
                                        dtype=object))
@@ -186,27 +194,22 @@ class IncrementProcessor:
             old = old.filter(tmask)
             changed_untouched = np.array([], dtype=object)
             if untouched.num_rows:
-                untouched, changed_untouched = \
-                    self._retention_filter(untouched, tier)
-                passthrough = untouched
+                passthrough, changed_untouched = \
+                    self._retention_advance(untouched, tier)
             changed = np.union1d(touched, changed_untouched)
         else:
             old = None
             changed = touched
 
-        new = rollup.rollup_series_table(
-            series, tiers=[rollup.TierSpec(tier.name, tier.width_us,
-                                           gapfill=False)],
-            high_water_us=self.new_hw)[tier.name] \
-            .drop_columns(["gapfilled"])
+        new = rollup.observed_tier_tables(
+            series, tiers=[rollup.TierSpec(tier.name, tier.width_us)],
+            high_water_us=self.new_hw)[tier.name]
         if old is None or old.num_rows == 0:
             merged = new.to_pandas()
         else:
             import pandas as pd
-            o = old.to_pandas()
-            o = o[~o["gapfilled"]].drop(columns=["gapfilled"])
-            n = new.to_pandas()
-            merged = pd.concat([o, n], ignore_index=True)
+            merged = pd.concat([old.to_pandas(), new.to_pandas()],
+                               ignore_index=True)
             g = merged.groupby(["url", "bucket_ts"], sort=True)
             merged = pd.DataFrame({
                 "count": g["count"].sum().astype(np.int32),
@@ -217,15 +220,12 @@ class IncrementProcessor:
             }).reset_index()
             merged["mean"] = merged["sum"] / merged["count"]
             merged = merged.sort_values(["url", "bucket_ts"])
-        # re-run gapfill + retention over the merged observed buckets
+        # re-trim retention over the merged observed buckets
         urls = merged["url"].to_numpy(dtype=object)
-        starts = np.flatnonzero(np.r_[True, urls[1:] != urls[:-1]]) \
-            if len(urls) else np.array([], dtype=np.int64)
-        sidx = np.zeros(len(urls), dtype=np.int64)
-        sidx[starts] = 1
-        sidx = np.cumsum(sidx) - 1 if len(urls) else sidx
+        first = np.r_[True, urls[1:] != urls[:-1]] if len(urls) else \
+            np.array([], bool)
         rolled = {
-            "series_idx": sidx,
+            "series_idx": np.cumsum(first) - 1,
             "bucket_ts": merged["bucket_ts"].astype("int64").to_numpy(),
             "count": merged["count"].to_numpy().astype(np.int32),
             "sum": merged["sum"].to_numpy(),
@@ -236,35 +236,15 @@ class IncrementProcessor:
         }
         rolled = rollup.trim_for_retention(rolled, tier.width_us,
                                            tier.retention_us, self.new_hw)
-        if tier.gapfill:
-            rolled = rollup.gapfill_linear(rolled, tier.width_us,
-                                           tier.max_gap)
-        else:
-            rolled["gapfilled"] = np.zeros(len(rolled["bucket_ts"]), bool)
-        rolled = rollup.apply_retention(rolled, tier.width_us,
-                                        tier.retention_us, self.new_hw)
-        uniq_urls = urls[starts] if len(urls) else urls
-        rebuilt = pa.table({
-            "url": pa.array(uniq_urls, pa.string()).take(
-                pa.array(rolled.pop("series_idx"))),
-            "bucket_ts": pa.array(rolled["bucket_ts"], pa.int64()).cast(
-                pa.timestamp("us")),
-            "count": pa.array(rolled["count"], pa.int32()),
-            "sum": pa.array(rolled["sum"], pa.float64(), from_pandas=True),
-            "mean": pa.array(rolled["mean"], pa.float64()),
-            "min": pa.array(rolled["min"], pa.float64(), from_pandas=True),
-            "max": pa.array(rolled["max"], pa.float64(), from_pandas=True),
-            "last": pa.array(rolled["last"], pa.float64(),
-                             from_pandas=True),
-            "gapfilled": pa.array(rolled["gapfilled"], pa.bool_()),
-        })
+        rebuilt = rollup.tier_table(rolled,
+                                    pa.array(urls[first], pa.string()))
         if passthrough is not None and passthrough.num_rows:
             rebuilt = pa.concat_tables(
                 [passthrough.select(rebuilt.column_names), rebuilt],
                 promote_options="default")
             rebuilt = rebuilt.take(pc.sort_indices(rebuilt, sort_keys=[
                 ("url", "ascending"), ("bucket_ts", "ascending")]))
-        return rebuilt, changed
+        return rollup.tag_tier(rebuilt, tier, self.new_hw), changed
 
     # -------------------------------------------------------------------
 
@@ -284,8 +264,10 @@ class IncrementProcessor:
         for tier in self.tiers:
             p = os.path.join(manifest.partition_dir(
                 self.out_dir, f"rollup_{tier.name}", pid), "part.parquet")
-            old_tiers[tier.name] = pq.read_table(p, use_threads=False) \
-                if os.path.exists(p) else None
+            old_tiers[tier.name] = _stored_rows(
+                pq.read_table(p, use_threads=False), tier,
+                self.config["high_water_us"]) if os.path.exists(p) \
+                else None
         segp = os.path.join(manifest.partition_dir(
             self.out_dir, "segments", pid), "part.parquet")
         old_segments = pq.read_table(segp, use_threads=False) \
@@ -314,7 +296,7 @@ class IncrementProcessor:
                 old["tiers"].get(tier.name), series, tier)
             tier_tables[tier.name] = merged
             changed_urls[tier.name] = changed
-            points += merged.num_rows
+            points += rollup.served_counts(merged)[0]
         segments = compress.segments_from_rollups(
             tier_tables, changed_urls=changed_urls,
             old_segments=old.get("segments"))
@@ -342,7 +324,7 @@ class IncrementProcessor:
             told = old["tiers"].get(tier.name)
             if told is None:
                 continue
-            filtered, changed = self._retention_filter(told, tier)
+            filtered, changed = self._retention_advance(told, tier)
             tier_tables[tier.name] = filtered
             changed_urls[tier.name] = changed
             any_changed = any_changed or len(changed) > 0
@@ -358,7 +340,7 @@ class IncrementProcessor:
                      if c in state.column_names])
         return {"state": state, "tiers": tier_tables,
                 "segments": segments, "alerts": alerts,
-                "rollup_points": sum(t.num_rows
+                "rollup_points": sum(rollup.served_counts(t)[0]
                                      for t in tier_tables.values()),
                 "input_rows": 0, "series_rows": 0}
 
@@ -404,6 +386,17 @@ class IncrementProcessor:
             "rollup_points": pa.array([art["rollup_points"]], pa.int64()),
             "state_checksum": pa.array([checksum], pa.string()),
         })
+
+
+def _stored_rows(table: pa.Table, tier: rollup.TierSpec,
+                 high_water_us: int) -> pa.Table:
+    """A loaded tier file as stored rows.  Files written before stores
+    kept observed buckets only hold the served view: their gap-filled
+    rows are dropped and the tier metadata attached."""
+    if rollup.tier_meta(table) is not None:
+        return table
+    observed = table.filter(pc.invert(table.column("gapfilled")))
+    return rollup.tag_tier(observed, tier, high_water_us)
 
 
 def salted_layout(out_dir: str, config: dict):
@@ -483,7 +476,7 @@ def run_increment(out_dir: str, flat_dataset, run_id: str = "incr") -> dict:
     rows = [row for t in tables for row in t.to_pylist()]
     # partitions that received no rows still need the new high-water
     # mark applied to their retention tiers (one-shot equivalence);
-    # the sweep is a cheap cutoff filter and rewrites only on change
+    # the sweep is a cheap retention trim and rewrites only on change
     swept = 0
     empty_pids = sorted(set(range(P_total)) - {r["pid"] for r in rows})
     if empty_pids and new_hw > old_hw:

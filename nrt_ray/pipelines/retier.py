@@ -26,10 +26,12 @@ the incremental merge documents at ``incremental.py:24-28``):
   the engine's documented float caveat for any out-of-order
   accumulation, identical to the increment-boundary case.
 
-Gap-fill / retention / segment encoding then run through the SAME
-kernels as the flagship (`rollup.gapfill_linear`, `apply_retention`,
-`compress.segments_from_rollups`), so the new tier is served by the
-existing lookup / decode / choose_tier paths with no special casing.
+Retention trimming and segment encoding then run through the SAME
+kernels as the flagship (`rollup.trim_for_retention`,
+`compress.segments_from_rollups`), and the new tier stores observed
+buckets only — its gap-fill is derived on read like every tier's — so it
+is served by the existing lookup / decode / choose_tier paths with no
+special casing.
 
 Resume / idempotence: each partition's manifest record gains a
 ``tiers_added`` list; a killed retier run skips already-recorded
@@ -60,8 +62,19 @@ from nrt_ray.state import manifest
 
 def compose_rolled(src: pa.Table, width_us: int) -> dict:
     """Compose a coarser ``rolled`` dict (rollup_flat layout) from a
-    persisted finer tier table.  Gap-filled source rows (count==0) are
-    excluded — they carry no observations."""
+    persisted finer tier table.  Only served observations count: the
+    source's retention anchor (stored, never served) is dropped at the
+    source's own high-water mark, and so are the gap-filled rows
+    (count==0) of a tier file that still holds them."""
+    meta = rollup.tier_meta(src)
+    if meta is not None and src.num_rows:
+        tier, hw = meta
+        rows = rollup.apply_retention(
+            {"bucket_ts": src.column("bucket_ts").cast(pa.int64())
+             .to_numpy(zero_copy_only=False),
+             "row": np.arange(src.num_rows)},
+            tier.width_us, tier.retention_us, hw)["row"]
+        src = src.take(pa.array(rows))
     if src.num_rows:
         src = src.filter(pc.greater(src.column("count"), 0))
     if src.num_rows == 0:
@@ -107,27 +120,12 @@ def compose_rolled(src: pa.Table, width_us: int) -> dict:
     return rolled, uurls
 
 
-def _tier_table(rolled: dict, uurls: np.ndarray) -> pa.Table:
-    return pa.table({
-        "url": pa.array(uurls, pa.string(), from_pandas=True).take(
-            pa.array(rolled.pop("series_idx"))),
-        "bucket_ts": pa.array(rolled["bucket_ts"], pa.int64())
-        .cast(pa.timestamp("us")),
-        "count": pa.array(rolled["count"], pa.int32()),
-        "sum": pa.array(rolled["sum"], pa.float64(), from_pandas=True),
-        "mean": pa.array(rolled["mean"], pa.float64()),
-        "min": pa.array(rolled["min"], pa.float64(), from_pandas=True),
-        "max": pa.array(rolled["max"], pa.float64(), from_pandas=True),
-        "last": pa.array(rolled["last"], pa.float64(), from_pandas=True),
-        "gapfilled": pa.array(rolled["gapfilled"], pa.bool_()),
-    })
-
-
 def retier_partition(out_dir: str, pid: int, new_tier: rollup.TierSpec,
                      source: str, high_water_us: int | None,
                      segment_max_points: int = 4096) -> dict:
     """Build one partition's new-tier rows + segments from its persisted
-    source tier; atomic writes; returns the updated row counts."""
+    source tier; atomic writes; returns the updated ``row_counts`` and
+    the new tier's served ``points``."""
     src_path = os.path.join(manifest.partition_dir(
         out_dir, f"rollup_{source}", pid), "part.parquet")
     src = pq.read_table(src_path)
@@ -138,14 +136,9 @@ def retier_partition(out_dir: str, pid: int, new_tier: rollup.TierSpec,
     rolled = rollup.trim_for_retention(rolled, new_tier.width_us,
                                        new_tier.retention_us,
                                        high_water_us)
-    if new_tier.gapfill:
-        rolled = rollup.gapfill_linear(rolled, new_tier.width_us,
-                                       new_tier.max_gap)
-    else:
-        rolled["gapfilled"] = np.zeros(len(rolled["bucket_ts"]), bool)
-    rolled = rollup.apply_retention(rolled, new_tier.width_us,
-                                    new_tier.retention_us, high_water_us)
-    tier_tbl = _tier_table(rolled, uurls)
+    tier_tbl = rollup.tag_tier(
+        rollup.tier_table(rolled, pa.array(uurls, pa.string())),
+        new_tier, high_water_us)
     manifest.write_partition_table(out_dir, f"rollup_{new_tier.name}",
                                    pid, tier_tbl)
 
@@ -163,8 +156,9 @@ def retier_partition(out_dir: str, pid: int, new_tier: rollup.TierSpec,
         ("tier", "ascending"), ("url", "ascending"),
         ("seg_start", "ascending")]))
     manifest.write_partition_table(out_dir, "segments", pid, merged)
-    return {f"rollup_{new_tier.name}": tier_tbl.num_rows,
-            "segments": merged.num_rows}
+    return {"row_counts": {f"rollup_{new_tier.name}": tier_tbl.num_rows,
+                           "segments": merged.num_rows},
+            "points": rollup.served_counts(tier_tbl)[0]}
 
 
 def run_retier(out_dir: str, new_tier, source: str,
@@ -214,10 +208,10 @@ def run_retier(out_dir: str, new_tier, source: str,
             for pid in todo}
     points = 0
     for pid, ref in refs.items():
-        counts = ray.get(ref)
-        points += counts[f"rollup_{new_tier.name}"]
+        res = ray.get(ref)
+        points += res["points"]
         rec = dict(records[pid])
-        rec.setdefault("row_counts", {}).update(counts)
+        rec.setdefault("row_counts", {}).update(res["row_counts"])
         rec["tiers_added"] = sorted(set(rec.get("tiers_added", []))
                                     | {new_tier.name})
         rec.pop("run_id", None)
@@ -241,8 +235,9 @@ def verify_store(out_dir: str, repair: bool = False) -> dict:
 
     Checks per partition: state file present + ``state_checksum``
     matches the record; every per-table row count recorded at commit
-    time matches the file on disk; segment payloads decode and their
-    point counts match ``n_points``.  One Ray task per partition.
+    time matches the file on disk (tier files: stored rows, retention
+    anchors included); every segment decodes and serves ``n_points``
+    points.  One Ray task per partition.
     Returns ``{"partitions": N, "ok": M, "issues": [...]}.``
 
     ``repair=True`` additionally UNCOMMITS every partition with an
@@ -286,11 +281,14 @@ def verify_store(out_dir: str, repair: bool = False) -> dict:
             segs = pq.read_table(seg_path)
             for i in range(segs.num_rows):
                 n = segs.column("n_points")[i].as_py()
-                ts = compress.decode_dod(segs.column("payload_ts")[i]
-                                         .as_py())
-                if len(ts) != n:
+                try:
+                    got = compress.decode_segments_table(
+                        segs.slice(i, 1)).num_rows
+                except ValueError as e:
+                    got = e
+                if got != n:
                     issues.append(f"pid {pid}: segment {i} decodes "
-                                  f"{len(ts)} points, metadata {n}")
+                                  f"{got} points, metadata {n}")
                     break
         except OSError:
             pass  # absence already reported via row_counts when recorded

@@ -10,7 +10,7 @@ runs of leading/trailing zero bits) but encode AND decode are pure
 vectorized NumPy (bit matrices + ``packbits``), which is what makes the
 codec usable inside high-throughput ``map_batches`` stages.
 
-Format v2 ("dod+xor2", little-endian) — SELF-DESCRIBING block size:
+Format v2/v3 ("dod+xor3", little-endian) — SELF-DESCRIBING block size:
     dod segment:  u32 n | u16 block | i64 first | i64 first_delta |
                   blocks of ≤block zigzag(dod) values:
                   u8 width | ceil(cnt·width/8) bytes
@@ -25,7 +25,13 @@ compile-time :data:`BLOCK` is only the encoder's default.  The previous
 compile-time constant), which made a BLOCK change an on-disk format
 break; v1 payloads are therefore refused by ``decode_segments_table``
 and transparently re-encoded (not byte-reused) by the incremental path
-in :func:`segments_from_rollups`.
+in :func:`segments_from_rollups`.  v3 keeps the v2 payload layout but
+changes what the points are: a segment holds its tier's STORED rows
+(observed buckets, plus the retention anchor), and each segment row
+carries what its linear gap-fill needs (``width_us``, ``max_gap``, and
+the served span ``seg_start``..``seg_end``), so a row still decodes on
+its own.  v2 payloads held the served points fills included, so they
+are refused and re-encoded like v1.
 
 Round-trip is exact (bit-for-bit) for any int64/float64 input including
 NaN payloads; exhaustively tested in tests/test_compress.py.
@@ -34,6 +40,10 @@ NaN payloads; exhaustively tested in tests/test_compress.py.
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from nrt_ray.stages import rollup
 
 #: default values per fixed-width block.  1024 (vs the classic 128)
 #: trades a few % of compression (one wide outlier widens more
@@ -44,8 +54,18 @@ import numpy as np
 BLOCK = 1024
 
 #: codec tag written to the segment table.  "2" = the self-describing
-#: block-size header; bump again on any further layout change.
-CODEC = "dod+xor2"
+#: block-size header; "3" = same payload layout, but the points are a
+#: tier's stored rows (observed buckets + retention anchor) that decode
+#: fills on read, not the served points themselves.
+CODEC = "dod+xor3"
+
+#: column layout of a segment table
+SEGMENT_SCHEMA = pa.schema([
+    ("url", pa.string()), ("tier", pa.string()),
+    ("seg_start", pa.timestamp("us")), ("seg_end", pa.timestamp("us")),
+    ("n_points", pa.int32()), ("width_us", pa.int64()),
+    ("max_gap", pa.int64()), ("codec", pa.string()),
+    ("payload_ts", pa.binary()), ("payload_value", pa.binary())])
 
 
 def _zigzag(x: np.ndarray) -> np.ndarray:
@@ -138,29 +158,58 @@ def encode_dod(ts: np.ndarray, block: int = BLOCK) -> bytes:
     return b"".join(parts)
 
 
-def decode_dod(buf: bytes) -> np.ndarray:
-    mv = memoryview(buf)
+def _header(mv: memoryview, size: int, kind: str) -> tuple[int, int]:
+    """``(n, block)`` of a payload whose fixed header (``n``, ``block``
+    and the first values) takes ``size(n)`` bytes.  Refuses a zero block
+    — no v2+ encoder writes one — and a buffer shorter than its header."""
+    if len(mv) < 6:
+        raise ValueError(f"truncated {kind} payload ({len(mv)} bytes)")
     n = int(np.frombuffer(mv[:4], dtype=np.uint32)[0])
     block = int(np.frombuffer(mv[4:6], dtype=np.uint16)[0])
     if block == 0:
-        raise ValueError("corrupt or pre-v2 dod payload (block=0); "
+        raise ValueError(f"corrupt or pre-v2 {kind} payload (block=0); "
                          "v1 'dod+xor' payloads must be re-encoded")
-    if n == 0:
-        return np.array([], dtype=np.int64)
-    first = int(np.frombuffer(mv[6:14], dtype=np.int64)[0])
-    if n == 1:
-        return np.array([first], dtype=np.int64)
-    first_delta = int(np.frombuffer(mv[14:22], dtype=np.int64)[0])
-    pos = 22
+    if len(mv) < size(n):
+        raise ValueError(f"truncated {kind} payload ({len(mv)} bytes)")
+    return n, block
+
+
+def _blocks(mv: memoryview, pos: int, total: int, block: int, hdr: int,
+            kind: str):
+    """Walk ``total`` packed values in blocks of ``block`` starting at
+    ``pos``; yields ``(count, block header, packed bytes)``.  The payload
+    must end exactly where the header implies (n, block, per-block
+    widths), so truncated, padded and v1-shaped payloads are refused
+    instead of decoded to garbage."""
+    done = 0
+    while done < total:
+        cnt = min(block, total - done)
+        head = mv[pos:pos + hdr]
+        end = pos + hdr + (cnt * head[-1] + 7) // 8 \
+            if len(head) == hdr else len(mv) + 1     # header cut short
+        if end > len(mv):
+            raise ValueError(f"truncated {kind} payload ({len(mv)} bytes)")
+        yield cnt, head, mv[pos + hdr:end]
+        pos = end
+        done += cnt
+    if pos != len(mv):
+        raise ValueError(f"{kind} payload is {len(mv)} bytes; its header "
+                         f"implies {pos}")
+
+
+def decode_dod(buf: bytes) -> np.ndarray:
+    mv = memoryview(buf)
+    n, block = _header(mv, lambda n: 6 + 8 * min(n, 2), "dod")
+    head = np.frombuffer(mv[6:6 + 8 * min(n, 2)], dtype=np.int64)
     out = np.empty(max(n - 2, 0), dtype=np.uint64)
     done = 0
-    while done < n - 2:
-        cnt = min(block, n - 2 - done)
-        width = mv[pos]
-        pos += 1
-        out[done:done + cnt] = _unpack(mv[pos:], cnt, width)
-        pos += (cnt * width + 7) // 8
+    for cnt, bh, packed in _blocks(mv, 6 + 8 * min(n, 2), len(out),
+                                   block, 1, "dod"):
+        out[done:done + cnt] = _unpack(packed, cnt, bh[0])
         done += cnt
+    if n < 2:
+        return head.copy()
+    first, first_delta = int(head[0]), int(head[1])
     dod = _unzigzag(out)
     deltas = np.concatenate([np.array([first_delta], dtype=np.int64),
                              first_delta + np.cumsum(dod, dtype=np.int64)])
@@ -201,26 +250,16 @@ def encode_xor(values: np.ndarray, block: int = BLOCK) -> bytes:
 
 def decode_xor(buf: bytes) -> np.ndarray:
     mv = memoryview(buf)
-    n = int(np.frombuffer(mv[:4], dtype=np.uint32)[0])
-    block = int(np.frombuffer(mv[4:6], dtype=np.uint16)[0])
-    if block == 0:
-        raise ValueError("corrupt or pre-v2 xor payload (block=0); "
-                         "v1 'dod+xor' payloads must be re-encoded")
-    if n == 0:
-        return np.array([], dtype=np.float64)
-    first = np.frombuffer(mv[6:14], dtype=np.uint64)[0]
-    pos = 14
-    xors = np.empty(n - 1, dtype=np.uint64)
+    n, block = _header(mv, lambda n: 6 + 8 * min(n, 1), "xor")
+    first = np.frombuffer(mv[6:6 + 8 * min(n, 1)], dtype=np.uint64)
+    xors = np.empty(max(n - 1, 0), dtype=np.uint64)
     done = 0
-    while done < n - 1:
-        cnt = min(block, n - 1 - done)
-        shift, width = mv[pos], mv[pos + 1]
-        pos += 2
-        xors[done:done + cnt] = _unpack(mv[pos:], cnt, width) \
-            << np.uint64(shift)
-        pos += (cnt * width + 7) // 8
+    for cnt, bh, packed in _blocks(mv, 6 + 8 * min(n, 1), len(xors),
+                                   block, 2, "xor"):
+        xors[done:done + cnt] = _unpack(packed, cnt, bh[1]) \
+            << np.uint64(bh[0])
         done += cnt
-    stream = np.concatenate([[first], xors])
+    stream = np.concatenate([first, xors])
     return np.bitwise_xor.accumulate(stream).view(np.float64)
 
 
@@ -229,32 +268,53 @@ def segments_from_rollups(tier_tables: dict, max_points: int = 4096,
                           old_segments=None):
     """Build the compressed segment table from rolled-up tier tables.
 
-    One segment per (url, tier) chunk of at most ``max_points`` rollup
-    points: timestamps dod-coded, means xor-coded.
+    One segment per (url, tier) chunk of at most ``max_points`` stored
+    rows: timestamps dod-coded, means xor-coded.  A stored tier table
+    (:func:`nrt_ray.stages.rollup.observed_tier_tables`) holds observed
+    buckets plus a retention anchor; its segments serve the gap-fill the
+    reader derives.  Each row records:
+
+    * ``seg_start``/``seg_end`` — the first and last bucket it SERVES
+      (anchor and out-of-window fills excluded); consecutive chunks of a
+      url tile its served span, so range pruning stays exact;
+    * ``n_points`` — how many points it serves, counted from the gap
+      lengths (no fill is materialized here);
+    * ``width_us``/``max_gap`` — the tier's fill rule (``max_gap`` 0:
+      no fill, null: unbounded).
+
+    A gap across a chunk boundary still fills: the chunk's payload then
+    ends with the next chunk's first row as its right anchor, outside
+    its served span.  A table without tier metadata is a served view,
+    encoded point for point.
 
     Incremental reuse (O(touched) increments): when ``changed_urls``
-    maps each tier name to the urls whose rollup rows changed this
+    maps each tier name to the urls whose served rows changed this
     increment and ``old_segments`` is the previous commit's segment
     table, payloads for UNCHANGED (url, tier) pairs are carried over
     byte-identical instead of re-encoded — the codecs are deterministic,
     so re-encoding identical points would produce identical bytes.
 
     Returns:
-        pyarrow.Table (url, tier, seg_start, seg_end, n_points,
-        codec, payload_ts, payload_value)
+        pyarrow.Table (url, tier, seg_start, seg_end, n_points, width_us,
+        max_gap, codec, payload_ts, payload_value)
     """
-    import pyarrow as pa
+    incremental = changed_urls is not None and old_segments is not None \
+        and old_segments.num_rows > 0
     reused = []
-    if changed_urls is not None and old_segments is not None \
-            and old_segments.num_rows:
-        import pyarrow.compute as pc
-        # payloads from other codec versions (e.g. v1 "dod+xor", whose
-        # block size is not recorded in the stream) must NOT be carried
-        # over byte-identical: treat their urls as changed so they are
-        # re-encoded in the current format below.
+    if incremental:
+        # payloads from other codec versions must NOT be carried over
+        # byte-identical: treat their urls as changed so they are
+        # re-encoded in the current format below
         legacy = old_segments.filter(pc.not_equal(
             old_segments.column("codec"), CODEC))
         if legacy.num_rows:
+            orphan = set(legacy.column("tier").to_pylist()) \
+                - set(tier_tables)
+            if orphan:
+                raise ValueError(
+                    f"old segments hold {CODEC!r}-incompatible rows for "
+                    f"tier(s) {sorted(orphan)} that have no tier table to "
+                    "re-encode them from")
             changed_urls = dict(changed_urls)
             for tier_name in tier_tables:
                 lt = legacy.filter(pc.equal(legacy.column("tier"),
@@ -265,83 +325,90 @@ def segments_from_rollups(tier_tables: dict, max_points: int = 4096,
                         | set(lt.column("url").to_pylist()))
             old_segments = old_segments.filter(pc.equal(
                 old_segments.column("codec"), CODEC))
-        keep_parts = []
         for tier_name in tier_tables:
-            ch = np.asarray(changed_urls.get(tier_name, ()), dtype=object)
-            tmask = pc.equal(old_segments.column("tier"), tier_name)
-            tier_old = old_segments.filter(tmask)
-            if not tier_old.num_rows:
-                continue
+            ch = pa.array(np.asarray(changed_urls.get(tier_name, ()),
+                                     dtype=object), pa.string(),
+                          from_pandas=True)
+            tier_old = old_segments.filter(
+                pc.equal(old_segments.column("tier"), tier_name))
             # hash-based membership — np.isin on object strings is
             # O(rows × changed) and dominated incremental applies
-            chm = pc.is_in(tier_old.column("url"),
-                           value_set=pa.array(ch, pa.string(),
-                                              from_pandas=True))
-            keep_parts.append(tier_old.filter(pc.invert(chm)))
-        reused = [t for t in keep_parts if t.num_rows]
-    rows = {k: [] for k in ("url", "tier", "seg_start", "seg_end",
-                            "n_points", "codec", "payload_ts",
-                            "payload_value")}
+            tier_old = tier_old.filter(pc.invert(pc.is_in(
+                tier_old.column("url"), value_set=ch)))
+            if tier_old.num_rows:
+                reused.append(tier_old)
+    parts = []
     for tier_name, table in tier_tables.items():
-        if table.num_rows == 0:
-            continue
-        urls = table.column("url").to_pandas().to_numpy(dtype=object)
-        if changed_urls is not None and old_segments is not None \
-                and old_segments.num_rows:
-            import pyarrow.compute as pc
-            ch = np.asarray(changed_urls.get(tier_name, ()), dtype=object)
-            marr = pc.is_in(table.column("url"),
-                            value_set=pa.array(ch, pa.string(),
-                                               from_pandas=True))
-            m = marr.to_numpy(zero_copy_only=False)
-            if not m.any():
-                continue
-            table = table.filter(marr)
-            urls = urls[m]
-        ts = table.column("bucket_ts").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        mean = table.column("mean").to_numpy(zero_copy_only=False)
-        # contiguous runs per url (rollup output is url-grouped)
-        starts = np.flatnonzero(np.r_[True, urls[1:] != urls[:-1]])
-        ends = np.r_[starts[1:], len(urls)]
-        for s, e in zip(starts, ends):
-            for c in range(s, e, max_points):
-                d = min(c + max_points, e)
-                rows["url"].append(urls[s])
-                rows["tier"].append(tier_name)
-                rows["seg_start"].append(int(ts[c]))
-                rows["seg_end"].append(int(ts[d - 1]))
-                rows["n_points"].append(d - c)
-                rows["codec"].append(CODEC)
-                rows["payload_ts"].append(encode_dod(ts[c:d]))
-                rows["payload_value"].append(encode_xor(mean[c:d]))
-    out = pa.table({
-        "url": pa.array(rows["url"], pa.string()),
-        "tier": pa.array(rows["tier"], pa.string()),
-        "seg_start": pa.array(rows["seg_start"], pa.int64()).cast(
-            pa.timestamp("us")),
-        "seg_end": pa.array(rows["seg_end"], pa.int64()).cast(
-            pa.timestamp("us")),
-        "n_points": pa.array(rows["n_points"], pa.int32()),
-        "codec": pa.array(rows["codec"], pa.string()),
-        "payload_ts": pa.array(rows["payload_ts"], pa.binary()),
-        "payload_value": pa.array(rows["payload_value"], pa.binary()),
-    })
+        if incremental:
+            table = table.filter(pc.is_in(
+                table.column("url"), value_set=pa.array(
+                    np.asarray(changed_urls.get(tier_name, ()),
+                               dtype=object), pa.string(),
+                    from_pandas=True)))
+        if table.num_rows:
+            parts.append(_encode_tier(tier_name, table, max_points))
+    out = pa.concat_tables([SEGMENT_SCHEMA.empty_table()] + reused + parts)
     if reused:
-        import pyarrow.compute as pc
-        out = pa.concat_tables(reused + [out],
-                               promote_options="default")
         out = out.take(pc.sort_indices(out, sort_keys=[
             ("tier", "ascending"), ("url", "ascending"),
             ("seg_start", "ascending")]))
     return out
 
 
+def _encode_tier(tier_name: str, table: pa.Table, max_points: int):
+    """Segments of one non-empty tier table (see
+    :func:`segments_from_rollups`)."""
+    tier, hw = rollup.tier_meta(table) or (
+        rollup.TierSpec(tier_name, gapfill=False), None)
+    rolled, urls = rollup.table_rolled(table)
+    ts, mean, sidx = rolled["bucket_ts"], rolled["mean"], \
+        rolled["series_idx"]
+    first, last, count = rollup.served_runs(rolled, tier, hw)
+    # chunk starts cs / ends ce: <= max_points stored rows per url run
+    u0 = np.flatnonzero(np.r_[True, sidx[1:] != sidx[:-1]])
+    u1 = np.r_[u0[1:], len(sidx)]
+    nch = -(-(u1 - u0) // max_points)
+    url_end = np.repeat(u1, nch)
+    cs = np.repeat(u0, nch) + max_points * (
+        np.arange(nch.sum()) - np.repeat(np.cumsum(nch) - nch, nch))
+    ce = np.minimum(cs + max_points, url_end)
+    served = count > 0
+    n_points = np.add.reduceat(count, cs)
+    seg_start = np.minimum.reduceat(
+        np.where(served, first, np.iinfo(np.int64).max), cs)
+    seg_end = np.maximum.reduceat(
+        np.where(served, last, np.iinfo(np.int64).min), cs)
+    # right anchor: the next chunk's first row, when fills served by this
+    # chunk's last row interpolate towards it
+    pe = ce + ((ce < url_end) & served[ce - 1] & (last[ce - 1] > ts[ce - 1]))
+    keep = n_points > 0                # e.g. a lone anchor serving nothing
+    cs, pe = cs[keep], pe[keep]
+    nseg = len(cs)
+    return pa.table({
+        "url": urls.take(pa.array(sidx[cs])),
+        "tier": pa.array([tier_name] * nseg, pa.string()),
+        "seg_start": pa.array(seg_start[keep]).cast(pa.timestamp("us")),
+        "seg_end": pa.array(seg_end[keep]).cast(pa.timestamp("us")),
+        "n_points": pa.array(n_points[keep], pa.int32()),
+        "width_us": pa.array([tier.width_us] * nseg, pa.int64()),
+        "max_gap": pa.array([tier.fill_gap] * nseg, pa.int64()),
+        "codec": pa.array([CODEC] * nseg, pa.string()),
+        "payload_ts": pa.array([encode_dod(ts[c:e])
+                                for c, e in zip(cs, pe)], pa.binary()),
+        "payload_value": pa.array([encode_xor(mean[c:e])
+                                   for c, e in zip(cs, pe)], pa.binary()),
+    }, schema=SEGMENT_SCHEMA)
+
+
 def decode_segments_table(segments, tier: str | None = None,
                           t0_us: int | None = None,
                           t1_us: int | None = None):
-    """Decode a segment table back to rollup points — the storage-layer
-    read path (``(url, tier, bucket_ts, mean)`` rows).
+    """Decode a segment table back to served rollup points — the
+    storage-layer read path (``(url, tier, bucket_ts, mean)`` rows):
+    each row's stored points, the linear gap-fill between them
+    (:func:`nrt_ray.stages.rollup.gapfill_linear` with the row's
+    ``width_us``/``max_gap``), cut to the row's served span
+    ``[seg_start, seg_end]``.
 
     Runs fine inside ``map_batches`` over segment batches: each row
     decodes independently, so the read path scales exactly like the
@@ -355,8 +422,6 @@ def decode_segments_table(segments, tier: str | None = None,
     CLI subcommand), and decoded points of straddling segments are
     filtered to the range.
     """
-    import pyarrow as pa
-    import pyarrow.compute as pc
     if tier is not None:
         segments = segments.filter(pc.equal(segments.column("tier"),
                                             tier))
@@ -368,41 +433,56 @@ def decode_segments_table(segments, tier: str | None = None,
                             - {CODEC})
             raise ValueError(
                 f"{nbad} segment(s) use codec(s) {others}; this reader "
-                f"only decodes {CODEC!r}.  v1 'dod+xor' payloads do not "
-                "record their block size — re-encode the store (any "
-                "increment re-encodes touched urls automatically).")
+                f"only decodes {CODEC!r}.  Older payloads either lack "
+                "their block size (v1 'dod+xor') or hold materialized "
+                "gap-fill (v2) — re-encode the store (any increment "
+                "re-encodes touched partitions automatically).")
     if t0_us is not None:
         segments = segments.filter(pc.greater_equal(
             segments.column("seg_end").cast(pa.int64()), t0_us))
     if t1_us is not None:
         segments = segments.filter(pc.less(
             segments.column("seg_start").cast(pa.int64()), t1_us))
-    urls, tiers, ts_out, mean_out = [], [], [], []
-    pts = segments.column("payload_ts").to_pylist()
-    pvs = segments.column("payload_value").to_pylist()
-    su = segments.column("url").to_pylist()
-    st = segments.column("tier").to_pylist()
-    for u, t, bts, bval in zip(su, st, pts, pvs):
-        ts = decode_dod(bts)
-        val = decode_xor(bval)
-        if t0_us is not None or t1_us is not None:
-            m = np.ones(len(ts), dtype=bool)
-            if t0_us is not None:
-                m &= ts >= t0_us
-            if t1_us is not None:
-                m &= ts < t1_us
-            ts, val = ts[m], val[m]
-        urls.extend([u] * len(ts))
-        tiers.extend([t] * len(ts))
-        ts_out.append(ts)
-        mean_out.append(val)
-    ts_all = np.concatenate(ts_out) if ts_out else np.array([], np.int64)
-    mean_all = np.concatenate(mean_out) if mean_out else \
+    decoded = [(decode_dod(bts), decode_xor(bval)) for bts, bval in zip(
+        segments.column("payload_ts").to_pylist(),
+        segments.column("payload_value").to_pylist())]
+    row = np.repeat(np.arange(len(decoded)),
+                    [len(ts) for ts, _ in decoded]).astype(np.int64)
+    ts = np.concatenate([ts for ts, _ in decoded]) if decoded else \
+        np.array([], np.int64)
+    mean = np.concatenate([v for _, v in decoded]) if decoded else \
         np.array([], np.float64)
+    # fill per (width, max_gap) class; the row index is the series key,
+    # so rows never share a gap
+    rule = np.stack([segments.column("width_us").to_numpy(),
+                     segments.column("max_gap").fill_null(-1).to_numpy()],
+                    axis=1)
+    rules, cls = np.unique(rule, axis=0, return_inverse=True)
+    filled = []
+    for k, (w, g) in enumerate(rules):
+        mine = cls.reshape(-1)[row] == k
+        filled.append(rollup.gapfill_linear(
+            {"series_idx": row[mine], "bucket_ts": ts[mine],
+             "mean": mean[mine]}, int(w), None if g < 0 else int(g)))
+    if filled:
+        row, ts, mean = (np.concatenate([f[k] for f in filled]) for k in
+                         ("series_idx", "bucket_ts", "mean"))
+        if len(filled) > 1:
+            order = np.argsort(row, kind="stable")
+            row, ts, mean = row[order], ts[order], mean[order]
+    lo = segments.column("seg_start").cast(pa.int64()) \
+        .to_numpy(zero_copy_only=False)
+    hi = segments.column("seg_end").cast(pa.int64()) \
+        .to_numpy(zero_copy_only=False)
+    m = (ts >= lo[row]) & (ts <= hi[row])
+    if t0_us is not None:
+        m &= ts >= t0_us
+    if t1_us is not None:
+        m &= ts < t1_us
+    row, ts, mean = row[m], ts[m], mean[m]
     return pa.table({
-        "url": pa.array(urls, pa.string()),
-        "tier": pa.array(tiers, pa.string()),
-        "bucket_ts": pa.array(ts_all, pa.int64()).cast(
-            pa.timestamp("us")),
-        "mean": pa.array(mean_all, pa.float64()),
+        "url": segments.column("url").take(pa.array(row)),
+        "tier": segments.column("tier").take(pa.array(row)),
+        "bucket_ts": pa.array(ts, pa.int64()).cast(pa.timestamp("us")),
+        "mean": pa.array(mean, pa.float64()),
     })

@@ -16,6 +16,11 @@ implementation in ``tests/test_rollup.py``):
 * *Retention*: per tier, buckets whose end falls more than ``retention``
   before the url's (or dataset's) high-water mark are dropped after being
   rolled into coarser tiers.
+* *Stored vs served*: a store persists only the observed buckets plus
+  each series' retention anchor (:func:`observed_tier_tables`); gap-fill
+  and retention run when a tier is read (:func:`serve_tier_table`).
+  :func:`rollup_series_table` is the two halves composed — the served
+  view, unchanged bit for bit.
 
 Everything is vectorized over the whole series batch at once (no per-url
 Python loop): buckets are computed on the flattened list values and reduced
@@ -33,8 +38,11 @@ holds only its own key range.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from nrt_ray.util import full as nrfull
 
@@ -83,6 +91,19 @@ def rollup_flat(series_idx: np.ndarray, ts_us: np.ndarray,
     }
 
 
+def _gap_lengths(sidx: np.ndarray, bts: np.ndarray, width_us: int,
+                 max_gap: int | None) -> np.ndarray:
+    """Buckets filled between each row and the next (``len − 1``
+    values): the empty buckets between two rows of one series, 0 across
+    series and for gaps longer than ``max_gap``.  Points closer than one
+    width (an unaligned served view) miss none."""
+    nmiss = np.where(sidx[1:] == sidx[:-1],
+                     np.maximum((bts[1:] - bts[:-1]) // width_us - 1, 0), 0)
+    if max_gap is not None:
+        nmiss = np.where(nmiss > max_gap, 0, nmiss)
+    return nmiss
+
+
 def gapfill_linear(rolled: dict, width_us: int, max_gap: int | None = None):
     """Insert linearly interpolated rows for empty buckets between observed
     buckets of the same series.
@@ -104,10 +125,7 @@ def gapfill_linear(rolled: dict, width_us: int, max_gap: int | None = None):
         out = {k: v.copy() for k, v in rolled.items()}
         out["gapfilled"] = np.array([], dtype=bool)
         return out
-    same = sidx[1:] == sidx[:-1]
-    nmiss = np.where(same, (bts[1:] - bts[:-1]) // width_us - 1, 0)
-    if max_gap is not None:
-        nmiss = np.where(nmiss > max_gap, 0, nmiss)
+    nmiss = _gap_lengths(sidx, bts, width_us, max_gap)
     total = int(nmiss.sum())
     if total == 0:
         out = {k: v.copy() for k, v in rolled.items()}
@@ -140,17 +158,17 @@ def gapfill_linear(rolled: dict, width_us: int, max_gap: int | None = None):
     gapfilled = np.zeros(m, bool)
     gapfilled[fill_pos] = True
     nanfill = nrfull(total, np.nan)
-    return {
-        "series_idx": merge(sidx, sidx[gap_src]),
-        "bucket_ts": merge(bts, fill_ts),
-        "count": merge(rolled["count"], np.zeros(total, np.int32)),
-        "sum": merge(rolled["sum"], nanfill),
-        "mean": merge(rolled["mean"], fill_mean),
-        "min": merge(rolled["min"], nanfill),
-        "max": merge(rolled["max"], nanfill),
-        "last": merge(rolled["last"], nanfill),
-        "gapfilled": gapfilled,
-    }
+    out = {"series_idx": merge(sidx, sidx[gap_src]),
+           "bucket_ts": merge(bts, fill_ts),
+           "mean": merge(rolled["mean"], fill_mean)}
+    # any other statistic present (the segment read path carries none):
+    # count 0, the rest NaN
+    for k, v in rolled.items():
+        if k not in out:
+            out[k] = merge(v, np.zeros(total, v.dtype) if k == "count"
+                           else nanfill)
+    out["gapfilled"] = gapfilled
+    return out
 
 
 def apply_retention(rolled: dict, width_us: int, retention_us: int | None,
@@ -196,6 +214,12 @@ class TierSpec:
         self.max_gap = max_gap
         self.retention_us = retention_us
 
+    @property
+    def fill_gap(self) -> int | None:
+        """``max_gap`` as :func:`gapfill_linear` takes it: 0 fills
+        nothing, so a ``gapfill=False`` tier runs the same code path."""
+        return self.max_gap if self.gapfill else 0
+
     def to_dict(self) -> dict:
         return {"name": self.name, "width_us": self.width_us,
                 "gapfill": self.gapfill, "max_gap": self.max_gap,
@@ -214,21 +238,112 @@ DEFAULT_TIERS = (
     TierSpec("1w"),
 )
 
+#: schema-metadata key of a stored tier table: its TierSpec plus the
+#: high-water mark its retention was trimmed at — everything
+#: :func:`serve_tier_table` needs, so a tier file serves on its own
+TIER_META = b"nrt_ray.tier"
 
-def rollup_series_table(series: pa.Table, tiers=DEFAULT_TIERS,
-                        high_water_us: int | None = None) -> dict[str, pa.Table]:
-    """Roll one assembled series table into every tier.
 
-    Args:
-        series: table with ``url, n, ts(list), value(list)`` (output of
-            :func:`nrt_ray.stages.assemble.assemble_series`).
-        high_water_us: ingest high-water mark for retention; defaults to the
-            max observed timestamp in this table.
+def tier_meta(table: pa.Table):
+    """``(TierSpec, high_water_us)`` of a stored tier table, or None for
+    a table that carries no tier metadata (a served view, or a tier file
+    written before stores kept observed buckets only)."""
+    raw = (table.schema.metadata or {}).get(TIER_META)
+    if raw is None:
+        return None
+    d = json.loads(raw)
+    hw = d.pop("high_water_us")
+    return TierSpec(**d), hw
 
-    Returns:
-        ``{tier_name: pa.Table(url, bucket_ts, count, mean, min, max, last,
-        gapfilled)}``
-    """
+
+def tag_tier(table: pa.Table, tier: TierSpec,
+             high_water_us: int | None) -> pa.Table:
+    """Attach the tier metadata :func:`tier_meta` reads back."""
+    return table.replace_schema_metadata({TIER_META: json.dumps(
+        dict(tier.to_dict(), high_water_us=high_water_us))})
+
+
+def tier_table(rolled: dict, urls) -> pa.Table:
+    """Arrow tier table from a ``rolled`` dict; ``urls[i]`` is series
+    ``i``'s url.  Rows without a ``gapfilled`` flag are observed."""
+    gapfilled = rolled.get("gapfilled")
+    if gapfilled is None:
+        gapfilled = np.zeros(len(rolled["bucket_ts"]), bool)
+    return pa.table({
+        "url": urls.take(pa.array(rolled["series_idx"])),
+        "bucket_ts": pa.array(rolled["bucket_ts"],
+                              pa.int64()).cast(pa.timestamp("us")),
+        "count": pa.array(rolled["count"], pa.int32()),
+        "sum": pa.array(rolled["sum"], pa.float64(), from_pandas=True),
+        "mean": pa.array(rolled["mean"], pa.float64()),
+        "min": pa.array(rolled["min"], pa.float64(), from_pandas=True),
+        "max": pa.array(rolled["max"], pa.float64(), from_pandas=True),
+        "last": pa.array(rolled["last"], pa.float64(), from_pandas=True),
+        "gapfilled": pa.array(gapfilled, pa.bool_()),
+    })
+
+
+def table_rolled(table: pa.Table):
+    """Inverse of :func:`tier_table` for a (url, bucket_ts)-sorted tier
+    table: ``(rolled dict, per-series url array)``."""
+    urls = table.column("url").combine_chunks()
+    n = len(urls)
+    first = np.ones(n, bool)
+    if n > 1:
+        first[1:] = pc.not_equal(urls.slice(1), urls.slice(0, n - 1)) \
+            .to_numpy(zero_copy_only=False)
+    rolled = {"series_idx": np.cumsum(first) - 1,
+              "bucket_ts": np.asarray(table.column("bucket_ts")
+                                      .cast(pa.int64())
+                                      .to_numpy(zero_copy_only=False))}
+    for k in ("count", "sum", "mean", "min", "max", "last"):
+        if k in table.column_names:
+            rolled[k] = table.column(k).to_numpy(zero_copy_only=False)
+    return rolled, urls.filter(pa.array(first))
+
+
+def served_runs(rolled: dict, tier: TierSpec, high_water_us: int | None):
+    """The buckets :func:`gapfill_linear` + :func:`apply_retention`
+    serve from each stored row — the row's own bucket, then the linear
+    fills up to the series' next row — counted from the gap lengths
+    without materializing a single fill.
+
+    Returns per-row ``(first_ts, last_ts, count)``; ``count`` 0 marks a
+    row that serves nothing (a retention anchor whose fills all fall
+    outside the window), and its ``first_ts``/``last_ts`` are then
+    meaningless."""
+    sidx, bts = rolled["series_idx"], rolled["bucket_ts"]
+    w = tier.width_us
+    nmiss = np.zeros(len(bts), np.int64)
+    nmiss[:-1] = _gap_lengths(sidx, bts, w, tier.fill_gap)
+    last = bts + nmiss * w
+    if tier.retention_us is None:
+        return bts, last, nmiss + 1
+    # positions j = 0..nmiss sit at bts + j·w; apply_retention keeps
+    # bucket_ts > high_water − retention − width
+    lo = high_water_us - tier.retention_us - w
+    skip = np.maximum((lo - bts) // w + 1, 0)
+    return bts + skip * w, last, np.maximum(nmiss + 1 - skip, 0)
+
+
+def served_counts(table: pa.Table) -> tuple[int, int]:
+    """``(served points, observed buckets among them)`` of a stored tier
+    table: what its served view holds, without building it."""
+    meta = tier_meta(table)
+    if meta is None or not table.num_rows:
+        return table.num_rows, table.num_rows
+    tier, hw = meta
+    rolled, _ = table_rolled(table)
+    first, _, count = served_runs(rolled, tier, hw)
+    return (int(count.sum()),
+            int(np.count_nonzero((count > 0)
+                                 & (first == rolled["bucket_ts"]))))
+
+
+def _observed(series: pa.Table, tiers, high_water_us: int | None):
+    """Per tier: ``(tier, stored rolled dict, per-series urls, high-water
+    mark)`` — observed buckets plus each series' retention anchor (the
+    last bucket before the window, :func:`trim_for_retention`)."""
     n = series.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
     urls = series.column("url")
     sidx = np.repeat(np.arange(len(n)), n)
@@ -238,31 +353,64 @@ def rollup_series_table(series: pa.Table, tiers=DEFAULT_TIERS,
                        .to_numpy(zero_copy_only=False), dtype=np.float64)
     if high_water_us is None:
         high_water_us = int(ts_us.max()) if len(ts_us) else 0
-
-    out = {}
     for tier in tiers:
         rolled = rollup_flat(sidx, ts_us, value, tier.width_us)
-        rolled = trim_for_retention(rolled, tier.width_us,
-                                    tier.retention_us, high_water_us)
-        if tier.gapfill:
-            rolled = gapfill_linear(rolled, tier.width_us, tier.max_gap)
-        else:
-            rolled["gapfilled"] = np.zeros(len(rolled["bucket_ts"]), bool)
-        rolled = apply_retention(rolled, tier.width_us, tier.retention_us,
-                                 high_water_us)
-        out[tier.name] = pa.table({
-            "url": urls.take(pa.array(rolled.pop("series_idx"))),
-            "bucket_ts": pa.array(rolled["bucket_ts"],
-                                  pa.int64()).cast(pa.timestamp("us")),
-            "count": pa.array(rolled["count"], pa.int32()),
-            "sum": pa.array(rolled["sum"], pa.float64(), from_pandas=True),
-            "mean": pa.array(rolled["mean"], pa.float64()),
-            "min": pa.array(rolled["min"], pa.float64(), from_pandas=True),
-            "max": pa.array(rolled["max"], pa.float64(), from_pandas=True),
-            "last": pa.array(rolled["last"], pa.float64(), from_pandas=True),
-            "gapfilled": pa.array(rolled["gapfilled"], pa.bool_()),
-        })
-    return out
+        yield tier, trim_for_retention(rolled, tier.width_us,
+                                       tier.retention_us, high_water_us), \
+            urls, high_water_us
+
+
+def _served(rolled: dict, tier: TierSpec, high_water_us: int) -> dict:
+    """Stored rows → served rows: linear gap-fill, then retention (which
+    drops the anchor)."""
+    rolled = gapfill_linear(rolled, tier.width_us, tier.fill_gap)
+    return apply_retention(rolled, tier.width_us, tier.retention_us,
+                           high_water_us)
+
+
+def observed_tier_tables(series: pa.Table, tiers=DEFAULT_TIERS,
+                         high_water_us: int | None = None
+                         ) -> dict[str, pa.Table]:
+    """The stored half of :func:`rollup_series_table`: per tier, the
+    observed buckets plus each series' retention anchor — what the store
+    persists.  Each table carries its tier and high-water mark as schema
+    metadata; :func:`serve_tier_table` derives the gap-fill from them."""
+    return {tier.name: tag_tier(tier_table(rolled, urls), tier, hw)
+            for tier, rolled, urls, hw in
+            _observed(series, tiers, high_water_us)}
+
+
+def serve_tier_table(table: pa.Table) -> pa.Table:
+    """The read half: a stored tier table's served view — linear gap-fill
+    between its observed buckets, then retention at its high-water mark
+    (which drops the anchor row).  A table without tier metadata is
+    returned as it is: it already is a served view."""
+    meta = tier_meta(table)
+    if meta is None:
+        return table
+    rolled, urls = table_rolled(table)
+    return tier_table(_served(rolled, *meta), urls)
+
+
+def rollup_series_table(series: pa.Table, tiers=DEFAULT_TIERS,
+                        high_water_us: int | None = None) -> dict[str, pa.Table]:
+    """Roll one assembled series table into every tier's served view.
+
+    Args:
+        series: table with ``url, n, ts(list), value(list)`` (output of
+            :func:`nrt_ray.stages.assemble.assemble_series`).
+        high_water_us: ingest high-water mark for retention; defaults to the
+            max observed timestamp in this table.
+
+    Returns:
+        ``{tier_name: pa.Table(url, bucket_ts, count, mean, min, max, last,
+        gapfilled)}`` — the stored half (:func:`observed_tier_tables`)
+        served (:func:`serve_tier_table`) without the Arrow round trip:
+        exactly what a store serves.
+    """
+    return {tier.name: tier_table(_served(rolled, tier, hw), urls)
+            for tier, rolled, urls, hw in
+            _observed(series, tiers, high_water_us)}
 
 
 def choose_tier(tiers, t0_us: int, t1_us: int, max_points: int,

@@ -160,6 +160,14 @@ def test_cli_retier_fsck(tmp_path):
     assert gen.returncode == 0, gen.stderr[-2000:]
     _run(["run", "--input", "wt/webtext.parquet", "--out", "out",
           "--strategy", "CUSUM", "--partitions", "3"], d)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    stat = subprocess.run(
+        [sys.executable, "-m", "nrt_ray.cli", "stats", "--out", "out"],
+        cwd=d, env=dict(os.environ, PYTHONPATH=root),
+        capture_output=True, text=True, timeout=60)
+    sm = json.loads(stat.stdout.strip().splitlines()[-1])
+    # served tier points (observed + fill) and the observed among them
+    assert 0 < sm["observed_buckets"] < sm["rollup_points"]
 
     s = _run(["retier", "--out", "out", "--tier", "4w",
               "--width-s", str(4 * 7 * 86400), "--source", "1w"], d)

@@ -232,3 +232,64 @@ def test_decode_segments_table_range_prunes_without_decode(monkeypatch):
             t1, pa.timestamp("us"))))
     assert dec.equals(exp)
     assert dec.num_rows == 10
+
+
+def _v1(payload: bytes) -> bytes:
+    """The pre-v2 layout of a payload: same bytes without the u16 block
+    field (v1 decoders assumed a compile-time block of 128)."""
+    return payload[:4] + payload[6:]
+
+
+@pytest.mark.parametrize("codec", ["dod", "xor"])
+def test_payload_length_is_validated(codec):
+    """Decoders check the length the header implies (n, block, per-block
+    widths): truncated, padded and v1-shaped payloads raise instead of
+    decoding to garbage."""
+    rng = np.random.default_rng(5)
+    enc, dec = ((compress.encode_dod, compress.decode_dod) if codec == "dod"
+                else (compress.encode_xor, compress.decode_xor))
+    for n in (0, 1, 2, 3, 200, 1500):
+        data = (np.cumsum(rng.integers(1, 10**6, n)) if codec == "dod"
+                else rng.normal(size=n))
+        good = enc(data, block=128)
+        dec(good)
+        for bad in (good[:-1], good + b"\0", good[:5]):
+            with pytest.raises(ValueError):
+                dec(bad)
+        if n:
+            with pytest.raises(ValueError):
+                dec(_v1(good))
+
+
+def test_v1_payloads_refused_structurally():
+    """v1 payloads whose 'first' value has nonzero low bytes (so the
+    block field reads nonzero) are still refused by the length check."""
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        ts = np.cumsum(rng.integers(1, 10**7, 300)) + (1 << 40) + 12345
+        vals = rng.normal(size=300)
+        with pytest.raises(ValueError):
+            compress.decode_dod(_v1(compress.encode_dod(ts, block=128)))
+        with pytest.raises(ValueError):
+            compress.decode_xor(_v1(compress.encode_xor(vals, block=128)))
+
+
+def test_legacy_rows_for_missing_tier_raise():
+    """Old segments holding legacy rows for a tier without a tier table
+    to re-encode them from are refused, not silently dropped."""
+    tier = pa.table({
+        "url": pa.array(["a"] * 3, pa.string()),
+        "bucket_ts": pa.array([0, 86400 * US, 2 * 86400 * US],
+                              pa.int64()).cast(pa.timestamp("us")),
+        "mean": pa.array([1.0, 2.0, 3.0], pa.float64()),
+    })
+    seg = compress.segments_from_rollups({"1d": tier})
+    legacy = seg.set_column(seg.column_names.index("codec"), "codec",
+                            pa.array(["dod+xor2"] * seg.num_rows))
+    with pytest.raises(ValueError, match="1d"):
+        compress.segments_from_rollups({"1w": tier}, changed_urls={"1w": []},
+                                       old_segments=legacy)
+    out = compress.segments_from_rollups({"1d": tier},
+                                         changed_urls={"1d": []},
+                                         old_segments=legacy)
+    assert set(out.column("codec").to_pylist()) == {compress.CODEC}

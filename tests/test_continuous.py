@@ -20,7 +20,7 @@ US = 1_000_000
 CUTS = (np.datetime64("2021-06-01", "us"),
         np.datetime64("2021-10-01", "us"))
 
-TIERS = (rollup.TierSpec("1d"),
+TIERS = (rollup.DEFAULT_TIERS[0], rollup.TierSpec("1d"),
          rollup.TierSpec("1w", retention_us=300 * 86400 * US))
 
 
@@ -69,7 +69,7 @@ def _assert_outputs_equal(dir_a: str, dir_b: str):
         sa.column("process").to_numpy(zero_copy_only=False),
         sb.column("process").to_numpy(zero_copy_only=False),
         rtol=1e-12, atol=1e-14)
-    for name in ("rollup_1d", "rollup_1w"):
+    for name in ("rollup_1h", "rollup_1d", "rollup_1w"):
         ta = _by_url(mp.read_output_table(dir_a, name),
                      extra=("bucket_ts",))
         tb = _by_url(mp.read_output_table(dir_b, name),

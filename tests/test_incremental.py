@@ -20,6 +20,9 @@ CUT = np.datetime64("2021-09-01", "us")
 
 TIERS = (rollup.TierSpec("1d"),
          rollup.TierSpec("1w", retention_us=300 * 86400 * US))
+#: plus the default 1h tier: its 90-day window moves past every early
+#: row, so increments must keep each url's retention anchor right
+TIERS_1H = (rollup.DEFAULT_TIERS[0],) + TIERS
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +49,7 @@ def test_incremental_equals_oneshot(ray_session, split_webtext, tmp_path):
     common = dict(strategy="CUSUM", fit_method="OLS",
                   monitor_params={"trend": False},
                   monitor_start="2021-01-01", num_partitions=6,
-                  tiers=TIERS)
+                  tiers=TIERS_1H)
 
     full = mp.run_pipeline(str(d / "webtext.parquet"),
                            str(tmp_path / "full"), **common)
@@ -71,7 +74,7 @@ def test_incremental_equals_oneshot(ray_session, split_webtext, tmp_path):
         rtol=1e-12, atol=1e-14)
 
     # ---- rollups: exact except boundary-bucket sums/means -------------
-    for name in ("rollup_1d", "rollup_1w"):
+    for name in ("rollup_1h", "rollup_1d", "rollup_1w"):
         ta = _by_url(mp.read_output_table(str(tmp_path / "full"), name),
                      extra=("bucket_ts",))
         tb = _by_url(mp.read_output_table(str(tmp_path / "inc"), name),
@@ -266,3 +269,89 @@ def test_legacy_codec_store_migrates_on_increment(ray_session,
     got = _by_url(got, extra=("bucket_ts",))
     exp = _by_url(exp, extra=("bucket_ts",))
     assert got.equals(exp)
+
+
+def test_legacy_tier_files_drop_fills_on_load(ray_session, split_webtext,
+                                              tmp_path):
+    """Tier files written before stores kept observed buckets only hold
+    the served view (fills included, no tier metadata).  An increment
+    drops their gap-filled rows on load — untouched urls' rows too — and
+    the result equals a fresh run."""
+    import glob
+
+    d, _ = split_webtext
+    common = dict(strategy="EWMA", monitor_params={"trend": False},
+                  monitor_start="2021-01-01", num_partitions=3,
+                  tiers=(rollup.TierSpec("1d"),))
+    late = pq.read_table(str(d / "late.parquet"))
+    urls = sorted(set(late.column("url").to_pylist()))
+    late = late.filter(pc.is_in(late.column("url"),
+                                value_set=pa.array(urls[::2])))
+    pq.write_table(late, str(tmp_path / "late_half.parquet"))
+    pq.write_table(pa.concat_tables([pq.read_table(str(d / "early.parquet")),
+                                     late]), str(tmp_path / "all.parquet"))
+
+    out = str(tmp_path / "out")
+    mp.run_pipeline(str(d / "early.parquet"), out, **common)
+    for f in glob.glob(os.path.join(out, "rollup_1d", "part=*",
+                                    "part.parquet")):
+        pq.write_table(rollup.serve_tier_table(pq.read_table(f)), f)
+    assert pc.any(pc.equal(mp.read_output_table(out, "rollup_1d")
+                           .column("count"), 0)).as_py()
+    inc.run_increment(out, mp.ingest_webtext(str(tmp_path /
+                                                  "late_half.parquet")))
+    for f in glob.glob(os.path.join(out, "rollup_1d", "part=*",
+                                    "part.parquet")):
+        t = pq.read_table(f)
+        assert rollup.tier_meta(t) is not None
+        assert not pc.any(pc.equal(t.column("count"), 0)).as_py()
+
+    ref = str(tmp_path / "ref")
+    mp.run_pipeline(str(tmp_path / "all.parquet"), ref, **common)
+    ta = _by_url(mp.read_output_table(ref, "rollup_1d"), extra=("bucket_ts",))
+    tb = _by_url(mp.read_output_table(out, "rollup_1d"), extra=("bucket_ts",))
+    assert ta.num_rows == tb.num_rows
+    for col in ("url", "bucket_ts", "count", "gapfilled"):
+        assert ta.column(col).to_pylist() == tb.column(col).to_pylist()
+    np.testing.assert_allclose(ta.column("mean").to_numpy(),
+                               tb.column("mean").to_numpy(), rtol=1e-12)
+
+
+def test_retention_advance_reencodes_fill_only_changes(ray_session,
+                                                       split_webtext,
+                                                       tmp_path):
+    """A small high-water advance moves the 1h window's start inside
+    filled gaps: untouched urls keep their stored rows but serve fewer
+    fills, so their segments must be re-encoded — decoded segments equal
+    a one-shot run's."""
+    from nrt_ray.stages import compress as cz
+
+    d, _ = split_webtext
+    common = dict(strategy="EWMA", monitor_params={"trend": False},
+                  monitor_start="2021-01-01", num_partitions=3,
+                  tiers=TIERS_1H)
+    early = pq.read_table(str(d / "early.parquet"))
+    late = pq.read_table(str(d / "late.parquet"))
+    first = late.take(pc.sort_indices(late, sort_keys=[
+        ("warc_ts", "ascending")])).slice(0, 1)      # one url, one row
+    pq.write_table(first, str(tmp_path / "one.parquet"))
+    pq.write_table(pa.concat_tables([early, first]),
+                   str(tmp_path / "all.parquet"))
+
+    out, ref = str(tmp_path / "out"), str(tmp_path / "ref")
+    mp.run_pipeline(str(d / "early.parquet"), out, **common)
+    inc.run_increment(out, mp.ingest_webtext(str(tmp_path / "one.parquet")))
+    mp.run_pipeline(str(tmp_path / "all.parquet"), ref, **common)
+
+    def decoded(root):
+        pts = cz.decode_segments_table(mp.read_output_table(root,
+                                                            "segments"))
+        return pts.take(pc.sort_indices(pts, sort_keys=[
+            ("url", "ascending"), ("tier", "ascending"),
+            ("bucket_ts", "ascending")]))
+
+    a, b = decoded(ref), decoded(out)
+    for col in ("url", "tier", "bucket_ts"):
+        assert a.column(col).to_pylist() == b.column(col).to_pylist(), col
+    np.testing.assert_allclose(a.column("mean").to_numpy(),
+                               b.column("mean").to_numpy(), rtol=1e-12)

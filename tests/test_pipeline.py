@@ -102,11 +102,14 @@ def test_segments_decode_to_rollup_means(ray_session, webtext, tmp_path):
     assert seg.num_rows > 0
     df = roll.to_pandas()
     one = seg.to_pylist()[0]
-    got = compress.decode_xor(one["payload_value"])
+    # the payload holds stored rows; the segment serves them gap-filled
+    pts = compress.decode_segments_table(seg.slice(0, 1))
+    got = pts.column("mean").to_numpy()
     sub = df[df.url == one["url"]].sort_values("bucket_ts")
     exp = sub["mean"].to_numpy()[:one["n_points"]]
+    assert len(got) == one["n_points"]
     np.testing.assert_array_equal(got, exp)
-    ts = compress.decode_dod(one["payload_ts"])
+    ts = pts.column("bucket_ts").cast(pa.int64()).to_numpy()
     exp_ts = sub["bucket_ts"].astype("int64").to_numpy()[:one["n_points"]]
     np.testing.assert_array_equal(ts, exp_ts)
 

@@ -169,3 +169,140 @@ def test_choose_tier_resolution_rule():
     # recent window: 1h eligible again
     assert choose_tier(rt, now - day, now, 10_000,
                        now_us=now).name == "1h"
+
+
+# -- stored observed buckets, gap-fill derived on read ----------------------
+
+DAY = 86400 * US
+
+
+def _fill_on_read_series():
+    """Urls placed around the default 1h tier's retention boundary
+    (90 days) and its fill cap (168 missing buckets):
+
+    * ``a``: anchor before the window, fills crossing the cutoff, a
+      10-day gap (> max_gap) inside the window, then dense hourly points
+      with short gaps (these cross chunk boundaries at small chunk sizes);
+    * ``b``: anchor before the window whose next observation is 6 days
+      later: the window opens on fills after the anchor (at
+      ``max_points=1`` its first chunk serves nothing but those fills);
+    * ``c``: anchor whose gap to the next observation exceeds max_gap, so
+      it serves nothing;
+    * ``d``: entirely before the window (no 1h rows at all)."""
+    hw = 400 * DAY
+    obs = {
+        "a": [hw - 100 * DAY, hw - 91 * DAY, hw - 89 * DAY - 5 * HOUR]
+        + [hw - 80 * DAY + k * HOUR for k in range(0, 30, 3)]
+        + [hw - 70 * DAY + k * HOUR for k in range(40) if k % 7]
+        + [hw],
+        "b": [hw - 91 * DAY - 3 * HOUR, hw - 85 * DAY],
+        "c": [hw - 92 * DAY, hw - 80 * DAY, hw - 79 * DAY],
+        "d": [hw - 300 * DAY, hw - 200 * DAY],
+    }
+    urls, ts = [], []
+    for u, t in obs.items():
+        urls += [u] * len(t)
+        ts += t
+    ts = np.asarray(ts, np.int64)
+    vals = np.sin(ts / (7 * HOUR)) + 0.01 * (ts // HOUR % 13)
+    t = pa.table({
+        "url": pa.array(urls, pa.string()),
+        "warc_ts": pa.array(ts, pa.int64()).cast(pa.timestamp("us")),
+        "value": pa.array(vals, pa.float64()),
+        "days": pa.array(ts // DAY, pa.int32()),
+        "dyear": pa.array(np.full(len(ts), 2018.5), pa.float64()),
+    })
+    return assemble.assemble_series(t)
+
+
+def _sorted_points(t: pa.Table) -> pa.Table:
+    return t.take(pa.compute.sort_indices(t, sort_keys=[
+        ("url", "ascending"), ("bucket_ts", "ascending")]))
+
+
+@pytest.mark.parametrize("max_points", [1, 8, 4096])
+@pytest.mark.parametrize("tier", rollup.DEFAULT_TIERS,
+                         ids=lambda t: t.name)
+def test_fill_on_read_matches_rollup_series_table(tmp_path, tier,
+                                                  max_points):
+    """Stored tiers hold observed buckets only; the read view and the
+    decoded segments serve exactly rollup_series_table's rows."""
+    from nrt_ray.pipelines.monitor_pipeline import read_output_table
+    from nrt_ray.stages import compress
+    from nrt_ray.state import manifest
+
+    series = _fill_on_read_series()
+    want = rollup.rollup_series_table(series, tiers=[tier])[tier.name]
+    stored = rollup.observed_tier_tables(series, tiers=[tier])[tier.name]
+    assert stored.num_rows < want.num_rows            # fills not stored
+    assert not pa.compute.any(pa.compute.equal(
+        stored.column("count"), 0)).as_py()
+    assert not pa.compute.any(stored.column("gapfilled")).as_py()
+    gf = want.column("gapfilled").to_numpy(zero_copy_only=False)
+    assert rollup.served_counts(stored) == (want.num_rows, int((~gf).sum()))
+
+    manifest.write_partition_table(str(tmp_path), f"rollup_{tier.name}", 0,
+                                   stored)
+    view = read_output_table(str(tmp_path), f"rollup_{tier.name}")
+    assert view.equals(want)
+
+    seg = compress.segments_from_rollups({tier.name: stored},
+                                         max_points=max_points)
+    assert seg.column("n_points").to_numpy().sum() == want.num_rows
+    for i in range(seg.num_rows):
+        assert compress.decode_segments_table(seg.slice(i, 1)).num_rows \
+            == seg.column("n_points")[i].as_py()
+    dec = _sorted_points(compress.decode_segments_table(seg,
+                                                        tier=tier.name))
+    assert dec.column("url").equals(want.column("url"))
+    assert dec.column("bucket_ts").equals(want.column("bucket_ts"))
+    np.testing.assert_array_equal(
+        dec.column("mean").to_numpy().view(np.uint64),
+        want.column("mean").to_numpy().view(np.uint64))
+    # a url's chunks tile its served span, so range pruning stays exact
+    lo = seg.column("seg_start").cast(pa.int64()).to_numpy()
+    hi = seg.column("seg_end").cast(pa.int64()).to_numpy()
+    same = np.asarray(seg.column("url").to_pylist())
+    same = same[1:] == same[:-1]
+    assert np.all(lo <= hi) and np.all(hi[:-1][same] < lo[1:][same])
+    if tier.name == "1h" and max_points == 8:
+        # some gap crosses a chunk boundary: that chunk's payload ends on
+        # the next chunk's first row, past its own served span
+        ends = [compress.decode_dod(p)[-1] for p in
+                seg.column("payload_ts").to_pylist()]
+        assert np.any(np.asarray(ends) > hi)
+    bts = want.column("bucket_ts").cast(pa.int64()).to_numpy()
+    for t0, t1 in ((bts[3], bts[-5]), (bts[len(bts) // 2] + 1, bts[-1])):
+        rng_dec = _sorted_points(compress.decode_segments_table(
+            seg, tier=tier.name, t0_us=int(t0), t1_us=int(t1)))
+        assert rng_dec.equals(dec.filter(pa.compute.and_(
+            pa.compute.greater_equal(dec.column("bucket_ts").cast(
+                pa.int64()), int(t0)),
+            pa.compute.less(dec.column("bucket_ts").cast(pa.int64()),
+                            int(t1)))))
+
+
+def test_fill_on_read_cases_are_present():
+    """The fixture really exercises the boundary cases it names."""
+    series = _fill_on_read_series()
+    h = rollup.DEFAULT_TIERS[0]
+    stored = rollup.observed_tier_tables(series, tiers=[h])["1h"]
+    served = rollup.rollup_series_table(series, tiers=[h])["1h"]
+    hw = 400 * DAY
+    lo = hw - h.retention_us - h.width_us
+    by = {}
+    for t in (stored, served):
+        for r in t.select(["url", "bucket_ts", "gapfilled"]).to_pylist():
+            by.setdefault((id(t), r["url"]), []).append(
+                (int(r["bucket_ts"].timestamp() * US), r["gapfilled"]))
+    # every url but d stores one anchor before the window, never served
+    for u in "abc":
+        assert sum(b <= lo for b, _ in by[(id(stored), u)]) == 1
+        assert all(b > lo for b, _ in by[(id(served), u)])
+    assert (id(stored), "d") not in by and (id(served), "d") not in by
+    # b's window opens on fills; c's anchor is past the fill cap
+    assert by[(id(served), "b")][0][1]
+    assert by[(id(served), "c")][0] == (hw - 80 * DAY, False)
+    # a has an unfilled gap longer than max_gap inside the window
+    a = [b for b, _ in by[(id(served), "a")]]
+    assert max(np.diff(a)) > (h.max_gap + 1) * h.width_us

@@ -4,6 +4,8 @@ plan, and unskewed runs must not change at all."""
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -238,8 +240,12 @@ def test_auto_salting_default_path(ray_session, skewed_webtext, tmp_path):
                   tiers=TIERS)
     mp.run_pipeline(path, str(tmp_path / "plain"), salt_threshold=None,
                     **common)
+    t0 = time.perf_counter()
     summary = mp.run_pipeline(path, str(tmp_path / "auto"), **common)
+    wall = time.perf_counter() - t0
     assert summary["partitions_processed"] > common["num_partitions"] - 1
+    # overlapped detection is timed on the driver's clock alone
+    assert 0 < summary["salt_detect_sec"] <= wall
     for name in ("state", "alerts", "rollup_1d", "rollup_1w", "segments"):
         a = _read_all(str(tmp_path / "plain"), name)
         b = _read_all(str(tmp_path / "auto"), name)
@@ -466,3 +472,27 @@ def test_salted_serving_point_reads(ray_session, skewed_webtext,
     keep = [(u == hot_url and t0 <= ts < t1) for u, ts in zip(
         full.column("url").to_pylist(), ts_int)]
     assert rr["points"] == int(np.sum(keep)) > 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda urls: np.asarray(urls, dtype=object),
+    lambda urls: dict.fromkeys(urls).keys(),
+], ids=["numpy", "dict_keys"])
+def test_partition_processor_coerces_hot_url_iterables(make, tmp_path):
+    """Any iterable of hot urls is coerced with set(); only a Ray
+    ObjectRef takes the deferred path."""
+    from nrt_ray.sources.extract import ExtractSignal
+    info = synthetic.generate_webtext(str(tmp_path), n_urls=8, seed=3)
+    flat = ExtractSignal()(pq.read_table(info["webtext"]))
+    flat = flat.append_column("pid", pa.array(
+        np.zeros(flat.num_rows, np.int32)))
+    urls = sorted(set(flat.column("url").to_pylist()))
+    kw = dict(out_dir=str(tmp_path / "out"), run_id="t", num_partitions=1,
+              strategy="EWMA", monitor_start="2021-01-01", tiers=TIERS,
+              high_water_us=None, monitor_params={"trend": False},
+              write_outputs=False)
+    want = mp.PartitionProcessor(hot_urls={urls[0]}, **kw)(flat)
+    got = mp.PartitionProcessor(hot_urls=make(urls[:1]), **kw)(flat)
+    assert got.column("series").to_pylist() == [len(urls) - 1]
+    assert got.drop_columns(["seconds"]).equals(
+        want.drop_columns(["seconds"]))
