@@ -8,14 +8,19 @@ state arrays, every state attribute is a 1-D array over the ``m`` series
 (urls) in a batch, and observation matrices are ``(time, m)`` float64 with
 NaN for missing snapshots.
 
-Template-method flow per new acquisition (reference ``monitor()``
-``nrt/monitor/__init__.py:259-292``):
+Template-method flow (reference ``monitor()``
+``nrt/monitor/__init__.py:259-292``), run over a whole ``(time, m)`` block
+of acquisitions at once (``BaseMonitor.monitor_block``):
 
 1. predict expected values from the harmonic model,
 2. residual = observation − prediction,
 3. validity mask = (status == MONITORED) & finite, minus extreme outliers,
-4. strategy-specific process update,
-5. break when |process| ≥ boundary → status=BREAK, record detection date.
+4. strategy-specific process recursion over each series' valid steps,
+5. break at the first valid step with |process| ≥ boundary → status=BREAK,
+   detection date recorded, every state column frozen there.
+
+The result is bit-identical to running steps 3-5 once per acquisition
+date: no recursion is re-associated or replaced by a closed form.
 
 Status codes match the reference mask codes
 (``nrt/monitor/__init__.py:50-55``)::
@@ -28,6 +33,7 @@ State serialization goes to/from Arrow-friendly dicts of 1-D numpy arrays
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -40,6 +46,7 @@ from nrt_ray.kernels.fit import (ccdc_stable_fit, lasso, ols, rirls,
                                  roc_stable_fit)
 from nrt_ray.kernels.outliers import ccdc_rirls, shewhart
 from nrt_ray.kernels.stats import nan_percentile_axis0
+from nrt_ray.util import full as nrfull
 
 NOT_MONITORED, MONITORED, UNSTABLE, BREAK, TOO_SHORT = 0, 1, 2, 3, 4
 
@@ -55,12 +62,41 @@ def _to_days(dates) -> np.ndarray:
     return regressors.days_since_epoch(dates)
 
 
+def scan_columns(step, init: np.ndarray, x: np.ndarray, mask: np.ndarray):
+    """Run ``p ← step(p, x[t, j])`` down each column ``j`` of ``x`` over
+    its ``mask``ed cells in row order, starting from ``init[j]``.
+
+    Returns ``(trajectory, final)``: ``trajectory[t, j]`` is ``p`` after
+    the step at masked cell ``(t, j)`` (NaN elsewhere), ``final[j]`` is
+    ``p`` after column ``j``'s last masked cell.
+
+    Each column runs as one scalar loop over its masked cells, so a series
+    costs one float op per observation, not one array call per row.
+    ``step`` must apply the same IEEE operations to Python floats as the
+    per-row array update did: every cell then sees exactly its operations,
+    in the same order.
+    """
+    cols, rows = np.nonzero(mask.T)                 # by column, then row
+    vals = x[rows, cols].tolist()
+    bounds = np.searchsorted(cols, np.arange(x.shape[1] + 1)).tolist()
+    final = np.array(init, dtype=np.float64)
+    traj = []
+    for j in np.flatnonzero(np.diff(bounds)).tolist():
+        run = list(itertools.accumulate(vals[bounds[j]:bounds[j + 1]],
+                                        step, initial=float(final[j])))
+        traj += run[1:]
+        final[j] = run[-1]
+    trajectory = nrfull(x.shape, np.nan)
+    trajectory[rows, cols] = traj
+    return trajectory, final
+
+
 class BaseMonitor:
     """Abstract monitor over a batch of series.
 
     Subclasses implement ``_init_from_fit`` (derive monitoring state from
-    history residuals) and ``_update_process`` (one-step sequential update),
-    optionally overriding ``_detect_break`` / ``_screen_extremes``.
+    history residuals) and ``_scan`` (the sequential recursion over a block
+    of steps), optionally overriding ``_screen_extremes`` / ``_commit``.
 
     Attributes (all per-series 1-D arrays of length ``m`` unless noted):
         status: uint8 status codes (reference "mask").
@@ -230,21 +266,10 @@ class BaseMonitor:
 
     def monitor_residuals(self, resid: np.ndarray, values: np.ndarray,
                           days: np.ndarray, update_mask=None) -> None:
-        """One sequential update step from precomputed residuals.
-
-        Used by the ragged pipeline where each series has its own
-        acquisition date (``days`` is per-series).
-        """
-        update = self.update_mask if update_mask is None else update_mask
-        if self.detection_date is None:
-            self.detection_date = np.zeros(self.status.shape, dtype=np.int32)
-        is_valid = (self.status == MONITORED) & np.isfinite(values)
-        is_valid = self._screen_extremes(resid, is_valid)
-        self._update_process(resid, is_valid)
-        if update:
-            to_update = is_valid & self._detect_break()
-            self.status[to_update] = BREAK
-            self.detection_date[to_update] = days[to_update]
+        """One sequential update step from precomputed residuals: the
+        ``T = 1`` case of :meth:`monitor_block` (``days`` is per-series)."""
+        self.monitor_block(np.asarray(resid)[None], np.asarray(values)[None],
+                           np.asarray(days)[None], update_mask=update_mask)
 
     def monitor_matrix(self, dates, values: np.ndarray,
                        update_mask=None) -> None:
@@ -254,21 +279,77 @@ class BaseMonitor:
         values = np.asarray(values, dtype=np.float64)
         days_arr = _to_days(dates)
         preds = self.design_matrix(dates) @ self.beta  # (t, m)
-        resid = values - preds
-        for t in range(values.shape[0]):
-            self.monitor_residuals(resid[t], values[t],
-                                   np.full(values.shape[1], days_arr[t]),
-                                   update_mask=update_mask)
+        self.monitor_block(values - preds, values,
+                           np.broadcast_to(days_arr[:, None], values.shape),
+                           update_mask=update_mask)
 
-    def _detect_break(self) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return np.abs(self.process) >= self.boundary
+    def monitor_block(self, resid: np.ndarray, values: np.ndarray,
+                      days: np.ndarray, update_mask=None) -> None:
+        """Monitor a ``(T, m)`` block of acquisitions, each column in time
+        order.
+
+        Column ``j`` holds series ``j``'s residuals, observations (NaN = not
+        observed at that row, so ragged series pad with NaN) and
+        acquisition days.  The result is bit-identical to applying the
+        one-step update row by row: validity and outlier screening are
+        ``(T, m)`` array ops, each strategy runs only its recursion over
+        every series' valid observations (:meth:`_scan`), and a break is
+        the first valid step with ``|process| ≥ boundary``, where every
+        state column of that series freezes.
+        """
+        resid = np.asarray(resid, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        T = resid.shape[0]
+        if T == 0:
+            return
+        update = self.update_mask if update_mask is None else update_mask
+        if self.detection_date is None:
+            self.detection_date = np.zeros(self.status.shape, dtype=np.int32)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            valid = (self.status == MONITORED) & np.isfinite(values)
+            valid = self._screen_extremes(resid, valid)
+            traj = self._scan(resid, valid)
+            if update:
+                hit = valid & (np.abs(traj["process"]) >= traj["boundary"])
+                broke = np.flatnonzero(hit.any(axis=0))
+                first = hit[:, broke].argmax(axis=0)
+                # steps after a break never happen: status leaves MONITORED
+                valid[:, broke] &= np.arange(T)[:, None] <= first
+            self._commit(resid, traj, valid)
+        if update:
+            self.status[broke] = BREAK
+            self.detection_date[broke] = np.broadcast_to(
+                days, resid.shape)[first, broke]
+
+    def _scan(self, resid, valid) -> dict:  # pragma: no cover - abstract
+        """The strategy's recursion over each series' ``valid`` steps.
+
+        Returns ``{state name: value after each step}``: ``(T, m)``
+        trajectories (read at valid cells only) for every state column the
+        recursion moves, and ``process`` / ``boundary`` (a boundary that
+        never moves may stay ``(m,)`` or scalar)."""
+        raise NotImplementedError
+
+    def _commit(self, resid, traj, applied) -> None:
+        """Set each moving state column to its value at the series' last
+        ``applied`` step (unchanged when it has none)."""
+        T = applied.shape[0]
+        cols = np.flatnonzero(applied.any(axis=0))
+        rows = T - 1 - applied[::-1, cols].argmax(axis=0)
+        for name, value in traj.items():
+            if np.shape(value) != applied.shape or self._derived(name):
+                continue
+            state = np.array(getattr(self, name))
+            state[cols] = value[rows, cols]
+            setattr(self, name, state)
+
+    @classmethod
+    def _derived(cls, name) -> bool:
+        return isinstance(getattr(cls, name, None), property)
 
     def _screen_extremes(self, resid, is_valid):
         return is_valid
-
-    def _update_process(self, resid, is_valid):  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def _init_from_fit(self, X, residuals, **kwargs):  # pragma: no cover
         raise NotImplementedError
@@ -368,28 +449,38 @@ class EWMA(BaseMonitor):
             self.sigma = np.nanstd(residuals, axis=0)
         self.boundary = (self.sensitivity * self.sigma
                          * np.sqrt(self.lambda_ / (2.0 - self.lambda_)))
-        ewma = np.zeros(residuals.shape[1], dtype=np.float64)
-        for row in residuals:
-            ewma = self._ewma_step(row, ewma)
-        self.process = ewma
+        _, self.process = scan_columns(
+            self._ewma(), np.zeros(residuals.shape[1], dtype=np.float64),
+            residuals, ~np.isnan(residuals))
         # already beyond the limit after fitting → unstable history
         with np.errstate(invalid="ignore"):
             self.status[self.process > self.boundary] = UNSTABLE
 
-    def _ewma_step(self, resid, ewma):
-        return np.where(np.isnan(resid), ewma,
-                        (1.0 - self.lambda_) * ewma + self.lambda_ * resid)
+    def _ewma(self):
+        """The recursion ``p ← (1 − λ)·p + λ·r`` as a :func:`scan_columns`
+        step."""
+        a, lam = 1.0 - self.lambda_, self.lambda_
+        return lambda p, r: a * p + lam * r
 
     def _screen_extremes(self, resid, is_valid):
-        with np.errstate(invalid="ignore"):
-            extreme = np.abs(resid) > self.threshold_outlier * self.sigma
+        extreme = np.abs(resid) > self.threshold_outlier * self.sigma
         return ~extreme & is_valid
 
-    def _update_process(self, resid, is_valid):
+    def _scan(self, resid, valid):
         if self.process is None:
             raise ValueError("monitor not initialized (fit first)")
-        new = self._ewma_step(resid, self.process)
-        self.process = np.where(is_valid, new, self.process)
+        moved = valid & ~np.isnan(resid)
+        process, _ = scan_columns(self._ewma(), self.process, resid, moved)
+        if (valid & ~moved).any():
+            # a NaN residual leaves the average where it was
+            T = resid.shape[0]
+            src = np.maximum.accumulate(
+                np.where(moved, np.arange(T)[:, None], -1), axis=0)
+            process = np.where(
+                src >= 0,
+                np.take_along_axis(process, np.maximum(src, 0), axis=0),
+                self.process)
+        return {"process": process, "boundary": self.boundary}
 
     def config_dict(self):
         d = super().config_dict()
@@ -435,17 +526,17 @@ class CuSum(BaseMonitor):
             norm_resid = residuals / (self.sigma * np.sqrt(self.histsize))
         self.process = np.nancumsum(norm_resid, axis=0)[-1]
 
-    def _update_process(self, resid, is_valid):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.n = self.n + is_valid
-            x = self.n / self.histsize
-            self.boundary = np.where(
-                is_valid,
-                np.sqrt(x * (x - 1) * (self.critval ** 2 + np.log(x / (x - 1)))),
-                self.boundary)
-            norm_resid = resid / (self.sigma * np.sqrt(self.histsize))
-        self.process = np.where(is_valid, self.process + norm_resid,
-                                self.process)
+    def _scan(self, resid, valid):
+        norm_resid = resid / (self.sigma * np.sqrt(self.histsize))
+        # sequential cumulative sum; -0.0 is the exact additive identity
+        steps = np.where(valid, norm_resid, -0.0)
+        process = np.cumsum(np.vstack([self.process[None], steps]),
+                            axis=0)[1:]
+        n = self.n + np.cumsum(valid, axis=0)
+        x = n / self.histsize
+        boundary = np.sqrt(x * (x - 1) * (self.critval ** 2
+                                          + np.log(x / (x - 1))))
+        return {"process": process, "boundary": boundary, "n": n}
 
     def config_dict(self):
         d = super().config_dict()
@@ -509,19 +600,37 @@ class MoSum(BaseMonitor):
             norm_resid = residuals / (self.sigma * np.sqrt(self.histsize))
         self.window = mosum_init_window(norm_resid, self.winsize)
 
-    def _update_process(self, resid, is_valid):
-        valid_idx = np.flatnonzero(is_valid)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slot = np.mod(self.n - self.histsize, self.winsize)[valid_idx]
-            norm_resid = resid / (self.sigma * np.sqrt(self.histsize))
-            self.window[slot, valid_idx] = norm_resid[valid_idx]
-            self.n = self.n + is_valid
-            x = self.n / self.histsize
+    def _norm_resid(self, resid):
+        return resid / (self.sigma * np.sqrt(self.histsize))
+
+    def _scan(self, resid, valid):
+        norm_resid = self._norm_resid(resid)
+        n = self.n + np.cumsum(valid, axis=0)
+        slots = np.mod(n - 1 - self.histsize, self.winsize)
+        x = n / self.histsize
         log_term = np.ones_like(x, dtype=np.float64)
         np.log(x, out=log_term, where=(x > np.e))
-        self.boundary = np.where(is_valid,
-                                 self.critval * np.sqrt(2.0 * log_term),
-                                 self.boundary)
+        boundary = self.critval * np.sqrt(2.0 * log_term)
+        # the moving sum has no bit-identical vectorized form: replay the
+        # ring buffer on a copy, one step per row that observes anything
+        window = self.window.copy()
+        process = nrfull(resid.shape, np.nan)
+        for t in np.flatnonzero(valid.any(axis=1)):
+            j = np.flatnonzero(valid[t])
+            window[slots[t, j], j] = norm_resid[t, j]
+            process[t] = np.nansum(window, axis=0)
+        return {"process": process, "boundary": boundary, "n": n}
+
+    def _commit(self, resid, traj, applied):
+        # the ring buffer ends holding each series' last ``winsize``
+        # applied residuals, each in its own slot
+        rank = np.cumsum(applied, axis=0)
+        t, j = np.nonzero(applied
+                          & (rank > applied.sum(axis=0) - self.winsize))
+        slot = np.mod(self.n[j] - self.histsize[j] + rank[t, j] - 1,
+                      self.winsize[j])
+        self.window[slot, j] = self._norm_resid(resid)[t, j]
+        super()._commit(resid, traj, applied)
 
     def config_dict(self):
         d = super().config_dict()
@@ -558,13 +667,15 @@ class _RunLengthMonitor(BaseMonitor):
     def _is_outlier(self, resid):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _update_process(self, resid, is_valid):
-        is_outlier = self._is_outlier(resid)
+    def _scan(self, resid, valid):
         if self.process is None:
-            self.process = np.zeros(resid.shape, dtype=np.uint8)
-        self.process = np.where(is_valid,
-                                self.process * is_outlier + is_outlier,
-                                self.process).astype(np.uint8)
+            self.process = np.zeros(resid.shape[1], dtype=np.uint8)
+        inlier = valid & ~self._is_outlier(resid)
+        seen = np.cumsum(valid, axis=0)
+        reset = np.maximum.accumulate(np.where(inlier, seen, 0), axis=0)
+        run = np.where(reset > 0, seen - reset, self.process + seen)
+        # uint8 like the stored state: a run of 256 wraps to 0
+        return {"process": run.astype(np.uint8), "boundary": self.boundary}
 
 
 @register
@@ -591,8 +702,7 @@ class CCDC(_RunLengthMonitor):
             self.rmse = np.sqrt(np.nanmean(residuals ** 2, axis=0))
 
     def _is_outlier(self, resid):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.abs(resid) / self.rmse > self.sensitivity
+        return np.abs(resid) / self.rmse > self.sensitivity
 
     def config_dict(self):
         d = super().config_dict()
@@ -629,8 +739,7 @@ class IQR(_RunLengthMonitor):
         iqr = self.q75 - self.q25
         lo = self.q25 - self.sensitivity * iqr
         hi = self.q75 + self.sensitivity * iqr
-        with np.errstate(invalid="ignore"):
-            return (resid > hi) | (resid < lo)
+        return (resid > hi) | (resid < lo)
 
     def config_dict(self):
         d = super().config_dict()

@@ -47,6 +47,7 @@ from nrt_ray.stages.assemble import add_bucket_column, assemble_series
 from nrt_ray.stages.fit_monitor import SeriesFitMonitor, regressor_tensor
 from nrt_ray.stages.assemble import padded_matrices
 from nrt_ray.state import manifest
+from nrt_ray.util import full as nrfull
 
 US = 1_000_000
 
@@ -102,34 +103,30 @@ class IncrementProcessor:
         known = idx >= 0
         if known.any():
             sel = idx[known]
-            Tm = mats["value"].shape[0]
             X3 = regressor_tensor(mats["days"][:, known],
                                   mats["dyear"][:, known],
                                   self.stage.trend,
                                   self.stage.harmonic_order)
             preds = np.einsum("tki,ik->tk", X3, mon.beta[:, sel],
                               optimize=True)
-            resid_all = mats["value"][:, known] - preds
+            # one (T, all state urls) block, NaN for urls not in the batch
+            Tm = mats["value"].shape[0]
             within = (np.arange(Tm)[:, None]
                       < mats["length"][None, known])
-            vals = np.where(within, mats["value"][:, known], np.nan)
-            from nrt_ray.util import full as nrfull
-            for t in range(Tm):
-                resid = nrfull(len(state_urls), np.nan)
-                value_row = nrfull(len(state_urls), np.nan)
-                days_row = np.zeros(len(state_urls), dtype=np.int64)
-                resid[sel] = resid_all[t]
-                value_row[sel] = vals[t]
-                days_row[sel] = mats["days"][t, known]
-                mon.monitor_residuals(resid, value_row, days_row)
+            resid = nrfull((Tm, len(state_urls)), np.nan)
+            values = nrfull((Tm, len(state_urls)), np.nan)
+            days = np.zeros((Tm, len(state_urls)), dtype=np.int64)
+            resid[:, sel] = mats["value"][:, known] - preds
+            values[:, sel] = np.where(within, mats["value"][:, known], np.nan)
+            days[:, sel] = mats["days"][:, known]
+            mon.monitor_block(resid, values, days)
         new_state = self.stage._state_table(np.array(state_urls,
                                                      dtype=object), mon)
         if not known.all():
-            unknown_urls = set(np.asarray(mats["url"], dtype=object)[~known])
-            sel_mask = pa.array([u in unknown_urls
-                                 for u in series.column("url").to_pylist()],
-                                pa.bool_())
-            fresh = self.stage(series.filter(sel_mask))
+            unknown = pa.array(np.asarray(mats["url"], dtype=object)[~known],
+                               pa.string())
+            fresh = self.stage(series.filter(
+                pc.is_in(series.column("url"), value_set=unknown)))
             new_state = pa.concat_tables([new_state, fresh],
                                          promote_options="default")
         return new_state

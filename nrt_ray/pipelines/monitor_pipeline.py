@@ -110,22 +110,18 @@ class PartitionProcessor:
         series = assemble_series(group)
         hot_rows = 0
         if self.hot_urls:
-            import numpy as _np
-            urls_arr = series.column("url").to_pandas() \
-                .to_numpy(dtype=object)
-            hot_mask = _np.isin(urls_arr,
-                                _np.asarray(sorted(self.hot_urls),
-                                            dtype=object))
-            if hot_mask.any():
+            hot_mask = pc.is_in(series.column("url"), value_set=pa.array(
+                sorted(self.hot_urls), pa.string()))
+            if pc.any(hot_mask).as_py():
                 # salted sub-series: assembled (sorted+deduped) here, but
                 # fit/monitor/rollup happen in the merge phase which sees
                 # the url's full series — write the sub-series aside
-                hot_series = series.filter(pa.array(hot_mask, pa.bool_()))
+                hot_series = series.filter(hot_mask)
                 hot_rows = int(pc.sum(hot_series.column("n")).as_py() or 0)
                 if self.write_outputs:
                     manifest.write_partition_table(
                         self.out_dir, "hot_series", pid, hot_series)
-                series = series.filter(pa.array(~hot_mask, pa.bool_()))
+                series = series.filter(pc.invert(hot_mask))
         state = self.stage(series)
         tier_tables = rollup.observed_tier_tables(
             series, tiers=self.tiers, high_water_us=self.high_water_us)
@@ -257,16 +253,20 @@ def ingest_webtext(input_path, verify_extract: bool = False,
                                override_num_blocks=override_num_blocks,
                                **kw)
     if frag_ids:
-        fmap = dict(frag_ids)
+        paths = pa.array(list(frag_ids), pa.string())
+        ids = pa.array(list(frag_ids.values()), pa.int32())
 
         def tag(t: pa.Table) -> pa.Table:
-            # blocks rarely span files: map the (usually single) path
-            # per batch to its small int id and drop the string column
-            paths = t.column("path").to_pylist()
-            ids = np.fromiter((fmap[p] for p in paths),
-                              dtype=np.int32, count=len(paths))
+            # map each row's path to its small int id (one Arrow hash
+            # lookup per row) and drop the string column
+            path = t.column("path")
+            pos = pc.index_in(path, value_set=paths.cast(path.type))
+            if pos.null_count:
+                missing = path.filter(pc.is_null(pos))[0].as_py()
+                raise KeyError(f"input row from unlisted fragment "
+                               f"{missing!r}")
             return t.drop_columns(["path"]).append_column(
-                "frag", pa.array(ids, pa.int32()))
+                "frag", pc.take(ids, pos))
 
         ds = ds.map_batches(tag, batch_format="pyarrow")
     return ds.map_batches(ExtractSignal(verify=verify_extract, aux=aux),
@@ -382,6 +382,7 @@ def _detect_count_file(path: str, nparts: int):
     counts, split into ``nparts`` url-hash buckets (num_returns)."""
     import pyarrow.parquet as _pq
 
+    from nrt_ray.stages.exchange import split_by_pid
     from nrt_ray.stages.hashagg import _pid_for_keys
     t = _pq.read_table(path, columns=["url"])
     g = t.group_by("url").aggregate([("url", "count")])
@@ -389,14 +390,7 @@ def _detect_count_file(path: str, nparts: int):
     pid = _pid_for_keys(urls, nparts)
     tbl = pa.table({"url": g.column("url"),
                     "n": g.column("url_count").cast(pa.int64())})
-    order = np.argsort(pid, kind="stable")
-    s = tbl.take(pa.array(order))
-    sp = pid[order]
-    out = []
-    for p in range(nparts):
-        lo = np.searchsorted(sp, p, side="left")
-        hi = np.searchsorted(sp, p, side="right")
-        out.append(s.slice(lo, hi - lo))
+    out = split_by_pid(tbl, pid, nparts)
     return tuple(out) if nparts > 1 else out[0]
 
 
@@ -489,13 +483,11 @@ def merge_hot_partitions(out_dir: str, hot_urls, processor_kwargs: dict,
     def merge_one(urls: list[str], merge_pid: int) -> pa.Table:
         import pyarrow.parquet as pq
         from nrt_ray.stages.assemble import flatten_series
-        want = set(urls)
+        want = pa.array(urls, pa.string())
         parts = []
         for f in files:
             t = pq.read_table(f)
-            mask = pa.array([u in want for u in
-                             t.column("url").to_pylist()], pa.bool_())
-            sub = t.filter(mask)
+            sub = t.filter(pc.is_in(t.column("url"), value_set=want))
             if sub.num_rows:
                 parts.append(flatten_series(sub))
         proc = PartitionProcessor(**processor_kwargs)

@@ -55,6 +55,17 @@ import ray
 _HIERARCHICAL_MIN_P = int(os.environ.get("NRT_EXCHANGE_HIER_MIN_P", "128"))
 
 
+def split_by_pid(table: pa.Table, pid: np.ndarray, n: int) -> list:
+    """Slice ``table`` into ``n`` sub-tables by its rows' ``pid`` (0..n-1;
+    rows outside that range are dropped): one stable sort, then zero-copy
+    slices, empty ones included."""
+    order = np.argsort(pid, kind="stable")
+    sorted_tbl = table.take(pa.array(order))
+    bounds = np.searchsorted(pid[order], np.arange(n + 1), side="left")
+    return [sorted_tbl.slice(lo, hi - lo)
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _split_block(block: pa.Table, num_partitions: int, divisor: int = 1,
                  prep_fn=None, *prep_args):
     """Slice one block into per-``pid // divisor`` sub-tables (sort by
@@ -79,14 +90,7 @@ def _split_block(block: pa.Table, num_partitions: int, divisor: int = 1,
     pid = block.column("pid").to_numpy(zero_copy_only=False)
     if divisor != 1:
         pid = pid // divisor
-    order = np.argsort(pid, kind="stable")
-    sorted_tbl = block.take(pa.array(order))
-    spid = pid[order]
-    out = []
-    for p in range(num_partitions):
-        lo = np.searchsorted(spid, p, side="left")
-        hi = np.searchsorted(spid, p, side="right")
-        out.append(sorted_tbl.slice(lo, hi - lo))
+    out = split_by_pid(block, pid, num_partitions)
     return tuple(out) if num_partitions > 1 else out[0]
 
 
@@ -99,14 +103,8 @@ def _resplit(coarse: int, fanout: int, *tables):
     tbl = pa.concat_tables(parts)
     pid = tbl.column("pid").to_numpy(zero_copy_only=False) \
         - coarse * fanout
-    order = np.argsort(pid, kind="stable")
-    sorted_tbl = tbl.take(pa.array(order))
-    spid = pid[order]
-    out = []
-    for p in range(fanout):
-        lo = np.searchsorted(spid, p, side="left")
-        hi = np.searchsorted(spid, p, side="right")
-        out.append(sorted_tbl.slice(lo, hi - lo) if hi > lo else None)
+    out = [t if t.num_rows else None
+           for t in split_by_pid(tbl, pid, fanout)]
     return tuple(out) if fanout > 1 else out[0]
 
 

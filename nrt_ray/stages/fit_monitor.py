@@ -8,9 +8,9 @@ this stage builds per-series design matrices from the precomputed
 * **fit** (vectorized across series): batched masked normal equations over a
   ``(T, K, k)`` regressor tensor, optional Shewhart screening, TOO_SHORT
   masking (status 4), process seeding per strategy;
-* **monitor** (vectorized across series, sequential over time steps):
-  the strategy's one-step update from :mod:`nrt_ray.kernels.monitors`,
-  applied in per-url ``warc_ts`` order with per-series acquisition days.
+* **monitor**: one :meth:`BaseMonitor.monitor_block` scan over the
+  padded ``(T, K)`` block, each url in ``warc_ts`` order with its own
+  acquisition days; only each strategy's recursion runs per observation.
 
 Stateless by design: the batch carries everything, actors only hold
 configuration + driver-side critical values (computed once per actor in
@@ -349,8 +349,7 @@ class SeriesFitMonitor:
         resid = part["value"] - preds
         within = np.arange(Tm)[:, None] < part["length"][None, :]
         vals = np.where(within, part["value"], np.nan)
-        for t in range(Tm):
-            mon.monitor_residuals(resid[t], vals[t], part["days"][t])
+        mon.monitor_block(resid, vals, part["days"])
 
     # ---------------------------------------------------------------- state
 

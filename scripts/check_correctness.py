@@ -11,9 +11,12 @@ Usage: python scripts/check_correctness.py [sf_dir] [query ...]
 from __future__ import annotations
 
 import importlib.util
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+#: checkout root (this script lives in ``<root>/scripts``)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 import duckdb
 import numpy as np
@@ -53,11 +56,16 @@ def main() -> int:
 
     import ray
     if not ray.is_initialized():
+        # workers import the engine from this checkout, whatever the cwd,
+        # ahead of anything already on the caller's PYTHONPATH
+        path = os.pathsep.join(
+            p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
         ray.init(address="local", num_cpus=16, include_dashboard=False,
-                 log_to_driver=False)
+                 log_to_driver=False,
+                 runtime_env={"env_vars": {"PYTHONPATH": path}})
 
     spec = importlib.util.spec_from_file_location(
-        "ray_entry", "/root/repo/__ray_entry__.py")
+        "ray_entry", os.path.join(ROOT, "__ray_entry__.py"))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     queries, oracles = mod.queries(), mod.oracle_sql()

@@ -32,6 +32,7 @@ written to nrt_ray/kernels/_mosum_crit_table.py.
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -151,7 +152,9 @@ def main():
             lines.append(f"        {s!r}: {round(e, 6)!r},")
         lines.append("    },")
     lines.append("}")
-    out = "/root/repo/nrt_ray/kernels/_mosum_crit_table.py"
+    out = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "nrt_ray", "kernels",
+        "_mosum_crit_table.py")
     with open(out, "w") as f:
         f.write("\n".join(lines) + "\n")
     print(f"wrote {out} in {time.time() - t0:.0f}s")

@@ -131,6 +131,49 @@ def test_fragment_lineage_recorded(ray_session, tmp_path):
     assert seen == {0, 1}   # every fragment fed at least one partition
 
 
+def test_fragment_lineage_is_partition_exact(ray_session, tmp_path):
+    """Three input files, each url in exactly one of them: every
+    partition's ``input_fragments`` is exactly the set of files that hold
+    its urls."""
+    import glob
+    import json
+    import os
+    from nrt_ray.sources.synthetic import generate_webtext
+    from nrt_ray.pipelines import monitor_pipeline as mp
+    from nrt_ray.pipelines.incremental import read_run_config
+    from nrt_ray.state import manifest
+
+    info = generate_webtext(str(tmp_path), n_urls=30, seed=7)
+    t = pq.read_table(info["webtext"])
+    file_of = {u: i % 3 for i, u in
+               enumerate(sorted(set(t.column("url").to_pylist())))}
+    rows_file = np.array([file_of[u] for u in t.column("url").to_pylist()])
+    multi = tmp_path / "multi"
+    multi.mkdir()
+    names = ["a.parquet", "b.parquet", "c.parquet"]
+    for i, name in enumerate(names):
+        pq.write_table(t.filter(pa.array(rows_file == i)),
+                       str(multi / name))
+    out = str(tmp_path / "out")
+    mp.run_pipeline(str(multi), out, strategy="EWMA",
+                    monitor_start="2021-01-01",
+                    monitor_params={"trend": False},
+                    num_partitions=4, resume=False)
+    frag_id = {os.path.basename(p): int(i)
+               for i, p in read_run_config(out)["fragments"].items()}
+    assert sorted(frag_id) == names
+    recs = [json.load(open(f))
+            for f in glob.glob(out + "/manifest/partition-*.json")]
+    assert len(recs) == 4
+    for rec in recs:
+        pid = rec["partition_id"]
+        state = pq.read_table(os.path.join(
+            manifest.partition_dir(out, "state", pid), "part.parquet"))
+        want = {frag_id[names[file_of[u]]]
+                for u in state.column("url").to_pylist()}
+        assert rec["input_fragments"] == sorted(want), pid
+
+
 def test_daily_hll_exact_side_and_merge(ray_session, tmp_path):
     """Planted days: exact distinct counts are right, the sketch rows
     are one-per-day, and the estimate agrees with a direct replay of

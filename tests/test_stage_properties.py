@@ -150,3 +150,24 @@ def test_exchange_dataset_hierarchical_small_p_forced(ray_session):
     got = run(True)
     assert got["pid"].tolist() == [0, 1, 4]
     assert got["total"].tolist() == [3, 60, 7]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(0, 60),
+    nparts=st.integers(1, 7),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_split_by_pid_property(n, nparts, seed):
+    """Slice ``p`` holds exactly the rows with ``pid == p`` in input order
+    (empty slices included); pids outside ``0..nparts-1`` are dropped."""
+    from nrt_ray.stages.exchange import split_by_pid
+
+    rng = np.random.default_rng(seed)
+    pid = rng.integers(-1, nparts + 1, n)
+    tbl = pa.table({"row": pa.array(np.arange(n), pa.int64())})
+    out = split_by_pid(tbl, pid, nparts)
+    assert len(out) == nparts
+    for p, part in enumerate(out):
+        assert part.column("row").to_pylist() == \
+            np.flatnonzero(pid == p).tolist()
