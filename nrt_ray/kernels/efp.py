@@ -199,8 +199,10 @@ def mosum_crit(alpha: float, h: float = 0.25, period: int = 10,
 def mosum_init_window(residuals: np.ndarray, winsize: np.ndarray) -> np.ndarray:
     """Initialize the MOSUM ring buffers from history residuals.
 
-    For each series, take its last ``winsize`` non-NaN normalized residuals;
-    pad with zeros up to ``winsize.max()`` slots.
+    For each series, take its last ``winsize`` (or fewer) non-NaN
+    normalized residuals; pad with zeros up to ``winsize.max()`` slots.
+    A series with no finite residual (σ = 0 on a constant history makes
+    every normalized residual NaN) starts from an all-zero window.
 
     Args:
         residuals: ``(n, m)`` normalized history residuals.
@@ -214,9 +216,8 @@ def mosum_init_window(residuals: np.ndarray, winsize: np.ndarray) -> np.ndarray:
     window = np.zeros((maxw, m), dtype=np.float64)
     for i in np.flatnonzero(winsize > 0):
         col = residuals[:, i]
-        col = col[~np.isnan(col)]
-        w = int(winsize[i])
-        window[:w, i] = col[-w:]
+        tail = col[~np.isnan(col)][-int(winsize[i]):]
+        window[:len(tail), i] = tail
     return window
 
 

@@ -33,16 +33,12 @@ which leads the committed one between checkpoints.
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 import ray.data
 
 from nrt_ray.pipelines import incremental as inc
-from nrt_ray.stages.assemble import add_bucket_column
 from nrt_ray.stages.exchange import _iter_block_refs, _split_block
 from nrt_ray.pipelines.relational import pool_size
 
@@ -177,9 +173,7 @@ class ContinuousMonitor:
         for i, a in enumerate(self.actors):
             a.prefetch.remote([p for p in range(self.P_total)
                                if p % self.pool == i])
-        self._split = ray.remote(
-            num_returns=self.P_total)(_split_block) \
-            if self.P_total > 1 else None
+        self._split = ray.remote(num_returns=self.P_total)(_split_block)
         self.batches_applied = 0
 
     # -- ingestion ------------------------------------------------------
@@ -187,41 +181,17 @@ class ContinuousMonitor:
     def ingest(self, flat_dataset: ray.data.Dataset) -> dict:
         """Apply one micro-batch (Dataset of flat rows
         ``url, warc_ts, value, days, dyear``); returns a summary."""
-        hw_scalar = pa.scalar(self.high_water_us, pa.int64()) \
-            .cast(pa.timestamp("us"))
-
-        def is_new(t: pa.Table) -> pa.Table:
-            return t.filter(pc.greater(t.column("warc_ts"), hw_scalar))
-
-        def is_late(t: pa.Table) -> pa.Table:
-            return t.filter(pc.less_equal(t.column("warc_ts"), hw_scalar))
-
-        flat_dataset = flat_dataset.materialize()
-        late = flat_dataset.map_batches(is_late, batch_format="pyarrow")
-        late_rows = late.count()
-        if late_rows:
-            late.write_parquet(os.path.join(self.out_dir, "dead_letter"))
-
-        ds = flat_dataset.map_batches(is_new, batch_format="pyarrow") \
-            .map_batches(lambda t: add_bucket_column(
-                             t, self.P, merge_route=self._merge_route),
-                         batch_format="pyarrow")
-        new_hw_t = ds.max("warc_ts")
-        new_hw = int(pa.scalar(new_hw_t, pa.timestamp("us"))
-                     .cast(pa.int64()).as_py()) \
-            if new_hw_t is not None else self.high_water_us
-
-        if self.P_total == 1:
-            block_refs = list(_iter_block_refs(ds))
-            refs = [self.actors[0].apply.remote(0, new_hw, *block_refs)]
-        else:
-            split_refs = [self._split.remote(ref, self.P_total)
-                          for ref in _iter_block_refs(ds)]
-            refs = [self.actors[pid % self.pool].apply.remote(
-                        pid, new_hw,
-                        *[split_refs[b][pid]
-                          for b in range(len(split_refs))])
-                    for pid in range(self.P_total)]
+        ds, late_rows, new_hw = inc.split_batch(
+            flat_dataset, self.high_water_us, self.out_dir)
+        split_refs = [self._split.remote(ref, self.P_total, 1,
+                                         inc.route_new, self.high_water_us,
+                                         self.P, self._merge_route)
+                      for ref in _iter_block_refs(ds)]
+        if self.P_total == 1:      # num_returns=1: one ref, not a tuple
+            split_refs = [[r] for r in split_refs]
+        refs = [self.actors[pid % self.pool].apply.remote(
+                    pid, new_hw, *[s[pid] for s in split_refs])
+                for pid in range(self.P_total)]
         summaries = ray.get(refs)
         self.high_water_us = new_hw
         self.batches_applied += 1

@@ -6,22 +6,23 @@ acquisitions → ``monitor()`` each in ascending date order → write state +
 report back):
 
 * new observations are filtered to ``warc_ts > high_water`` (strictly
-  newer than anything already ingested); older rows land in a
-  ``dead_letter`` table instead of corrupting order-sensitive monitor
-  state (the reference has no late-data story; it simply processes
-  forward),
+  newer than anything already ingested); older rows land in the
+  ``dead_letter`` table, one file per input block (:func:`split_batch`),
+  instead of corrupting order-sensitive monitor state (the reference
+  has no late-data story; it simply processes forward),
 * both sides stay co-partitioned: the new batch is bucketed with the SAME
   pinned ``num_partitions``, and each partition task reads exactly its own
   state/rollup files — a partition-local zipper join, no broadcast and no
   second shuffle,
 * monitor state is restored per partition, updated sequentially per url in
   ``warc_ts`` order, and written back atomically,
-* rollup tiers are merged mergeably (counts/sums add, min/min, max/max,
-  ``last`` = newest since ingest is monotone) over the stored observed
-  buckets, and retention is re-trimmed at the new high-water mark (each
-  series keeps its anchor); gap-fill is derived on read, so the gap
-  between a series' previous last bucket and its first new bucket fills
-  with the same linear semantics as a one-shot run.
+* rollup tiers are merged append-only: new buckets follow each url's
+  stored ones, and only the boundary bucket combines (counts/sums add,
+  min/min, max/max, ``last`` = newest since ingest is monotone); an
+  out-of-order bucket raises.  Retention is re-trimmed at the new
+  high-water mark (each series keeps its anchor); gap-fill is derived on
+  read, so the gap between a series' previous last bucket and its first
+  new bucket fills with the same linear semantics as a one-shot run.
 
 Float caveat (documented semantics): a bucket whose observations span an
 increment boundary accumulates its sum as ``sum_old + sum_new``, which can
@@ -34,18 +35,20 @@ from __future__ import annotations
 
 import json
 import os
+import uuid
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray.data
+import ray
 
 from nrt_ray.stages import compress, rollup
 from nrt_ray.stages.assemble import add_bucket_column, assemble_series
 from nrt_ray.stages.fit_monitor import SeriesFitMonitor, regressor_tensor
 from nrt_ray.stages.assemble import padded_matrices
+from nrt_ray.stages.exchange import _iter_block_refs, exchange_map_groups
 from nrt_ray.state import manifest
 from nrt_ray.util import full as nrfull
 
@@ -133,115 +136,88 @@ class IncrementProcessor:
 
     # -- rollup merge ---------------------------------------------------
 
-    def _retention_advance(self, table: pa.Table, tier: rollup.TierSpec) \
-            -> tuple[pa.Table, np.ndarray]:
-        """Advance retention on already-committed stored rows to the new
-        high-water mark WITHOUT re-rolling them: ``trim_for_retention``
-        drops what left the window but keeps each series' anchor, so the
-        rows are exactly what a one-shot run would store.  A url changed
-        when its stored rows or its served span moved — served counts
-        before and after, from the gap lengths, no fill materialized.
-        Returns ``(table tagged at the new mark, changed urls)``."""
-        if tier.retention_us is None or not table.num_rows:
-            return rollup.tag_tier(table, tier, self.new_hw), \
-                np.array([], dtype=object)
-        _, old_hw = rollup.tier_meta(table)
-        rolled, urls = rollup.table_rolled(table)
-        sidx = rolled["series_idx"]
-        keys = {"series_idx": sidx, "bucket_ts": rolled["bucket_ts"],
-                "row": np.arange(len(sidx))}
-        kept = rollup.trim_for_retention(keys, tier.width_us,
-                                         tier.retention_us, self.new_hw)
-        n = len(urls)
-        before = np.bincount(sidx, rollup.served_runs(keys, tier,
-                                                      old_hw)[2], n)
-        after = np.bincount(kept["series_idx"], rollup.served_runs(
-            kept, tier, self.new_hw)[2], n)
-        moved = (before != after) | (np.bincount(sidx, minlength=n)
-                                     != np.bincount(kept["series_idx"],
-                                                    minlength=n))
-        if len(kept["row"]) < table.num_rows:
-            table = table.take(pa.array(kept["row"]))
-        return (rollup.tag_tier(table, tier, self.new_hw),
-                urls.filter(pa.array(moved)).to_numpy(zero_copy_only=False))
-
-    def _merge_tier(self, old: pa.Table | None, series: pa.Table,
+    def _merge_tier(self, old: pa.Table | None, series: pa.Table | None,
                     tier: rollup.TierSpec) -> tuple[pa.Table, np.ndarray]:
-        """Merge one tier's stored rows; returns ``(merged_table,
-        changed_urls)``.
+        """Append one tier's new observed buckets to its stored rows;
+        returns ``(merged_table, changed_urls)``.
 
-        O(touched) design: only urls with new observations are re-merged
-        and re-trimmed; UNTOUCHED urls' old rows only advance retention
-        (:meth:`_retention_advance`).  ``changed_urls`` (touched ∪ urls
-        whose served rows moved) tells the segment stage which (url,
-        tier) payloads must be re-encoded; the rest are reused
-        byte-identical.
+        Strictly-forward contract: every new row is newer than the
+        committed high-water mark, so a url's new buckets start at or
+        after its last stored bucket and only that boundary bucket can
+        combine (count +, ``sum_old + sum_new``, min, max, ``last`` =
+        new, ``mean = sum / count``).  One stable url sort appends them
+        to every url's stored rows, touched or not; a new bucket before
+        its url's last stored bucket raises.  Retention is re-trimmed
+        at the new mark (each url keeps its anchor).  ``changed_urls``
+        (touched ∪ urls whose stored rows or served count moved — served
+        counts from the gap lengths, no fill materialized) tells the
+        segment stage which (url, tier) payloads to re-encode; the rest
+        are reused byte-identical.  ``series=None`` only advances
+        retention.  At least one of ``old`` and ``series`` is given.
         """
-        touched = np.unique(np.asarray(series.column("url").to_pandas(),
-                                       dtype=object))
-        passthrough = None
-        if old is not None and old.num_rows:
-            # hash-based membership (pc.is_in) — np.isin over object
-            # string arrays scans ar1 once PER touched url (O(n·m)),
-            # which dominated the whole increment at ~180 k tier rows
-            tmask = pc.is_in(old.column("url"),
-                             value_set=pa.array(touched, pa.string(),
-                                                from_pandas=True))
-            untouched = old.filter(pc.invert(tmask))
-            old = old.filter(tmask)
-            changed_untouched = np.array([], dtype=object)
-            if untouched.num_rows:
-                passthrough, changed_untouched = \
-                    self._retention_advance(untouched, tier)
-            changed = np.union1d(touched, changed_untouched)
-        else:
-            old = None
-            changed = touched
-
-        new = rollup.observed_tier_tables(
-            series, tiers=[rollup.TierSpec(tier.name, tier.width_us)],
-            high_water_us=self.new_hw)[tier.name]
-        if old is None or old.num_rows == 0:
-            merged = new.to_pandas()
-        else:
-            import pandas as pd
-            merged = pd.concat([old.to_pandas(), new.to_pandas()],
-                               ignore_index=True)
-            g = merged.groupby(["url", "bucket_ts"], sort=True)
-            merged = pd.DataFrame({
-                "count": g["count"].sum().astype(np.int32),
-                "sum": g["sum"].sum(),
-                "min": g["min"].min(),
-                "max": g["max"].max(),
-                "last": g["last"].last(),  # new rows come last (monotone)
-            }).reset_index()
-            merged["mean"] = merged["sum"] / merged["count"]
-            merged = merged.sort_values(["url", "bucket_ts"])
-        # re-trim retention over the merged observed buckets
-        urls = merged["url"].to_numpy(dtype=object)
-        first = np.r_[True, urls[1:] != urls[:-1]] if len(urls) else \
-            np.array([], bool)
-        rolled = {
-            "series_idx": np.cumsum(first) - 1,
-            "bucket_ts": merged["bucket_ts"].astype("int64").to_numpy(),
-            "count": merged["count"].to_numpy().astype(np.int32),
-            "sum": merged["sum"].to_numpy(),
-            "mean": merged["mean"].to_numpy(),
-            "min": merged["min"].to_numpy(),
-            "max": merged["max"].to_numpy(),
-            "last": merged["last"].to_numpy(),
-        }
-        rolled = rollup.trim_for_retention(rolled, tier.width_us,
+        rolled = []                       # (rolled dict, per-series urls)
+        if old is not None:
+            rolled.append(rollup.table_rolled(old))
+        if series is not None:
+            (_, new, urls, _), = rollup.observed_rolled(
+                series, [rollup.TierSpec(tier.name, tier.width_us)],
+                self.new_hw)
+            rolled.append((new, urls.combine_chunks()))
+        keys = ("bucket_ts", "count", "sum", "mean", "min", "max", "last")
+        # one sorted url dictionary; each row keyed by its url's rank
+        dictionary = pc.unique(pa.chunked_array(
+            [u for _, u in rolled], pa.string()))
+        dictionary = dictionary.take(pc.sort_indices(dictionary))
+        ranks = [pc.index_in(u, value_set=dictionary).to_numpy()[
+            r["series_idx"]] for r, u in rolled]
+        rank = np.concatenate(ranks)
+        order = np.argsort(rank, kind="stable")
+        rank = rank[order]
+        cat = {k: np.concatenate([r[k] for r, _ in rolled])[order]
+               for k in keys}
+        same = rank[1:] == rank[:-1]
+        step = np.diff(cat["bucket_ts"])
+        if (same & (step < 0)).any():
+            raise ValueError(
+                f"tier {tier.name}: a new bucket precedes its url's last "
+                "stored bucket (increments must be strictly newer than "
+                "the committed high-water mark)")
+        o = np.flatnonzero(same & (step == 0))    # stored row; o + 1 new
+        if len(o):
+            n = o + 1
+            cat["count"][n] += cat["count"][o]
+            cat["sum"][n] = cat["sum"][o] + cat["sum"][n]
+            cat["min"][n] = np.where(cat["min"][n] < cat["min"][o],
+                                     cat["min"][n], cat["min"][o])
+            cat["max"][n] = np.where(cat["max"][n] > cat["max"][o],
+                                     cat["max"][n], cat["max"][o])
+            cat["mean"][n] = cat["sum"][n] / cat["count"][n]
+            keep = np.ones(len(rank), bool)
+            keep[o] = False
+            cat = {k: v[keep] for k, v in cat.items()}
+            rank = rank[keep]
+        cat["series_idx"] = rank
+        merged = rollup.trim_for_retention(cat, tier.width_us,
                                            tier.retention_us, self.new_hw)
-        rebuilt = rollup.tier_table(rolled,
-                                    pa.array(urls[first], pa.string()))
-        if passthrough is not None and passthrough.num_rows:
-            rebuilt = pa.concat_tables(
-                [passthrough.select(rebuilt.column_names), rebuilt],
-                promote_options="default")
-            rebuilt = rebuilt.take(pc.sort_indices(rebuilt, sort_keys=[
-                ("url", "ascending"), ("bucket_ts", "ascending")]))
-        return rollup.tag_tier(rebuilt, tier, self.new_hw), changed
+        # changed: touched, or stored rows / served count moved
+        nu = len(dictionary)
+        changed = np.zeros(nu, bool)
+        if series is not None:
+            changed[pc.index_in(series.column("url"),
+                                value_set=dictionary).to_numpy()] = True
+        if old is not None:
+            (r, _), old_rank = rolled[0], ranks[0]
+            old_hw = (rollup.tier_meta(old) or (None, None))[1]
+            changed |= (np.bincount(old_rank, minlength=nu)
+                        != np.bincount(merged["series_idx"], minlength=nu))
+            changed |= (np.bincount(old_rank, rollup.served_runs(
+                r, tier, old_hw)[2], nu)
+                != np.bincount(merged["series_idx"], rollup.served_runs(
+                    merged, tier, self.new_hw)[2], nu))
+        return (rollup.tag_tier(rollup.tier_table(merged, dictionary), tier,
+                                self.new_hw),
+                dictionary.filter(pa.array(changed))
+                .to_numpy(zero_copy_only=False))
 
     # -------------------------------------------------------------------
 
@@ -285,52 +261,38 @@ class IncrementProcessor:
             new_state = self._update_state(old["state"], series)
         else:
             new_state = self.stage(series)  # brand-new partition
-        tier_tables = {}
-        changed_urls = {}
-        points = 0
-        for tier in self.tiers:
-            merged, changed = self._merge_tier(
-                old["tiers"].get(tier.name), series, tier)
-            tier_tables[tier.name] = merged
-            changed_urls[tier.name] = changed
-            points += rollup.served_counts(merged)[0]
-        segments = compress.segments_from_rollups(
-            tier_tables, changed_urls=changed_urls,
-            old_segments=old.get("segments"))
-        alerts = new_state.filter(pc.equal(new_state.column("status"), 3)) \
-            .select([c for c in ("url", "strategy", "detection_date",
-                                 "process", "boundary")
-                     if c in new_state.column_names])
-        return {"state": new_state, "tiers": tier_tables,
-                "segments": segments, "alerts": alerts,
-                "rollup_points": points,
-                "input_rows": group.num_rows, "series_rows": series.num_rows}
+        merged = {tier.name: self._merge_tier(old["tiers"].get(tier.name),
+                                              series, tier)
+                  for tier in self.tiers}
+        return self._artifacts(old, new_state, merged,
+                               group.num_rows, series.num_rows)
 
     def sweep_update(self, old: dict) -> dict | None:
         """Pure retention advance for a partition with NO new rows this
         increment (one-shot equivalence requires every partition to see
-        the new high-water mark, not just the ones with data).  A cutoff
-        filter per retention tier; returns the new artifacts, or None
-        when nothing dropped (nothing needs rewriting)."""
+        the new high-water mark, not just the ones with data): the tier
+        merge with no new rows.  Returns the new artifacts, or None when
+        no url changed (nothing needs rewriting)."""
         if old["state"] is None:
             return None
-        tier_tables = {}
-        changed_urls = {}
-        any_changed = False
-        for tier in self.tiers:
-            told = old["tiers"].get(tier.name)
-            if told is None:
-                continue
-            filtered, changed = self._retention_advance(told, tier)
-            tier_tables[tier.name] = filtered
-            changed_urls[tier.name] = changed
-            any_changed = any_changed or len(changed) > 0
-        if not any_changed:
+        merged = {tier.name: self._merge_tier(old["tiers"][tier.name],
+                                              None, tier)
+                  for tier in self.tiers
+                  if old["tiers"].get(tier.name) is not None}
+        if not any(len(changed) for _, changed in merged.values()):
             return None
+        return self._artifacts(old, old["state"], merged, 0, 0)
+
+    def _artifacts(self, old: dict, state: pa.Table, merged: dict,
+                   input_rows: int, series_rows: int) -> dict:
+        """New artifacts from merged tiers (``{name: (table, changed
+        urls)}``): segments re-encoded for the changed urls only, alerts
+        from the state."""
+        tier_tables = {name: t for name, (t, _) in merged.items()}
         segments = compress.segments_from_rollups(
-            tier_tables, changed_urls=changed_urls,
+            tier_tables,
+            changed_urls={name: c for name, (_, c) in merged.items()},
             old_segments=old.get("segments"))
-        state = old["state"]
         alerts = state.filter(pc.equal(state.column("status"), 3)) \
             .select([c for c in ("url", "strategy", "detection_date",
                                  "process", "boundary")
@@ -339,7 +301,7 @@ class IncrementProcessor:
                 "segments": segments, "alerts": alerts,
                 "rollup_points": sum(rollup.served_counts(t)[0]
                                      for t in tier_tables.values()),
-                "input_rows": 0, "series_rows": 0}
+                "input_rows": input_rows, "series_rows": series_rows}
 
     def sweep_partition(self, pid: int) -> bool:
         """Disk-backed :meth:`sweep_update`; returns True if rewritten."""
@@ -420,6 +382,61 @@ def salted_layout(out_dir: str, config: dict):
     return list(hot), m_tasks, P + m_tasks
 
 
+def _hw_scalar(high_water_us: int) -> pa.Scalar:
+    return pa.scalar(high_water_us, pa.int64()).cast(pa.timestamp("us"))
+
+
+def _late_scan(block: pa.Table, high_water_us: int, path: str):
+    """One block of a micro-batch: write its rows at or before the mark
+    to ``path`` (tmp + rename; the tmp name is hidden and does not end
+    in ``.parquet``, so no reader picks it up) and return ``(late rows,
+    newest warc_ts or the mark, whichever is later)``."""
+    if not block.num_rows:
+        return 0, high_water_us
+    ts = block.column("warc_ts")
+    late = block.filter(pc.less_equal(ts, _hw_scalar(high_water_us)))
+    if late.num_rows:
+        d, name = os.path.split(path)
+        os.makedirs(d, exist_ok=True)
+        tmp = os.path.join(d, f".{name}.tmp")
+        pq.write_table(late, tmp)
+        os.replace(tmp, path)
+    newest = pc.max(ts).cast(pa.timestamp("us")).cast(pa.int64()).as_py()
+    return late.num_rows, max(newest, high_water_us)
+
+
+def split_batch(flat_dataset, high_water_us: int, out_dir: str):
+    """The late/new split both increment modes share.
+
+    Materializes the batch once (read + extract: its one Ray Data
+    execution), then runs one plain task per block that dead-letters
+    the block's rows at or before the mark to
+    ``dead_letter/{batch}-{block}.parquet`` and returns its late count
+    and newest ``warc_ts``; the driver sees one such pair per block.
+    The new rows are filtered and routed later, inside the exchange's
+    split hop (:func:`route_new`).  Returns ``(materialized dataset,
+    late rows, new high-water mark)``."""
+    ds = flat_dataset.materialize()
+    dl_dir = os.path.join(out_dir, "dead_letter")
+    batch = uuid.uuid4().hex[:12]
+    scan = ray.remote(_late_scan)
+    stats = ray.get([scan.remote(ref, high_water_us, os.path.join(
+        dl_dir, f"{batch}-{b:05d}.parquet"))
+        for b, ref in enumerate(_iter_block_refs(ds))])
+    return (ds, sum(n for n, _ in stats),
+            max((m for _, m in stats), default=high_water_us))
+
+
+def route_new(block: pa.Table, high_water_us: int, num_partitions: int,
+              merge_route) -> pa.Table:
+    """Split-hop prep of an increment: keep the rows newer than the mark
+    and tag each with its partition (``merge_route``: hot urls go to
+    their merge partitions, see :func:`salted_layout`)."""
+    new = block.filter(pc.greater(block.column("warc_ts"),
+                                  _hw_scalar(high_water_us)))
+    return add_bucket_column(new, num_partitions, merge_route=merge_route)
+
+
 def run_increment(out_dir: str, flat_dataset, run_id: str = "incr") -> dict:
     """Apply a new batch of observations to an existing pipeline output.
 
@@ -436,40 +453,17 @@ def run_increment(out_dir: str, flat_dataset, run_id: str = "incr") -> dict:
     P = config["num_partitions"]
     old_hw = config["high_water_us"]
     hot_sorted, m_tasks, P_total = salted_layout(out_dir, config)
-
-    # split late vs new (strictly-forward contract)
-    hw_scalar = pa.scalar(old_hw, pa.int64()).cast(pa.timestamp("us"))
-
-    def is_new(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater(t.column("warc_ts"), hw_scalar))
-
-    def is_late(t: pa.Table) -> pa.Table:
-        return t.filter(pc.less_equal(t.column("warc_ts"), hw_scalar))
-
-    # execute the upstream lineage (read/extract) exactly once; the late /
-    # new splits and the high-water max below then scan cached blocks
-    flat_dataset = flat_dataset.materialize()
-    late = flat_dataset.map_batches(is_late, batch_format="pyarrow")
-    late_rows = late.count()
-    if late_rows:
-        late.write_parquet(os.path.join(out_dir, "dead_letter"))
-
-    mr = (hot_sorted, m_tasks) if m_tasks else None
-    ds = flat_dataset.map_batches(is_new, batch_format="pyarrow") \
-        .map_batches(lambda t: add_bucket_column(t, P, merge_route=mr),
-                     batch_format="pyarrow")
-    new_hw_t = ds.max("warc_ts")
-    new_hw = int(pa.scalar(new_hw_t, pa.timestamp("us"))
-                 .cast(pa.int64()).as_py()) if new_hw_t is not None \
-        else old_hw
+    # strictly-forward contract: rows at or before the mark are late
+    ds, late_rows, new_hw = split_batch(flat_dataset, old_hw, out_dir)
 
     proc = IncrementProcessor(out_dir, run_id, config, new_hw)
 
     def process(group: pa.Table) -> pa.Table:
         return proc(group)
 
-    from nrt_ray.stages.exchange import exchange_map_groups
-    tables = exchange_map_groups(ds, P_total, process)
+    tables = exchange_map_groups(
+        ds, P_total, process, prep_fn=route_new,
+        prep_args=(old_hw, P, (hot_sorted, m_tasks) if m_tasks else None))
     rows = [row for t in tables for row in t.to_pylist()]
     # partitions that received no rows still need the new high-water
     # mark applied to their retention tiers (one-shot equivalence);
@@ -477,12 +471,10 @@ def run_increment(out_dir: str, flat_dataset, run_id: str = "incr") -> dict:
     swept = 0
     empty_pids = sorted(set(range(P_total)) - {r["pid"] for r in rows})
     if empty_pids and new_hw > old_hw:
-        import ray as _ray
-        sweep_remote = _ray.remote(
+        sweep_remote = ray.remote(
             lambda pid: IncrementProcessor(
                 out_dir, run_id, config, new_hw).sweep_partition(pid))
-        swept = sum(_ray.get([sweep_remote.remote(p)
-                              for p in empty_pids]))
+        swept = sum(ray.get([sweep_remote.remote(p) for p in empty_pids]))
     config["high_water_us"] = new_hw
     write_run_config(out_dir, config)
     return {
@@ -526,7 +518,6 @@ def _rebuild_merge_partitions(out_dir: str, config: dict, hot_sorted,
     partitions were rebuilt (fully-excluded tasks are skipped and left
     for the caller's empty-commit cleanup)."""
     import ray as _ray
-    from nrt_ray.stages.exchange import _iter_block_refs
 
     P = int(config["num_partitions"])
     processor_kwargs = dict(

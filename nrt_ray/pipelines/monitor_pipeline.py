@@ -546,7 +546,6 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
                  high_water_us: int | None = None,
                  run_id: str | None = None,
                  flat_dataset=None,
-                 shuffle: str = "exchange",
                  salt_threshold: int | str | None = "auto",
                  hot_urls=None,
                  salt_slice_us: int = DEFAULT_SALT_SLICE_US,
@@ -561,9 +560,6 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
         flat_dataset: optional pre-extracted flat Dataset with columns
             ``url, warc_ts, value, days, dyear`` (e.g. the events adapter).
         resume: skip partitions already committed in ``out_dir``'s manifest.
-        shuffle: 'exchange' (default — explicit two-phase hash exchange,
-            see ``stages/exchange.py``) or 'sort' (Dataset-native
-            ``groupby(pid).map_groups``; same results, slower shuffle).
         salt_threshold: urls with at least this many rows are
             salted by time slice (SURVEY §4): their rows spread over many
             partitions (no single melted reduce task), each partition
@@ -642,25 +638,20 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
             # pruned parquet read (warc/flat inputs would pay a full
             # extraction pass just to count; opt in explicitly there)
             if flat_dataset is None and not is_warc_input(input_path):
-                if shuffle == "exchange":
-                    # OVERLAPPED detection: a plain ray task graph whose
-                    # final ObjectRef feeds the exchange's split-side
-                    # prep — the read/extract stream executes
-                    # concurrently with detection, and only the split
-                    # tasks (which need routing) wait on the tiny hot
-                    # set.  ~0.6–0.8 s of formerly serial wall off the
-                    # critical path (VERDICT r4 #1).
-                    detect_t0 = time.perf_counter()
-                    detect_ref = _submit_detect_auto(input_path,
-                                                     num_partitions)
-                    # both ends on the driver's clock: stamped when the
-                    # ref resolves, not by a worker
-                    detect_done = []
-                    detect_ref.future().add_done_callback(
-                        lambda _: detect_done.append(time.perf_counter()))
-                else:
-                    hot_urls = detect_hot_urls(
-                        input_path, None, num_partitions=num_partitions)
+                # OVERLAPPED detection: a plain ray task graph whose final
+                # ObjectRef feeds the exchange's split-side prep — the
+                # read/extract stream executes concurrently with
+                # detection, and only the split tasks (which need
+                # routing) wait on the tiny hot set.  ~0.6–0.8 s of
+                # formerly serial wall off the critical path.
+                detect_t0 = time.perf_counter()
+                detect_ref = _submit_detect_auto(input_path,
+                                                 num_partitions)
+                # both ends on the driver's clock: stamped when the ref
+                # resolves, not by a worker
+                detect_done = []
+                detect_ref.future().add_done_callback(
+                    lambda _: detect_done.append(time.perf_counter()))
         else:
             hot_urls = detect_hot_urls(
                 input_path, salt_threshold,
@@ -689,46 +680,31 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
     def process_partition(group: pa.Table) -> pa.Table:
         return processor(group)
 
-    if shuffle == "exchange":
-        from nrt_ray.stages.exchange import exchange_map_groups
+    from nrt_ray.stages.exchange import exchange_map_groups
 
-        def prep(t: pa.Table, hot) -> pa.Table:
-            # routing + resume filter fused into the split task (one
-            # less object-store hop than separate map_batches stages);
-            # ``hot`` is the resolved detection result when overlapped
-            t = add_bucket_column(t, num_partitions, hot_urls=set(hot),
-                                  slice_us=salt_slice_us)
-            if committed_arr is not None:
-                t = t.filter(pc.invert(pc.is_in(
-                    t.column("pid"), value_set=committed_arr)))
-            return t
-
-        tables = exchange_map_groups(
-            ds, num_partitions, process_partition,
-            num_cpus_per_reduce=reduce_num_cpus,
-            prep_fn=prep,
-            prep_args=(detect_ref if detect_ref is not None
-                       else sorted(hot_urls),))
-        rows = [row for t in tables for row in t.to_pylist()]
-        if detect_ref is not None:
-            hot_urls = set(ray.get(detect_ref))
-            # the callback may still be running when ray.get returns
-            salt_detect_sec = round((detect_done or [time.perf_counter()])
-                                    [0] - detect_t0, 4)
-    else:
-        ds = ds.map_batches(
-            lambda t: add_bucket_column(t, num_partitions,
-                                        hot_urls=hot_urls,
-                                        slice_us=salt_slice_us),
-            batch_format="pyarrow")
+    def prep(t: pa.Table, hot) -> pa.Table:
+        # routing + resume filter fused into the split task (one
+        # less object-store hop than separate map_batches stages);
+        # ``hot`` is the resolved detection result when overlapped
+        t = add_bucket_column(t, num_partitions, hot_urls=set(hot),
+                              slice_us=salt_slice_us)
         if committed_arr is not None:
-            ds = ds.map_batches(
-                lambda t: t.filter(pc.invert(pc.is_in(
-                    t.column("pid"), value_set=committed_arr))),
-                batch_format="pyarrow")
-        lineage = ds.groupby("pid").map_groups(process_partition,
-                                               batch_format="pyarrow")
-        rows = lineage.take_all()  # one tiny row per partition
+            t = t.filter(pc.invert(pc.is_in(
+                t.column("pid"), value_set=committed_arr)))
+        return t
+
+    tables = exchange_map_groups(
+        ds, num_partitions, process_partition,
+        num_cpus_per_reduce=reduce_num_cpus,
+        prep_fn=prep,
+        prep_args=(detect_ref if detect_ref is not None
+                   else sorted(hot_urls),))
+    rows = [row for t in tables for row in t.to_pylist()]
+    if detect_ref is not None:
+        hot_urls = set(ray.get(detect_ref))
+        # the callback may still be running when ray.get returns
+        salt_detect_sec = round((detect_done or [time.perf_counter()])
+                                [0] - detect_t0, 4)
 
     if hot_urls:
         merge_committed = {p for p in committed if p >= num_partitions}

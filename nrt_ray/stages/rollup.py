@@ -340,7 +340,7 @@ def served_counts(table: pa.Table) -> tuple[int, int]:
                                  & (first == rolled["bucket_ts"]))))
 
 
-def _observed(series: pa.Table, tiers, high_water_us: int | None):
+def observed_rolled(series: pa.Table, tiers, high_water_us: int | None):
     """Per tier: ``(tier, stored rolled dict, per-series urls, high-water
     mark)`` — observed buckets plus each series' retention anchor (the
     last bucket before the window, :func:`trim_for_retention`)."""
@@ -377,7 +377,7 @@ def observed_tier_tables(series: pa.Table, tiers=DEFAULT_TIERS,
     metadata; :func:`serve_tier_table` derives the gap-fill from them."""
     return {tier.name: tag_tier(tier_table(rolled, urls), tier, hw)
             for tier, rolled, urls, hw in
-            _observed(series, tiers, high_water_us)}
+            observed_rolled(series, tiers, high_water_us)}
 
 
 def serve_tier_table(table: pa.Table) -> pa.Table:
@@ -410,7 +410,7 @@ def rollup_series_table(series: pa.Table, tiers=DEFAULT_TIERS,
     """
     return {tier.name: tier_table(_served(rolled, tier, hw), urls)
             for tier, rolled, urls, hw in
-            _observed(series, tiers, high_water_us)}
+            observed_rolled(series, tiers, high_water_us)}
 
 
 def choose_tier(tiers, t0_us: int, t1_us: int, max_points: int,

@@ -55,7 +55,8 @@ def main() -> int:
     only = set(sys.argv[2:])
 
     import ray
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    if started:
         # workers import the engine from this checkout, whatever the cwd,
         # ahead of anything already on the caller's PYTHONPATH
         path = os.pathsep.join(
@@ -63,7 +64,19 @@ def main() -> int:
         ray.init(address="local", num_cpus=16, include_dashboard=False,
                  log_to_driver=False,
                  runtime_env={"env_vars": {"PYTHONPATH": path}})
+    try:
+        n_fail = _sweep(sf_dir, only)
+    finally:
+        # a Ray the caller started stays up for the caller
+        if started:
+            ray.shutdown()
+    print("FAILURES:", n_fail)
+    return 1 if n_fail else 0
 
+
+def _sweep(sf_dir: str, only: set) -> int:
+    """Compare each selected query with its oracle; returns the number
+    of failures (a query or oracle that raises is one)."""
     spec = importlib.util.spec_from_file_location(
         "ray_entry", os.path.join(ROOT, "__ray_entry__.py"))
     mod = importlib.util.module_from_spec(spec)
@@ -87,7 +100,12 @@ def main() -> int:
         if name not in oracles:
             print(f"rows-only {name}: {len(got)} rows")
             continue
-        exp = _normalize(con.sql(oracles[name]).df())
+        try:
+            exp = _normalize(con.sql(oracles[name]).df())
+        except Exception as e:  # noqa: BLE001
+            print(f"FAIL {name}: oracle raised {e!r}")
+            n_fail += 1
+            continue
         if list(got.columns) != list(exp.columns):
             print(f"FAIL {name}: columns {list(got.columns)} "
                   f"!= {list(exp.columns)}")
@@ -117,9 +135,7 @@ def main() -> int:
             n_fail += 1
         else:
             print(f"PASS {name}: {len(got)} rows hash-equal")
-    ray.shutdown()
-    print("FAILURES:", n_fail)
-    return 1 if n_fail else 0
+    return n_fail
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import pytest
 
 from nrt_ray.pipelines import incremental as inc
 from nrt_ray.pipelines import monitor_pipeline as mp
@@ -126,3 +127,91 @@ def test_backfill_noop_without_dead_letter(ray_session, tmp_path):
     assert s == {"late_rows_applied": 0, "partitions_rebuilt": 0,
                  "affected_pids": [],
                  "high_water_us": s["high_water_us"]}
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_dead_letter_contents_then_backfill(ray_session, tmp_path, mode):
+    """A mixed micro-batch in three blocks (all late / mixed / all new):
+    ``dead_letter/`` holds exactly the batch's rows at or before the
+    mark, one file per block with late rows and no temporary file; the
+    new rows are applied; the batch runs one Ray Data execution; and a
+    backfill then equals a one-shot run over everything."""
+    from unittest import mock
+
+    import ray.data
+    from ray.data._internal.plan import ExecutionPlan
+
+    from nrt_ray.pipelines.continuous import ContinuousMonitor
+
+    d = str(tmp_path / "wt")
+    info = synthetic.generate_webtext(d, n_urls=30, seed=67)
+    t = pq.read_table(info["webtext"])
+    urls = np.asarray(t.column("url").to_pandas(), dtype=object)
+    cut = pa.scalar(int(CUT.astype(np.int64)), pa.int64()) \
+        .cast(pa.timestamp("us"))
+    held_back = pc.and_(pa.array(np.isin(urls, np.unique(urls)[:4])),
+                        pc.greater(t.column("warc_ts"), pc.subtract(
+                            cut, pa.scalar(40 * 86400 * US,
+                                           pa.duration("us")))))
+    held_back = pc.and_(held_back, pc.less_equal(t.column("warc_ts"), cut))
+    early = t.filter(pc.and_(pc.less_equal(t.column("warc_ts"), cut),
+                             pc.invert(held_back)))
+    batch = t.filter(pc.or_(pc.greater(t.column("warc_ts"), cut),
+                            held_back))
+    ep, bp = str(tmp_path / "early.parquet"), str(tmp_path / "batch.parquet")
+    pq.write_table(early, ep)
+    pq.write_table(batch, bp)
+    out = str(tmp_path / "out")
+    mp.run_pipeline(ep, out, **COMMON)
+    hw = inc.read_run_config(out)["high_water_us"]
+
+    flat = pa.concat_tables(list(mp.ingest_webtext(bp).iter_batches(
+        batch_format="pyarrow")))
+    is_late = pc.less_equal(flat.column("warc_ts").cast(pa.int64()), hw)
+    late, new = flat.filter(is_late), flat.filter(pc.invert(is_late))
+    n_late = late.num_rows
+    assert 2 <= n_late and new.num_rows > 2
+    blocks = [late.slice(0, n_late // 2),
+              pa.concat_tables([late.slice(n_late // 2),
+                                new.slice(0, new.num_rows // 2)]),
+              new.slice(new.num_rows // 2)]
+
+    real = ExecutionPlan.create_executor
+    calls = []
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    # a lazy stage on top, so materializing the batch is an execution
+    ds = ray.data.from_arrow(blocks).map_batches(
+        lambda b: b, batch_format="pyarrow", batch_size=None)
+    with mock.patch.object(ExecutionPlan, "create_executor", counting):
+        if mode == "discrete":
+            s = inc.run_increment(out, ds)
+        else:
+            cm = ContinuousMonitor(out, pool=2)
+            try:
+                s = cm.ingest(ds)
+                cm.checkpoint()
+            finally:
+                cm.close()
+    assert len(calls) == 1
+    assert s["late_rows"] == n_late and s["input_rows"] == new.num_rows
+
+    dl = os.path.join(out, "dead_letter")
+    files = sorted(os.listdir(dl))
+    assert len(files) == 2 and all(f.endswith(".parquet") and
+                                   not f.startswith(".") for f in files)
+    got = pa.concat_tables([pq.read_table(os.path.join(dl, f))
+                            for f in files])
+    keys = [(c, "ascending") for c in late.column_names]
+    assert got.select(late.column_names).take(
+        pc.sort_indices(got, sort_keys=keys)).equals(
+        late.take(pc.sort_indices(late, sort_keys=keys)))
+
+    s_bf = inc.run_backfill(out, [ep, bp])
+    assert s_bf["late_rows_applied"] == n_late
+    ref = str(tmp_path / "ref")
+    mp.run_pipeline(info["webtext"], ref, **COMMON)
+    _assert_tables_equal(out, ref)

@@ -1,0 +1,230 @@
+"""The increment tier merge (append-only) ≡ the pandas regroup it
+replaced, bit for bit, on the merged tables and the changed urls."""
+
+from __future__ import annotations
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
+
+from nrt_ray.pipelines import incremental as inc
+from nrt_ray.stages import rollup
+from nrt_ray.stages.assemble import assemble_series
+
+US = 1_000_000
+HOUR = 3600 * US
+DAY = 24 * HOUR
+T0 = int(np.datetime64("2021-01-01", "us").astype(np.int64))
+OLD_HW = T0 + 100 * DAY + 5 * HOUR + 20 * 60 * US
+NEW_HW = OLD_HW + 2 * DAY
+CONFIG = {"tiers": [t.to_dict() for t in rollup.DEFAULT_TIERS],
+          "strategy": "EWMA", "monitor_start": "2021-01-01"}
+
+
+def _retention_advance(proc, table, tier):
+    if tier.retention_us is None or not table.num_rows:
+        return rollup.tag_tier(table, tier, proc.new_hw), \
+            np.array([], dtype=object)
+    _, old_hw = rollup.tier_meta(table)
+    rolled, urls = rollup.table_rolled(table)
+    sidx = rolled["series_idx"]
+    keys = {"series_idx": sidx, "bucket_ts": rolled["bucket_ts"],
+            "row": np.arange(len(sidx))}
+    kept = rollup.trim_for_retention(keys, tier.width_us,
+                                     tier.retention_us, proc.new_hw)
+    n = len(urls)
+    before = np.bincount(sidx, rollup.served_runs(keys, tier,
+                                                  old_hw)[2], n)
+    after = np.bincount(kept["series_idx"], rollup.served_runs(
+        kept, tier, proc.new_hw)[2], n)
+    moved = (before != after) | (np.bincount(sidx, minlength=n)
+                                 != np.bincount(kept["series_idx"],
+                                                minlength=n))
+    if len(kept["row"]) < table.num_rows:
+        table = table.take(pa.array(kept["row"]))
+    return (rollup.tag_tier(table, tier, proc.new_hw),
+            urls.filter(pa.array(moved)).to_numpy(zero_copy_only=False))
+
+
+def pandas_merge_tier(proc, old, series, tier):
+    """The former merge: touched urls regrouped with pandas, untouched
+    urls advanced by a retention trim, then one full re-sort.  (Its
+    pandas sums start from +0.0, so a bucket summing to -0.0 would come
+    out +0.0; the inputs here hold no -0.0.)"""
+    touched = np.unique(np.asarray(series.column("url").to_pandas(),
+                                   dtype=object))
+    passthrough = None
+    if old is not None and old.num_rows:
+        tmask = pc.is_in(old.column("url"),
+                         value_set=pa.array(touched, pa.string(),
+                                            from_pandas=True))
+        untouched = old.filter(pc.invert(tmask))
+        old = old.filter(tmask)
+        changed_untouched = np.array([], dtype=object)
+        if untouched.num_rows:
+            passthrough, changed_untouched = \
+                _retention_advance(proc, untouched, tier)
+        changed = np.union1d(touched, changed_untouched)
+    else:
+        old = None
+        changed = touched
+    new = rollup.observed_tier_tables(
+        series, tiers=[rollup.TierSpec(tier.name, tier.width_us)],
+        high_water_us=proc.new_hw)[tier.name]
+    if old is None or old.num_rows == 0:
+        merged = new.to_pandas()
+    else:
+        merged = pd.concat([old.to_pandas(), new.to_pandas()],
+                           ignore_index=True)
+        g = merged.groupby(["url", "bucket_ts"], sort=True)
+        merged = pd.DataFrame({
+            "count": g["count"].sum().astype(np.int32),
+            "sum": g["sum"].sum(),
+            "min": g["min"].min(),
+            "max": g["max"].max(),
+            "last": g["last"].last(),
+        }).reset_index()
+        merged["mean"] = merged["sum"] / merged["count"]
+        merged = merged.sort_values(["url", "bucket_ts"])
+    urls = merged["url"].to_numpy(dtype=object)
+    first = np.r_[True, urls[1:] != urls[:-1]] if len(urls) else \
+        np.array([], bool)
+    rolled = {
+        "series_idx": np.cumsum(first) - 1,
+        "bucket_ts": merged["bucket_ts"].astype("int64").to_numpy(),
+        "count": merged["count"].to_numpy().astype(np.int32),
+        "sum": merged["sum"].to_numpy(),
+        "mean": merged["mean"].to_numpy(),
+        "min": merged["min"].to_numpy(),
+        "max": merged["max"].to_numpy(),
+        "last": merged["last"].to_numpy(),
+    }
+    rolled = rollup.trim_for_retention(rolled, tier.width_us,
+                                       tier.retention_us, proc.new_hw)
+    rebuilt = rollup.tier_table(rolled, pa.array(urls[first], pa.string()))
+    if passthrough is not None and passthrough.num_rows:
+        rebuilt = pa.concat_tables(
+            [passthrough.select(rebuilt.column_names), rebuilt],
+            promote_options="default")
+        rebuilt = rebuilt.take(pc.sort_indices(rebuilt, sort_keys=[
+            ("url", "ascending"), ("bucket_ts", "ascending")]))
+    return rollup.tag_tier(rebuilt, tier, proc.new_hw), changed
+
+
+def _series(rows: dict) -> pa.Table:
+    """Assembled series from ``{url: (ts_us array, value array)}``."""
+    url = np.concatenate([[u] * len(ts) for u, (ts, _) in rows.items()])
+    ts = np.concatenate([ts for ts, _ in rows.values()])
+    val = np.concatenate([v for _, v in rows.values()])
+    return assemble_series(pa.table({
+        "url": pa.array(url, pa.string()),
+        "warc_ts": pa.array(ts, pa.int64()).cast(pa.timestamp("us")),
+        "value": pa.array(val, pa.float64())}))
+
+
+def _obs(rng, *ts):
+    ts = np.sort(np.concatenate([np.atleast_1d(t) for t in ts]))
+    return ts.astype(np.int64), rng.normal(0.5, 0.1, len(ts))
+
+
+@pytest.fixture(scope="module")
+def cases():
+    """``{name: (old rows, new rows)}`` (see the module tests)."""
+    rng = np.random.default_rng(5)
+    hours = np.arange(24 * 20) * HOUR
+    # a: touched, its last stored observation at the old mark, the new
+    #    one 10 minutes later — one boundary bucket in every tier
+    # b: brand new;  c: untouched, its 1h anchor's fills cross the
+    #    moving window start (served count moves, stored rows do not);
+    # d: untouched, rows trimmed by the 1h window;  e: untouched, quiet
+    old = {"a": _obs(rng, T0 + 80 * DAY + hours[::3], OLD_HW),
+           "c": _obs(rng, T0 + 10 * DAY + np.arange(4) * HOUR,
+                     T0 + 14 * DAY + 2 * HOUR),
+           "d": _obs(rng, T0 + 11 * DAY + np.arange(0, 40, 5) * HOUR,
+                     T0 + 20 * DAY),
+           "e": _obs(rng, T0 + 95 * DAY + hours[:60:7])}
+    new = {"a": _obs(rng, OLD_HW + 10 * 60 * US,
+                     OLD_HW + np.arange(1, 30, 4) * HOUR),
+           "b": _obs(rng, OLD_HW + np.arange(2, 40, 6) * HOUR)}
+    # the hot url of a salted run: its merge partition holds it alone
+    slots = np.flatnonzero(rng.random(100 * 24) < 0.36)
+    hot_old = {"hot": _obs(rng, T0 + slots * HOUR, OLD_HW)}
+    hot_new = {"hot": _obs(rng, OLD_HW + 5 * 60 * US,
+                           OLD_HW + np.arange(1, 48) * HOUR)}
+    return {"partition": (old, new), "hot": (hot_old, hot_new)}
+
+
+def _stored(rows: dict, tier) -> pa.Table:
+    return rollup.observed_tier_tables(_series(rows), [tier], OLD_HW)[
+        tier.name]
+
+
+def _assert_bits_equal(got, exp):
+    (gt, gc), (et, ec) = got, exp
+    assert gt.schema.equals(et.schema, check_metadata=True)
+    assert gt.num_rows == et.num_rows
+    for name in gt.column_names:
+        a, b = gt.column(name), et.column(name)
+        if pa.types.is_floating(a.type):
+            a = a.to_numpy(zero_copy_only=False).view(np.uint64)
+            b = b.to_numpy(zero_copy_only=False).view(np.uint64)
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        else:
+            assert a.to_pylist() == b.to_pylist(), name
+    assert list(gc) == list(ec)
+
+
+@pytest.mark.parametrize("tier", rollup.DEFAULT_TIERS,
+                         ids=[t.name for t in rollup.DEFAULT_TIERS])
+@pytest.mark.parametrize("case", ["partition", "hot", "old_none",
+                                  "legacy", "sweep"])
+def test_append_merge_equals_pandas_merge(cases, tier, case):
+    proc = inc.IncrementProcessor("unused", "t", CONFIG, NEW_HW)
+    old_rows, new_rows = cases["hot" if case == "hot" else "partition"]
+    old = _stored(old_rows, tier)
+    series = _series(new_rows)
+    if case == "old_none":
+        old = None
+    elif case == "legacy":
+        # a tier file written before stores kept observed buckets only:
+        # the served view, no tier metadata; load drops its fills
+        legacy = rollup.serve_tier_table(old).replace_schema_metadata(None)
+        assert rollup.tier_meta(legacy) is None
+        old = inc._stored_rows(legacy, tier, OLD_HW)
+    if case == "sweep":
+        # no new rows: a pure retention advance
+        got = proc._merge_tier(old, None, tier)
+        exp = _retention_advance(proc, old, tier)
+        exp = (exp[0].select(got[0].column_names), exp[1])
+    else:
+        got = proc._merge_tier(old, series, tier)
+        exp = pandas_merge_tier(proc, old, series, tier)
+    _assert_bits_equal(got, exp)
+    if case == "partition":
+        # the cases the fixture plants are really there
+        changed = set(got[1])
+        assert {"a", "b"} <= changed and "e" not in changed
+        assert tier.retention_us is None or {"c", "d"} <= changed
+        urls = got[0].column("url").to_numpy(zero_copy_only=False)
+        stored_a = old.filter(pc.equal(old.column("url"), "a"))
+        merged_a = got[0].filter(pc.equal(got[0].column("url"), "a"))
+        assert merged_a.num_rows < stored_a.num_rows + _stored(
+            {"a": new_rows["a"]}, tier).num_rows     # one bucket combined
+        assert (urls == "b").any()
+    if case == "partition" and tier.name == "1h":
+        c_old = old.filter(pc.equal(old.column("url"), "c"))
+        c_new = got[0].filter(pc.equal(got[0].column("url"), "c"))
+        assert c_old.num_rows == c_new.num_rows     # only the fills moved
+
+
+@pytest.mark.parametrize("tier", rollup.DEFAULT_TIERS,
+                         ids=[t.name for t in rollup.DEFAULT_TIERS])
+def test_append_merge_rejects_out_of_order_bucket(cases, tier):
+    proc = inc.IncrementProcessor("unused", "t", CONFIG, NEW_HW)
+    old_rows, _ = cases["partition"]
+    early = _series({"a": (np.array([OLD_HW - 30 * DAY]),
+                           np.array([0.4]))})
+    with pytest.raises(ValueError, match="precedes"):
+        proc._merge_tier(_stored(old_rows, tier), early, tier)

@@ -213,3 +213,46 @@ def test_update_mask_false_keeps_monitoring(synth_series):
     mon.fit(dates[history], values[history], method="OLS")
     mon.monitor_matrix(dates[~history], values[~history])
     assert not np.any(mon.status == BREAK)
+
+
+def test_mosum_init_window_pads_missing_residuals():
+    """Fewer finite residuals than ``winsize`` (none at all when σ = 0
+    makes every normalized residual NaN) fill the window from the front
+    and leave the rest zero."""
+    from nrt_ray.kernels.efp import mosum_init_window
+
+    window = mosum_init_window(np.full((10, 1), np.nan), np.array([3]))
+    assert window.shape == (3, 1) and not window.any()
+    res = np.full((6, 3), np.nan)
+    res[:, 0] = np.arange(6.0)
+    res[[1, 4], 1] = [7.0, 8.0]
+    window = mosum_init_window(res, np.array([3, 3, 2]))
+    np.testing.assert_array_equal(window[:, 0], [3.0, 4.0, 5.0])
+    np.testing.assert_array_equal(window[:, 1], [7.0, 8.0, 0.0])
+    np.testing.assert_array_equal(window[:, 2], [0.0, 0.0, 0.0])
+
+
+def test_mosum_constant_history_does_not_raise(synth_series):
+    """A MONITORED series whose history is constant has σ = 0: the batch
+    fits and monitors, and every other series' state is bit for bit what
+    it is when that series is an ordinary one."""
+    dates, values, history = synth_series
+    const = values.copy()
+    const[history, 5] = 0.0          # exact zero fit: residuals all 0
+    mons = []
+    for v in (values, const):
+        mon = MoSum()
+        mon.fit(dates[history], v[history])
+        mon.monitor_matrix(dates[~history], v[~history])
+        mons.append(mon)
+    ref, got = mons
+    assert got.status[5] != 0 and got.sigma[5] == 0.0
+    others = np.arange(values.shape[1]) != 5
+    sa, sb = ref.state_dict(), got.state_dict()
+    for name in sa:                  # series-first columns
+        a, b = np.asarray(sa[name])[others], np.asarray(sb[name])[others]
+        if name == "window":         # padded to the batch's widest window
+            w = sa["winsize"][others].max()
+            assert not a[:, w:].any() and not b[:, w:].any()
+            a, b = a[:, :w], b[:, :w]
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

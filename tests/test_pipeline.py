@@ -151,17 +151,6 @@ def test_resume_skips_committed_and_is_idempotent(ray_session, webtext,
     assert ca == cb
 
 
-def test_exchange_equals_sort_shuffle(ray_session, webtext, tmp_path):
-    """The explicit two-phase exchange and the Dataset-native sort-based
-    groupby must produce identical outputs."""
-    _run(webtext, tmp_path / "ex", shuffle="exchange")
-    _run(webtext, tmp_path / "so", shuffle="sort")
-    for table in ("state", "rollup_1d", "rollup_1w", "segments", "alerts"):
-        a = mp.read_output_table(str(tmp_path / "ex"), table)
-        b = mp.read_output_table(str(tmp_path / "so"), table)
-        assert a.equals(b), table
-
-
 def test_partition_count_pinned(ray_session, webtext, tmp_path):
     out = tmp_path / "out"
     _run(webtext, out)
