@@ -69,23 +69,57 @@ def read_run_config(out_dir: str) -> dict:
         return json.load(f)
 
 
-class IncrementProcessor:
-    """Per-partition incremental update (runs inside ``map_groups``)."""
+def run_settings(config: dict) -> dict:
+    """The arguments a run config pins, for every partition writer and
+    for ``run_pipeline``: strategy, fit and monitor parameters,
+    partitioning, tiers (as ``TierSpec``s) and the committed high-water
+    mark."""
+    return dict(strategy=config["strategy"],
+                monitor_start=config["monitor_start"],
+                num_partitions=config.get("num_partitions"),
+                tiers=[rollup.TierSpec(**t) for t in config["tiers"]],
+                high_water_us=config.get("high_water_us"),
+                fit_method=config.get("fit_method"),
+                screen_outliers=config.get("screen_outliers", "default"),
+                monitor_params=config.get("monitor_params"),
+                fit_params=config.get("fit_params"))
 
-    def __init__(self, out_dir: str, run_id: str, config: dict,
-                 new_high_water_us: int):
+
+#: a partition with nothing stored, in ``load_partition``'s shape: a
+#: fresh partition is an update onto it
+NOTHING = {"state": None, "tiers": {}, "segments": None}
+
+
+class PartitionWriter:
+    """One partition's load → pure update → persist, shared by every
+    writer.  A fresh partition (``monitor_pipeline.PartitionProcessor``)
+    is an update onto :data:`NOTHING`; an increment is an update onto
+    the loaded artifacts.
+
+    ``high_water_us`` is the mark the writer builds and commits at
+    (``new_hw``).  It may be None only when no tier keeps a retention
+    window; each partition's tiers are then tagged with its newest
+    observation."""
+
+    #: chaos-testing hook, see :func:`manifest.persist_partition`
+    fault_hook = None
+
+    def __init__(self, out_dir: str, run_id: str, num_partitions: int,
+                 strategy: str, monitor_start: str, tiers,
+                 high_water_us: int | None,
+                 fit_method: str | None = None,
+                 screen_outliers: str | None = "default",
+                 monitor_params: dict | None = None,
+                 fit_params: dict | None = None):
         self.out_dir = out_dir
         self.run_id = run_id
-        self.config = config
-        self.new_hw = new_high_water_us
-        self.tiers = [rollup.TierSpec(**t) for t in config["tiers"]]
+        self.num_partitions = num_partitions
+        self.tiers = list(tiers)
+        self.new_hw = high_water_us
         self.stage = SeriesFitMonitor(
-            strategy=config["strategy"],
-            monitor_start=config["monitor_start"],
-            monitor_params=config.get("monitor_params"),
-            fit_params=config.get("fit_params"),
-            fit_method=config.get("fit_method"),
-            screen_outliers=config.get("screen_outliers", "default"))
+            strategy=strategy, monitor_start=monitor_start,
+            fit_method=fit_method, screen_outliers=screen_outliers,
+            monitor_params=monitor_params, fit_params=fit_params)
 
     # -- state update ---------------------------------------------------
 
@@ -137,9 +171,10 @@ class IncrementProcessor:
     # -- rollup merge ---------------------------------------------------
 
     def _merge_tier(self, old: pa.Table | None, series: pa.Table | None,
-                    tier: rollup.TierSpec) -> tuple[pa.Table, np.ndarray]:
-        """Append one tier's new observed buckets to its stored rows;
-        returns ``(merged_table, changed_urls)``.
+                    tier: rollup.TierSpec, hw: int):
+        """Append one tier's new observed buckets to its stored rows at
+        mark ``hw``; returns ``(merged_table, changed_urls, (served
+        points, observed buckets))``, the counts over the merged table.
 
         Strictly-forward contract: every new row is newer than the
         committed high-water mark, so a url's new buckets start at or
@@ -153,15 +188,15 @@ class IncrementProcessor:
         counts from the gap lengths, no fill materialized) tells the
         segment stage which (url, tier) payloads to re-encode; the rest
         are reused byte-identical.  ``series=None`` only advances
-        retention.  At least one of ``old`` and ``series`` is given.
+        retention; ``old=None`` builds the tier fresh.  At least one of
+        ``old`` and ``series`` is given.
         """
         rolled = []                       # (rolled dict, per-series urls)
         if old is not None:
             rolled.append(rollup.table_rolled(old))
         if series is not None:
             (_, new, urls, _), = rollup.observed_rolled(
-                series, [rollup.TierSpec(tier.name, tier.width_us)],
-                self.new_hw)
+                series, [rollup.TierSpec(tier.name, tier.width_us)], hw)
             rolled.append((new, urls.combine_chunks()))
         keys = ("bucket_ts", "count", "sum", "mean", "min", "max", "last")
         # one sorted url dictionary; each row keyed by its url's rank
@@ -198,7 +233,8 @@ class IncrementProcessor:
             rank = rank[keep]
         cat["series_idx"] = rank
         merged = rollup.trim_for_retention(cat, tier.width_us,
-                                           tier.retention_us, self.new_hw)
+                                           tier.retention_us, hw)
+        first, _, served = rollup.served_runs(merged, tier, hw)
         # changed: touched, or stored rows / served count moved
         nu = len(dictionary)
         changed = np.zeros(nu, bool)
@@ -212,14 +248,84 @@ class IncrementProcessor:
                         != np.bincount(merged["series_idx"], minlength=nu))
             changed |= (np.bincount(old_rank, rollup.served_runs(
                 r, tier, old_hw)[2], nu)
-                != np.bincount(merged["series_idx"], rollup.served_runs(
-                    merged, tier, self.new_hw)[2], nu))
+                != np.bincount(merged["series_idx"], served, nu))
         return (rollup.tag_tier(rollup.tier_table(merged, dictionary), tier,
-                                self.new_hw),
+                                hw),
                 dictionary.filter(pa.array(changed))
-                .to_numpy(zero_copy_only=False))
+                .to_numpy(zero_copy_only=False),
+                rollup.run_totals(merged["bucket_ts"], first, served))
 
-    # -------------------------------------------------------------------
+    # -- update and persist ---------------------------------------------
+
+    def update_series(self, series: pa.Table, old: dict, input_rows: int,
+                      hw: int) -> dict:
+        """The pure update every writer shares: ``old`` artifacts
+        (``load_partition``'s shape; :data:`NOTHING` for a fresh
+        partition) + one partition's assembled new ``series`` → new
+        artifacts at mark ``hw``.  Urls without stored state are fitted
+        fresh; no disk I/O, so a long-lived actor can keep artifacts
+        cached between micro-batches and persist on its own cadence."""
+        if old["state"] is not None:
+            state = self._update_state(old["state"], series)
+        else:
+            state = self.stage(series)
+        merged = {tier.name: self._merge_tier(old["tiers"].get(tier.name),
+                                              series, tier, hw)
+                  for tier in self.tiers}
+        return self._artifacts(old, state, merged, input_rows,
+                               series.num_rows)
+
+    def _artifacts(self, old: dict, state: pa.Table, merged: dict,
+                   input_rows: int, series_rows: int) -> dict:
+        """New artifacts from merged tiers (``{name: (table, changed
+        urls, counts)}``): segments re-encoded for the changed urls only,
+        alerts from the state."""
+        tier_tables = {name: t for name, (t, _, _) in merged.items()}
+        segments = compress.segments_from_rollups(
+            tier_tables,
+            changed_urls={name: c for name, (_, c, _) in merged.items()},
+            old_segments=old.get("segments"))
+        alerts = state.filter(pc.equal(state.column("status"), 3)) \
+            .select([c for c in ("url", "strategy", "detection_date",
+                                 "process", "boundary")
+                     if c in state.column_names])
+        return {"state": state, "tiers": tier_tables,
+                "segments": segments, "alerts": alerts,
+                "rollup_points": sum(n for _, _, (n, _) in merged.values()),
+                "observed_buckets": sum(o for _, _, (_, o)
+                                        in merged.values()),
+                "input_rows": input_rows, "series_rows": series_rows}
+
+    def persist_partition(self, pid: int, art: dict, tables=None,
+                          **record) -> str:
+        """Commit ``art`` (and any extra ``tables``) through
+        :func:`manifest.persist_partition`; ``record`` adds lineage
+        fields.  Returns the state checksum."""
+        record["row_counts"] = dict(record.get("row_counts") or {},
+                                    input=art["input_rows"],
+                                    series=art["series_rows"])
+        return manifest.persist_partition(
+            self.out_dir, self.run_id, pid,
+            {"state": art["state"],
+             **{f"rollup_{name}": t for name, t in art["tiers"].items()},
+             "segments": art["segments"], "alerts": art["alerts"],
+             **(tables or {})},
+            dict(record, num_partitions=self.num_partitions,
+                 strategy=self.stage.strategy, high_water_us=self.new_hw),
+            (art["rollup_points"], art["observed_buckets"]),
+            self.fault_hook)["state_checksum"]
+
+
+class IncrementProcessor(PartitionWriter):
+    """Per-partition incremental update (runs inside ``map_groups``):
+    load the stored artifacts, update them with the new rows at the new
+    mark, persist."""
+
+    def __init__(self, out_dir: str, run_id: str, config: dict,
+                 new_high_water_us: int):
+        super().__init__(out_dir, run_id, **dict(
+            run_settings(config), high_water_us=new_high_water_us))
+        self.config = config
 
     def load_partition(self, pid: int) -> dict:
         """Read a partition's checkpointed artifacts (None where absent).
@@ -250,22 +356,9 @@ class IncrementProcessor:
                 "segments": old_segments}
 
     def update_partition(self, group: pa.Table, old: dict) -> dict:
-        """Pure update: old artifacts + new observations → new artifacts.
-
-        ``old`` is ``load_partition``'s shape; no disk I/O here, so a
-        long-lived actor can keep artifacts cached between micro-batches
-        and persist on its own checkpoint cadence.
-        """
+        """:meth:`update_series` of one partition's new flat rows."""
         series = assemble_series(group)
-        if old["state"] is not None:
-            new_state = self._update_state(old["state"], series)
-        else:
-            new_state = self.stage(series)  # brand-new partition
-        merged = {tier.name: self._merge_tier(old["tiers"].get(tier.name),
-                                              series, tier)
-                  for tier in self.tiers}
-        return self._artifacts(old, new_state, merged,
-                               group.num_rows, series.num_rows)
+        return self.update_series(series, old, group.num_rows, self.new_hw)
 
     def sweep_update(self, old: dict) -> dict | None:
         """Pure retention advance for a partition with NO new rows this
@@ -276,32 +369,12 @@ class IncrementProcessor:
         if old["state"] is None:
             return None
         merged = {tier.name: self._merge_tier(old["tiers"][tier.name],
-                                              None, tier)
+                                              None, tier, self.new_hw)
                   for tier in self.tiers
                   if old["tiers"].get(tier.name) is not None}
-        if not any(len(changed) for _, changed in merged.values()):
+        if not any(len(changed) for _, changed, _ in merged.values()):
             return None
         return self._artifacts(old, old["state"], merged, 0, 0)
-
-    def _artifacts(self, old: dict, state: pa.Table, merged: dict,
-                   input_rows: int, series_rows: int) -> dict:
-        """New artifacts from merged tiers (``{name: (table, changed
-        urls)}``): segments re-encoded for the changed urls only, alerts
-        from the state."""
-        tier_tables = {name: t for name, (t, _) in merged.items()}
-        segments = compress.segments_from_rollups(
-            tier_tables,
-            changed_urls={name: c for name, (_, c) in merged.items()},
-            old_segments=old.get("segments"))
-        alerts = state.filter(pc.equal(state.column("status"), 3)) \
-            .select([c for c in ("url", "strategy", "detection_date",
-                                 "process", "boundary")
-                     if c in state.column_names])
-        return {"state": state, "tiers": tier_tables,
-                "segments": segments, "alerts": alerts,
-                "rollup_points": sum(rollup.served_counts(t)[0]
-                                     for t in tier_tables.values()),
-                "input_rows": input_rows, "series_rows": series_rows}
 
     def sweep_partition(self, pid: int) -> bool:
         """Disk-backed :meth:`sweep_update`; returns True if rewritten."""
@@ -312,28 +385,8 @@ class IncrementProcessor:
         return True
 
     def persist_partition(self, pid: int, art: dict) -> str:
-        """Atomically write a partition's artifacts + manifest commit;
-        returns the state checksum."""
-        manifest.write_partition_table(self.out_dir, "state", pid,
-                                       art["state"])
-        for name, merged in art["tiers"].items():
-            manifest.write_partition_table(self.out_dir, f"rollup_{name}",
-                                           pid, merged)
-        manifest.write_partition_table(self.out_dir, "segments", pid,
-                                       art["segments"])
-        manifest.write_partition_table(self.out_dir, "alerts", pid,
-                                       art["alerts"])
-        checksum = manifest.state_checksum(art["state"])
-        manifest.commit_partition(self.out_dir, self.run_id, pid, {
-            "num_partitions": self.config["num_partitions"],
-            "row_counts": {"input": art["input_rows"],
-                           "series": art["series_rows"]},
-            "state_checksum": checksum,
-            "strategy": self.config["strategy"],
-            "high_water_us": self.new_hw,
-            "increment": True,
-        })
-        return checksum
+        """Commit an increment's artifacts; returns the state checksum."""
+        return super().persist_partition(pid, art, increment=True)
 
     def __call__(self, group: pa.Table) -> pa.Table:
         pid = int(group.column("pid")[0].as_py())
@@ -520,16 +573,8 @@ def _rebuild_merge_partitions(out_dir: str, config: dict, hot_sorted,
     import ray as _ray
 
     P = int(config["num_partitions"])
-    processor_kwargs = dict(
-        out_dir=out_dir, run_id=run_id, num_partitions=P,
-        strategy=config["strategy"],
-        monitor_start=config["monitor_start"],
-        tiers=[rollup.TierSpec(**t) for t in config["tiers"]],
-        high_water_us=int(config["high_water_us"]),
-        fit_method=config.get("fit_method"),
-        screen_outliers=config.get("screen_outliers", "default"),
-        monitor_params=config.get("monitor_params"),
-        fit_params=config.get("fit_params"))
+    processor_kwargs = dict(run_settings(config), out_dir=out_dir,
+                            run_id=run_id)
     rebuild_remote = _ray.remote(_merge_rebuild)
     # materialize the source block refs ONCE (iterating inside the loop
     # would re-execute the flat stream per merge partition) and launch
@@ -652,16 +697,7 @@ def run_forget(out_dir: str, input_path, urls, run_id: str = "forget",
     summary = {"partitions_processed": 0}
     if pids:
         summary = mp.run_pipeline(
-            input_path, out_dir,
-            strategy=config["strategy"],
-            monitor_start=config["monitor_start"],
-            num_partitions=P,
-            tiers=[rollup.TierSpec(**t) for t in config["tiers"]],
-            monitor_params=config.get("monitor_params"),
-            fit_params=config.get("fit_params"),
-            fit_method=config.get("fit_method"),
-            screen_outliers=config.get("screen_outliers", "default"),
-            high_water_us=int(config["high_water_us"]),
+            input_path, out_dir, **run_settings(config),
             resume=True, run_id=run_id, flat_dataset=flat,
             # hash-partition rebuilds must keep deferring the (still
             # live) hot urls to the merge phase, exactly as one-shot
@@ -691,15 +727,11 @@ def run_forget(out_dir: str, input_path, urls, run_id: str = "forget",
     still_open = (set(pids) | set(merge_pids)) \
         - manifest.committed_partitions(out_dir)
     for pid in sorted(still_open):
-        for table in (["state", "alerts", "segments"]
-                      + [f"rollup_{t['name']}" for t in config["tiers"]]):
-            p = os.path.join(manifest.partition_dir(out_dir, table, pid),
-                             "part.parquet")
-            if os.path.exists(p):
-                os.remove(p)
-        manifest.commit_partition(out_dir, run_id, pid, {
+        manifest.persist_partition(out_dir, run_id, pid, dict.fromkeys(
+            ["state", "alerts", "segments"]
+            + [f"rollup_{t['name']}" for t in config["tiers"]]), {
             "num_partitions": P, "row_counts": {"input": 0},
-            "state_checksum": "", "strategy": config["strategy"],
+            "strategy": config["strategy"],
             "high_water_us": int(config["high_water_us"]),
             "forgotten_empty": True,
         })
@@ -775,18 +807,8 @@ def run_backfill(out_dir: str, input_path, run_id: str = "backfill",
     summary = {"partitions_processed": 0}
     if pids:
         summary = mp.run_pipeline(
-            input_path, out_dir,
-            strategy=config["strategy"],
-            monitor_start=config["monitor_start"],
-            num_partitions=P,
-            tiers=[rollup.TierSpec(**t) for t in config["tiers"]],
-            monitor_params=config.get("monitor_params"),
-            fit_params=config.get("fit_params"),
-            fit_method=config.get("fit_method"),
-            screen_outliers=config.get("screen_outliers", "default"),
-            high_water_us=int(config["high_water_us"]),
-            resume=True, run_id=run_id,
-            reduce_num_cpus=reduce_num_cpus)
+            input_path, out_dir, **run_settings(config),
+            resume=True, run_id=run_id, reduce_num_cpus=reduce_num_cpus)
 
     if merge_pids:
         manifest.uncommit_partitions(out_dir, merge_pids)

@@ -20,8 +20,9 @@ Skew note: hash partitioning over *urls* spreads hot domains automatically
 skew a partition by the ratio of cadences, which ``num_partitions ≈ 4 ×
 cores`` absorbs.  For a single url exceeding partition capacity the SURVEY
 §4 salting path is ON BY DEFAULT (``salt_threshold="auto"``): detection is
-one url-column pruned scan through a fold-side-filtered hash exchange
-(threshold = max(8× mean rows/url, half a mean partition share, 10k rows));
+a plain task graph of url-column pruned per-file counts, key-disjoint
+hash folds and one gather (threshold = max(8× mean rows/url, half a
+mean partition share, 10k rows));
 detected (or explicitly passed) ``hot_urls`` are time-sliced across
 partitions and a tiny merge phase re-concatenates the assembled slices
 (see ``merge_hot_partitions``).  On the exchange path the detection pass
@@ -47,40 +48,27 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from nrt_ray.pipelines.incremental import NOTHING, PartitionWriter
 from nrt_ray.sources.extract import ExtractSignal, timestamp_features
-from nrt_ray.stages import compress, rollup
+from nrt_ray.stages import rollup
 from nrt_ray.stages.assemble import add_bucket_column, assemble_series
-from nrt_ray.stages.fit_monitor import SeriesFitMonitor
 from nrt_ray.state import manifest
 
 
-class PartitionProcessor:
-    """Per-partition fused processor (runs inside ``map_groups``)."""
+class PartitionProcessor(PartitionWriter):
+    """Per-partition fused processor (runs inside ``map_groups``):
+    assemble the partition's series, set salted hot urls' sub-series
+    aside for the merge phase, then the shared update onto nothing
+    stored (:meth:`PartitionWriter.update_series`) and one persist.
 
-    def __init__(self, out_dir: str, run_id: str, num_partitions: int,
-                 strategy: str, monitor_start: str, tiers,
-                 high_water_us: int | None,
-                 fit_method: str | None = None,
-                 screen_outliers: str | None = "default",
-                 monitor_params: dict | None = None,
-                 fit_params: dict | None = None,
-                 segment_max_points: int = 4096,
-                 write_outputs: bool = True,
-                 hot_urls=None,
-                 fault_hook=None):
-        #: chaos-testing hook: called as ``fault_hook(pid)`` right after
-        #: the partition's state table is written but BEFORE the
-        #: manifest commit — the window where a worker death leaves
-        #: partial uncommitted output that the task retry must overwrite
-        #: atomically (tests/test_resilience.py).  None in production.
+    Takes :class:`PartitionWriter`'s arguments plus ``hot_urls`` (a set,
+    any iterable, or the ObjectRef of an overlapped detection) and the
+    chaos-testing ``fault_hook`` (see :func:`manifest.persist_partition`;
+    None in production)."""
+
+    def __init__(self, hot_urls=None, fault_hook=None, **kwargs):
+        super().__init__(**kwargs)
         self.fault_hook = fault_hook
-        self.out_dir = out_dir
-        self.run_id = run_id
-        self.num_partitions = num_partitions
-        self.tiers = tiers
-        self.high_water_us = high_water_us
-        self.segment_max_points = segment_max_points
-        self.write_outputs = write_outputs
         if isinstance(hot_urls, ray.ObjectRef):
             # overlapped detection hands an ObjectRef to the hot list;
             # resolve lazily in __call__ (reduce tasks run long after
@@ -91,10 +79,6 @@ class PartitionProcessor:
             self.hot_urls = set(hot_urls) if hot_urls is not None \
                 else set()
             self._hot_ref = None
-        self.stage = SeriesFitMonitor(
-            strategy=strategy, monitor_start=monitor_start,
-            fit_method=fit_method, screen_outliers=screen_outliers,
-            monitor_params=monitor_params, fit_params=fit_params)
 
     def __call__(self, group: pa.Table) -> pa.Table:
         t0 = time.perf_counter()
@@ -108,7 +92,7 @@ class PartitionProcessor:
                 np.unique(group.column("frag")
                           .to_numpy(zero_copy_only=False)))
         series = assemble_series(group)
-        hot_rows = 0
+        hot_rows, deferred = 0, {}
         if self.hot_urls:
             hot_mask = pc.is_in(series.column("url"), value_set=pa.array(
                 sorted(self.hot_urls), pa.string()))
@@ -118,68 +102,30 @@ class PartitionProcessor:
                 # the url's full series — write the sub-series aside
                 hot_series = series.filter(hot_mask)
                 hot_rows = int(pc.sum(hot_series.column("n")).as_py() or 0)
-                if self.write_outputs:
-                    manifest.write_partition_table(
-                        self.out_dir, "hot_series", pid, hot_series)
+                deferred = {"hot_series": hot_series}
                 series = series.filter(pc.invert(hot_mask))
-        state = self.stage(series)
-        tier_tables = rollup.observed_tier_tables(
-            series, tiers=self.tiers, high_water_us=self.high_water_us)
-        segments = compress.segments_from_rollups(
-            tier_tables, max_points=self.segment_max_points)
-        alerts = state.filter(pc.equal(state.column("status"), 3)) \
-            .select([c for c in ("url", "strategy", "detection_date",
-                                 "process", "boundary")
-                     if c in state.column_names])
-
-        row_counts = {"input": group.num_rows, "series": series.num_rows,
-                      "state": state.num_rows, "alerts": alerts.num_rows,
-                      "segments": segments.num_rows,
-                      "hot_rows_deferred": hot_rows}
-        points = observed = 0
-        if self.write_outputs:
-            manifest.write_partition_table(self.out_dir, "state", pid, state)
-            if self.fault_hook is not None:
-                self.fault_hook(pid)
-            manifest.write_partition_table(self.out_dir, "alerts", pid,
-                                           alerts)
-            manifest.write_partition_table(self.out_dir, "segments", pid,
-                                           segments)
-        for name, tbl in tier_tables.items():
-            row_counts[f"rollup_{name}"] = tbl.num_rows
-            served, obs = rollup.served_counts(tbl)
-            points += served
-            observed += obs
-            if self.write_outputs:
-                manifest.write_partition_table(self.out_dir,
-                                               f"rollup_{name}", pid, tbl)
-        checksum = manifest.state_checksum(state)
-        if self.write_outputs:
-            manifest.commit_partition(self.out_dir, self.run_id, pid, {
-                "num_partitions": self.num_partitions,
-                "row_counts": row_counts,
-                "state_checksum": checksum,
-                "strategy": self.stage.strategy,
-                "high_water_us": self.high_water_us,
-                # north-rule lineage: which input fragments (file ids,
-                # map in the run config) fed this partition + metrics
-                "input_fragments": input_frags,
-                "metrics": {"elapsed_s": round(
-                                time.perf_counter() - t0, 4),
-                            "rollup_points": points,
-                            "observed_buckets": observed},
-            })
         ts_flat = series.column("ts").combine_chunks().flatten() \
             .cast(pa.int64()) if series.num_rows else None
         max_ts = int(pc.max(ts_flat).as_py()) if ts_flat is not None and \
             len(ts_flat) else 0
+        art = self.update_series(
+            series, NOTHING, group.num_rows,
+            max_ts if self.new_hw is None else self.new_hw)
+        checksum = self.persist_partition(
+            pid, art, deferred,
+            row_counts={"hot_rows_deferred": hot_rows},
+            # north-rule lineage: which input fragments (file ids, map in
+            # the run config) fed this partition + metrics
+            input_fragments=input_frags,
+            metrics={"elapsed_s": round(time.perf_counter() - t0, 4)})
         return pa.table({
             "pid": pa.array([pid], pa.int32()),
             "input_rows": pa.array([group.num_rows], pa.int64()),
             "series": pa.array([series.num_rows], pa.int64()),
-            "rollup_points": pa.array([points], pa.int64()),
-            "observed_buckets": pa.array([observed], pa.int64()),
-            "alerts": pa.array([alerts.num_rows], pa.int64()),
+            "rollup_points": pa.array([art["rollup_points"]], pa.int64()),
+            "observed_buckets": pa.array([art["observed_buckets"]],
+                                         pa.int64()),
+            "alerts": pa.array([art["alerts"].num_rows], pa.int64()),
             "max_ts_us": pa.array([max_ts], pa.int64()),
             "state_checksum": pa.array([checksum], pa.string()),
             "seconds": pa.array([time.perf_counter() - t0], pa.float64()),
@@ -294,41 +240,24 @@ def _input_total_rows(input_path) -> int | None:
         return None
 
 
-def detect_hot_urls(input_path, threshold: int | None,
-                    flat_dataset=None,
-                    num_partitions: int | None = None) -> set[str]:
-    """Cheap hot-key detection: per-url row counts from a url-column-only
-    pruned read (no html/text leaves storage), per-batch combiner → ONE
-    url-keyed hash exchange whose fold filters IN the reduce (the
-    exchange co-locates every row of a url, so per-partition counts are
-    exact global counts).  Returns urls with ≥ ``threshold`` rows; with
-    ``threshold=None`` the threshold is derived from the count
-    distribution (AUTO_SALT_* knobs): the floor terms (absolute +
-    partition share, from Parquet-footer row totals) filter inside the
-    fold, and each partition also emits its exact distinct-url count
-    (partitions are key-disjoint, so they sum), letting the driver apply
-    the mean-skew term to the already-tiny candidate set.  At real scale
-    the hot set can also come from a prior run's lineage instead — pass
-    it straight to ``run_pipeline(hot_urls=...)``."""
-    import math
-
+def detect_hot_urls(input_path, threshold: int,
+                    flat_dataset=None) -> set[str]:
+    """Hot-key detection at a fixed threshold: per-url row counts from a
+    url-column-only pruned read (no html/text leaves storage), or from
+    ``flat_dataset`` when given, per-batch combiner → ONE url-keyed hash
+    exchange whose fold filters IN the reduce (the exchange co-locates
+    every row of a url, so per-partition counts are exact global
+    counts).  Returns urls with ≥ ``threshold`` rows.  The auto
+    threshold runs as a plain task graph instead
+    (:func:`_submit_detect_auto`).  At real scale the hot set can also
+    come from a prior run's lineage — pass it straight to
+    ``run_pipeline(hot_urls=...)``."""
     from nrt_ray.stages.exchange import exchange_dataset
     from nrt_ray.stages.hashagg import _pid_for_keys
 
-    auto = threshold is None
     ds = flat_dataset.select_columns(["url"]) if flat_dataset is not None \
         else ray.data.read_parquet(input_path, columns=["url"])
-    total = _input_total_rows(input_path) if flat_dataset is None else None
-
-    if auto:
-        floor = AUTO_SALT_MIN_ROWS if total is None else max(
-            AUTO_SALT_MIN_ROWS,
-            math.ceil(AUTO_SALT_PART_FRAC * total
-                      / max(num_partitions or 1, 1)))
-    else:
-        floor = threshold
-
-    nparts = max(2, min(64, num_partitions or 16))
+    nparts = 16
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.group_by("url").aggregate([("url", "count")])
@@ -345,36 +274,16 @@ def detect_hot_urls(input_path, threshold: int | None,
         uk, inv = np.unique(urls, return_inverse=True)
         acc = np.zeros(len(uk), np.int64)
         np.add.at(acc, inv, n)
-        keep = acc >= floor
-        out_urls = list(uk[keep])
-        out_n = acc[keep]
-        if auto:                     # summary row: this partition's
-            out_urls.append(None)    # distinct-url count + row total
-            out_n = np.r_[out_n, len(uk)]
-        return pa.table({"url": pa.array(out_urls, pa.string()),
-                         "n": pa.array(out_n, pa.int64()),
-                         "rows": pa.array(
-                             np.r_[acc[keep],
-                                   int(acc.sum())] if auto
-                             else acc[keep], pa.int64())})
+        return pa.table({"url": pa.array(uk[acc >= threshold],
+                                         pa.string())})
 
     def empty() -> pa.Table:
-        return pa.table({"url": pa.array([], pa.string()),
-                         "n": pa.array([], pa.int64()),
-                         "rows": pa.array([], pa.int64())})
+        return pa.table({"url": pa.array([], pa.string())})
 
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            batch_size=262_144)
-    rows = exchange_dataset(parts, nparts, fold, empty).take_all()
-    if not auto:
-        return {r["url"] for r in rows}
-
-    n_urls = sum(r["n"] for r in rows if r["url"] is None) or 1
-    if total is None:                # no parquet footers (flat input)
-        total = sum(r["rows"] for r in rows if r["url"] is None)
-    eff = max(floor, math.ceil(AUTO_SALT_FACTOR * total / n_urls))
-    return {r["url"] for r in rows
-            if r["url"] is not None and r["rows"] >= eff}
+    return {r["url"] for r in
+            exchange_dataset(parts, nparts, fold, empty).take_all()}
 
 
 def _detect_count_file(path: str, nparts: int):
@@ -428,9 +337,8 @@ def _submit_detect_auto(input_path, num_partitions: int):
     """Submit the auto hot-url detection as a PLAIN ray task graph
     (per-file url-column count → key-disjoint hash folds → one gather)
     and return the gather's ObjectRef immediately — no Ray Data job, no
-    driver blocking, ~0.5 s less fixed overhead than the nested-Dataset
-    variant.  Result and threshold semantics are identical to
-    ``detect_hot_urls(input_path, None, num_partitions=...)``."""
+    driver blocking.  A url is hot when its row count reaches ALL of
+    the AUTO_SALT_* terms."""
     import math
     files = input_files(input_path)
     total = _input_total_rows(input_path)

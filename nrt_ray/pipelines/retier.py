@@ -121,11 +121,12 @@ def compose_rolled(src: pa.Table, width_us: int) -> dict:
 
 
 def retier_partition(out_dir: str, pid: int, new_tier: rollup.TierSpec,
-                     source: str, high_water_us: int | None,
-                     segment_max_points: int = 4096) -> dict:
+                     source: str, high_water_us: int | None, run_id: str,
+                     record: dict) -> int:
     """Build one partition's new-tier rows + segments from its persisted
-    source tier; atomic writes; returns the updated ``row_counts`` and
-    the new tier's served ``points``."""
+    source tier and commit them over its lineage ``record`` (new row
+    counts, the new tier's points added to ``metrics``, the tier added
+    to ``tiers_added``); returns the new tier's served points."""
     src_path = os.path.join(manifest.partition_dir(
         out_dir, f"rollup_{source}", pid), "part.parquet")
     src = pq.read_table(src_path)
@@ -139,8 +140,6 @@ def retier_partition(out_dir: str, pid: int, new_tier: rollup.TierSpec,
     tier_tbl = rollup.tag_tier(
         rollup.tier_table(rolled, pa.array(uurls, pa.string())),
         new_tier, high_water_us)
-    manifest.write_partition_table(out_dir, f"rollup_{new_tier.name}",
-                                   pid, tier_tbl)
 
     seg_path = os.path.join(manifest.partition_dir(
         out_dir, "segments", pid), "part.parquet")
@@ -148,24 +147,30 @@ def retier_partition(out_dir: str, pid: int, new_tier: rollup.TierSpec,
     # idempotence: drop any earlier rows of this tier before appending
     segs = segs.filter(pc.invert(pc.equal(segs.column("tier"),
                                           new_tier.name)))
-    new_segs = compress.segments_from_rollups(
-        {new_tier.name: tier_tbl}, max_points=segment_max_points)
+    new_segs = compress.segments_from_rollups({new_tier.name: tier_tbl})
     merged = pa.concat_tables([segs, new_segs],
                               promote_options="default")
     merged = merged.take(pc.sort_indices(merged, sort_keys=[
         ("tier", "ascending"), ("url", "ascending"),
         ("seg_start", "ascending")]))
-    manifest.write_partition_table(out_dir, "segments", pid, merged)
-    return {"row_counts": {f"rollup_{new_tier.name}": tier_tbl.num_rows,
-                           "segments": merged.num_rows},
-            "points": rollup.served_counts(tier_tbl)[0]}
+    served, observed = rollup.served_counts(tier_tbl)
+    metrics = record.get("metrics") or {}
+    manifest.persist_partition(
+        out_dir, run_id, pid,
+        {f"rollup_{new_tier.name}": tier_tbl, "segments": merged},
+        dict(record, tiers_added=sorted(
+            set(record.get("tiers_added", [])) | {new_tier.name})),
+        (metrics.get("rollup_points", 0) + served,
+         metrics.get("observed_buckets", 0) + observed))
+    return served
 
 
 def run_retier(out_dir: str, new_tier, source: str,
                run_id: str | None = None) -> dict:
     """Add ``new_tier`` (TierSpec or dict) to a committed store, composed
     from persisted tier ``source``.  One Ray task per committed
-    partition; resumable; updates the run config last."""
+    partition, each committing its own partition; resumable; updates
+    the run config last."""
     import uuid
     from nrt_ray.pipelines.incremental import (read_run_config,
                                                write_run_config)
@@ -202,23 +207,9 @@ def run_retier(out_dir: str, new_tier, source: str,
 
     spec_dict = new_tier.to_dict()
     retier_remote = ray.remote(num_cpus=1)(retier_partition)
-    refs = {pid: retier_remote.remote(out_dir, pid,
-                                      rollup.TierSpec(**spec_dict),
-                                      source, high_water_us)
-            for pid in todo}
-    points = 0
-    for pid, ref in refs.items():
-        res = ray.get(ref)
-        points += res["points"]
-        rec = dict(records[pid])
-        rec.setdefault("row_counts", {}).update(res["row_counts"])
-        rec["tiers_added"] = sorted(set(rec.get("tiers_added", []))
-                                    | {new_tier.name})
-        rec.pop("run_id", None)
-        rec.pop("committed", None)
-        rec.pop("committed_at", None)
-        pid_ = rec.pop("partition_id")
-        manifest.commit_partition(out_dir, run_id, pid_, rec)
+    points = sum(ray.get([retier_remote.remote(
+        out_dir, pid, rollup.TierSpec(**spec_dict), source, high_water_us,
+        run_id, records[pid]) for pid in todo]))
 
     # config updated LAST: increments start maintaining the tier only
     # once every partition holds it
@@ -263,8 +254,11 @@ def verify_store(out_dir: str, repair: bool = False) -> dict:
         except OSError as e:
             issues.append(f"pid {pid}: state unreadable: {e}")
         for table, want_rows in (rec.get("row_counts") or {}).items():
-            if table in ("input", "series", "hot_rows_deferred"):
-                continue  # not persisted as a table
+            if table in ("input", "series", "hot_rows_deferred",
+                         "hot_series"):
+                # not persisted as a table, or (hot_series) an
+                # intermediate that run_forget scrubs in place
+                continue
             p = os.path.join(manifest.partition_dir(out_dir, table, pid),
                              "part.parquet")
             try:

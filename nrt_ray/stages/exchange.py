@@ -43,7 +43,6 @@ reduce semantics and manifest contract are identical on both paths.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -52,7 +51,7 @@ import ray
 
 #: flat→hierarchical autoswitch threshold (the flat path is one hop
 #: cheaper, so it stays the default at the engine's usual P≈10²)
-_HIERARCHICAL_MIN_P = int(os.environ.get("NRT_EXCHANGE_HIER_MIN_P", "128"))
+_HIERARCHICAL_MIN_P = 128
 
 
 def split_by_pid(table: pa.Table, pid: np.ndarray, n: int) -> list:
@@ -108,13 +107,24 @@ def _resplit(coarse: int, fanout: int, *tables):
     return tuple(out) if fanout > 1 else out[0]
 
 
-def _exchange_reduce_refs(ds, num_partitions: int, reduce_remote,
+def _exchange_reduce_refs(ds, num_partitions: int, process_fn, empty_fn,
+                          num_cpus_per_reduce: float,
                           hierarchical: bool | None = None,
                           prep_fn=None, prep_args=()) -> list:
     """Common plan of both exchange entry points: split ``ds``'s blocks
     by pid (flat or two-level) and submit one reduce task per partition;
-    returns the P output refs.  ``prep_fn``/``prep_args`` run inside
-    the (first) split hop — see :func:`_split_block`."""
+    returns the P output refs.  A reduce concatenates its partition's
+    sub-tables and runs ``process_fn``; a partition without rows gives
+    ``empty_fn()``, or None without one.  ``prep_fn``/``prep_args`` run
+    inside the (first) split hop — see :func:`_split_block`."""
+
+    def _reduce(pid: int, *tables):
+        parts = [t for t in tables if t is not None and t.num_rows]
+        if not parts:
+            return empty_fn() if empty_fn is not None else None
+        return process_fn(pa.concat_tables(parts))
+
+    reduce_remote = ray.remote(num_cpus=num_cpus_per_reduce)(_reduce)
     if num_partitions == 1:
         if prep_fn is None:
             block_refs = list(_iter_block_refs(ds))
@@ -190,16 +200,9 @@ def exchange_map_groups(ds, num_partitions: int, process_fn,
     Returns:
         list of result tables (one per non-empty partition).
     """
-
-    def _reduce(pid: int, *tables):
-        parts = [t for t in tables if t is not None and t.num_rows]
-        if not parts:
-            return None
-        return process_fn(pa.concat_tables(parts))
-
-    reduce_remote = ray.remote(num_cpus=num_cpus_per_reduce)(_reduce)
-    out_refs = _exchange_reduce_refs(ds, num_partitions, reduce_remote,
-                                     hierarchical, prep_fn, prep_args)
+    out_refs = _exchange_reduce_refs(ds, num_partitions, process_fn, None,
+                                     num_cpus_per_reduce, hierarchical,
+                                     prep_fn, prep_args)
     results = []
     pending = list(out_refs)
     while pending:
@@ -223,14 +226,6 @@ def exchange_dataset(ds, num_partitions: int, process_fn, empty_fn,
     table per ref.
     """
     import ray.data
-
-    def _reduce(pid: int, *tables):
-        parts = [t for t in tables if t is not None and t.num_rows]
-        if not parts:
-            return empty_fn()
-        return process_fn(pa.concat_tables(parts))
-
-    reduce_remote = ray.remote(num_cpus=num_cpus_per_reduce)(_reduce)
     return ray.data.from_arrow_refs(
-        _exchange_reduce_refs(ds, num_partitions, reduce_remote,
-                              hierarchical))
+        _exchange_reduce_refs(ds, num_partitions, process_fn, empty_fn,
+                              num_cpus_per_reduce, hierarchical))

@@ -326,18 +326,24 @@ def served_runs(rolled: dict, tier: TierSpec, high_water_us: int | None):
     return bts + skip * w, last, np.maximum(nmiss + 1 - skip, 0)
 
 
+def run_totals(bucket_ts: np.ndarray, first: np.ndarray,
+               count: np.ndarray) -> tuple[int, int]:
+    """``(served points, observed buckets among them)`` from the
+    :func:`served_runs` of stored rows at ``bucket_ts``: a row's own
+    bucket is served iff its run starts there."""
+    return (int(count.sum()),
+            int(np.count_nonzero((count > 0) & (first == bucket_ts))))
+
+
 def served_counts(table: pa.Table) -> tuple[int, int]:
     """``(served points, observed buckets among them)`` of a stored tier
     table: what its served view holds, without building it."""
     meta = tier_meta(table)
     if meta is None or not table.num_rows:
         return table.num_rows, table.num_rows
-    tier, hw = meta
     rolled, _ = table_rolled(table)
-    first, _, count = served_runs(rolled, tier, hw)
-    return (int(count.sum()),
-            int(np.count_nonzero((count > 0)
-                                 & (first == rolled["bucket_ts"]))))
+    first, _, count = served_runs(rolled, *meta)
+    return run_totals(rolled["bucket_ts"], first, count)
 
 
 def observed_rolled(series: pa.Table, tiers, high_water_us: int | None):

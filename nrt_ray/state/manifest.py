@@ -18,7 +18,10 @@ that with:
 A partition is committed only after *all* its table files are durably in
 place, so a kill at any point leaves either a fully committed partition
 (skipped on resume) or an uncommitted one (recomputed; its possibly
-half-written temp files are ignored by readers and overwritten).
+half-written temp files are ignored by readers and overwritten).  Every
+writer — flagship reduce, hot-url merge, increment, continuous
+checkpoint, retier and forget/backfill — commits through
+:func:`persist_partition`, so every record carries the same keys.
 """
 
 from __future__ import annotations
@@ -96,6 +99,49 @@ def commit_partition(out_dir: str, run_id: str, pid: int,
         os.fsync(f.fileno())
     os.replace(tmp, final)
     return final
+
+
+def persist_partition(out_dir: str, run_id: str, pid: int, tables: dict,
+                      record: dict, points: tuple = (0, 0),
+                      fault_hook=None) -> dict:
+    """The one way a partition's files change: ``state`` first, then
+    ``fault_hook(pid)``, then every other table of ``tables`` (a table
+    mapped to None has its file deleted), then the lineage record,
+    committed last.
+
+    The record gains each written table's row count (merged into its
+    ``row_counts``), the state checksum when ``tables`` has a ``state``
+    entry ("" when it maps to None), and ``points`` — the partition's
+    served tier points and observed buckets over all its tiers — as
+    ``metrics``.  ``fault_hook`` is the chaos-testing hook: a worker
+    death there leaves uncommitted output that a retry overwrites
+    (tests/test_resilience.py); None in production.  Returns the
+    committed record."""
+    record = dict(record, row_counts=dict(record.get("row_counts") or {}),
+                  metrics=dict(record.get("metrics") or {},
+                               rollup_points=int(points[0]),
+                               observed_buckets=int(points[1])))
+    state = tables.get("state")
+    if state is not None:
+        write_partition_table(out_dir, "state", pid, state)
+    if fault_hook is not None:
+        fault_hook(pid)
+    for name, table in tables.items():
+        if table is None:
+            path = os.path.join(partition_dir(out_dir, name, pid),
+                                "part.parquet")
+            if os.path.exists(path):
+                os.remove(path)
+            record["row_counts"].pop(name, None)
+            continue
+        if name != "state":
+            write_partition_table(out_dir, name, pid, table)
+        record["row_counts"][name] = table.num_rows
+    if "state" in tables:
+        record["state_checksum"] = "" if state is None \
+            else state_checksum(state)
+    commit_partition(out_dir, run_id, pid, record)
+    return record
 
 
 def load_manifest(out_dir: str) -> list[dict]:

@@ -195,12 +195,15 @@ def test_append_merge_equals_pandas_merge(cases, tier, case):
         old = inc._stored_rows(legacy, tier, OLD_HW)
     if case == "sweep":
         # no new rows: a pure retention advance
-        got = proc._merge_tier(old, None, tier)
+        got = proc._merge_tier(old, None, tier, NEW_HW)
         exp = _retention_advance(proc, old, tier)
         exp = (exp[0].select(got[0].column_names), exp[1])
     else:
-        got = proc._merge_tier(old, series, tier)
+        got = proc._merge_tier(old, series, tier, NEW_HW)
         exp = pandas_merge_tier(proc, old, series, tier)
+    # the served/observed counts it returns are the merged table's
+    assert got[2] == rollup.served_counts(got[0])
+    got = got[:2]
     _assert_bits_equal(got, exp)
     if case == "partition":
         # the cases the fixture plants are really there
@@ -227,4 +230,4 @@ def test_append_merge_rejects_out_of_order_bucket(cases, tier):
     early = _series({"a": (np.array([OLD_HW - 30 * DAY]),
                            np.array([0.4]))})
     with pytest.raises(ValueError, match="precedes"):
-        proc._merge_tier(_stored(old_rows, tier), early, tier)
+        proc._merge_tier(_stored(old_rows, tier), early, tier, NEW_HW)

@@ -279,11 +279,13 @@ def test_auto_threshold_detection(ray_session, skewed_webtext):
     """Auto threshold finds the skewed url; an unskewed input (the base
     crawl, ~200 rows/url, under the 10k floor) yields an empty set."""
     import os
+
+    import ray
     path, hot_rows = skewed_webtext
-    assert mp.detect_hot_urls(path, None, num_partitions=6) \
+    assert set(ray.get(mp._submit_detect_auto(path, 6))) \
         == {"https://hot.example.com/live"}
     base = os.path.join(os.path.dirname(path), "webtext.parquet")
-    assert mp.detect_hot_urls(base, None, num_partitions=6) == set()
+    assert set(ray.get(mp._submit_detect_auto(base, 6))) == set()
 
 
 def test_salted_forget_hot_and_cold(ray_session, skewed_webtext,
@@ -489,8 +491,7 @@ def test_partition_processor_coerces_hot_url_iterables(make, tmp_path):
     urls = sorted(set(flat.column("url").to_pylist()))
     kw = dict(out_dir=str(tmp_path / "out"), run_id="t", num_partitions=1,
               strategy="EWMA", monitor_start="2021-01-01", tiers=TIERS,
-              high_water_us=None, monitor_params={"trend": False},
-              write_outputs=False)
+              high_water_us=None, monitor_params={"trend": False})
     want = mp.PartitionProcessor(hot_urls={urls[0]}, **kw)(flat)
     got = mp.PartitionProcessor(hot_urls=make(urls[:1]), **kw)(flat)
     assert got.column("series").to_pylist() == [len(urls) - 1]
