@@ -12,8 +12,8 @@ This module is the actor-pool mode the north rule names: long-lived
 ``PartitionMonitorActor``s each own a fixed subset of the pinned
 ``hash(url) % P`` partitions and keep those partitions' monitor state and
 rollup tiers CACHED IN MEMORY between micro-batches.  A micro-batch is
-routed through the same map-side split as the batch exchange
-(``stages/exchange._split_block`` — zero-copy per-pid slices), each slice
+routed through the same split hop as ``run_increment``
+(``incremental.split_batch`` — zero-copy per-pid slices), each slice
 is sent to its owning actor, and the actor applies it sequentially
 (Ray actor tasks from one caller execute in submission order, preserving
 the order-sensitive monitor recursion).  ``checkpoint()`` flushes dirty
@@ -36,10 +36,8 @@ from __future__ import annotations
 import pyarrow as pa
 
 import ray
-import ray.data
 
 from nrt_ray.pipelines import incremental as inc
-from nrt_ray.stages.exchange import _iter_block_refs, _split_block
 from nrt_ray.pipelines.relational import pool_size
 
 
@@ -173,24 +171,20 @@ class ContinuousMonitor:
         for i, a in enumerate(self.actors):
             a.prefetch.remote([p for p in range(self.P_total)
                                if p % self.pool == i])
-        self._split = ray.remote(num_returns=self.P_total)(_split_block)
         self.batches_applied = 0
 
     # -- ingestion ------------------------------------------------------
 
-    def ingest(self, flat_dataset: ray.data.Dataset) -> dict:
+    def ingest(self, flat_dataset) -> dict:
         """Apply one micro-batch (Dataset of flat rows
-        ``url, warc_ts, value, days, dyear``); returns a summary."""
-        ds, late_rows, new_hw = inc.split_batch(
-            flat_dataset, self.high_water_us, self.out_dir)
-        split_refs = [self._split.remote(ref, self.P_total, 1,
-                                         inc.route_new, self.high_water_us,
-                                         self.P, self._merge_route)
-                      for ref in _iter_block_refs(ds)]
-        if self.P_total == 1:      # num_returns=1: one ref, not a tuple
-            split_refs = [[r] for r in split_refs]
+        ``url, warc_ts, value, days, dyear``) through
+        ``incremental.split_batch`` and the owning actors; returns a
+        summary."""
+        parts, late_rows, new_hw = inc.split_batch(
+            flat_dataset, self.high_water_us, self.out_dir, self.P,
+            self._merge_route, self.P_total)
         refs = [self.actors[pid % self.pool].apply.remote(
-                    pid, new_hw, *[s[pid] for s in split_refs])
+                    pid, new_hw, *[s[pid] for s in parts])
                 for pid in range(self.P_total)]
         summaries = ray.get(refs)
         self.high_water_us = new_hw

@@ -7,7 +7,7 @@ report back):
 
 * new observations are filtered to ``warc_ts > high_water`` (strictly
   newer than anything already ingested); older rows land in the
-  ``dead_letter`` table, one file per input block (:func:`split_batch`),
+  ``dead_letter`` table, one file per input source (:func:`split_batch`),
   instead of corrupting order-sensitive monitor state (the reference
   has no late-data story; it simply processes forward),
 * both sides stay co-partitioned: the new batch is bucketed with the SAME
@@ -48,7 +48,8 @@ from nrt_ray.stages import compress, rollup
 from nrt_ray.stages.assemble import add_bucket_column, assemble_series
 from nrt_ray.stages.fit_monitor import SeriesFitMonitor, regressor_tensor
 from nrt_ray.stages.assemble import padded_matrices
-from nrt_ray.stages.exchange import _iter_block_refs, exchange_map_groups
+from nrt_ray.stages.exchange import (_iter_block_refs, _split_block,
+                                     reduce_tables)
 from nrt_ray.state import manifest
 from nrt_ray.util import full as nrfull
 
@@ -317,9 +318,9 @@ class PartitionWriter:
 
 
 class IncrementProcessor(PartitionWriter):
-    """Per-partition incremental update (runs inside ``map_groups``):
-    load the stored artifacts, update them with the new rows at the new
-    mark, persist."""
+    """Per-partition incremental update (runs in an increment's
+    partition task): load the stored artifacts, update them with the new
+    rows at the new mark, persist."""
 
     def __init__(self, out_dir: str, run_id: str, config: dict,
                  new_high_water_us: int):
@@ -388,16 +389,12 @@ class IncrementProcessor(PartitionWriter):
         """Commit an increment's artifacts; returns the state checksum."""
         return super().persist_partition(pid, art, increment=True)
 
-    def __call__(self, group: pa.Table) -> pa.Table:
+    def __call__(self, group: pa.Table) -> dict:
         pid = int(group.column("pid")[0].as_py())
         art = self.update_partition(group, self.load_partition(pid))
-        checksum = self.persist_partition(pid, art)
-        return pa.table({
-            "pid": pa.array([pid], pa.int32()),
-            "input_rows": pa.array([art["input_rows"]], pa.int64()),
-            "rollup_points": pa.array([art["rollup_points"]], pa.int64()),
-            "state_checksum": pa.array([checksum], pa.string()),
-        })
+        return {"pid": pid, "input_rows": art["input_rows"],
+                "rollup_points": art["rollup_points"],
+                "state_checksum": self.persist_partition(pid, art)}
 
 
 def _stored_rows(table: pa.Table, tier: rollup.TierSpec,
@@ -439,13 +436,20 @@ def _hw_scalar(high_water_us: int) -> pa.Scalar:
     return pa.scalar(high_water_us, pa.int64()).cast(pa.timestamp("us"))
 
 
-def _late_scan(block: pa.Table, high_water_us: int, path: str):
-    """One block of a micro-batch: write its rows at or before the mark
-    to ``path`` (tmp + rename; the tmp name is hidden and does not end
-    in ``.parquet``, so no reader picks it up) and return ``(late rows,
-    newest warc_ts or the mark, whichever is later)``."""
+@ray.remote
+def _split_source(source, recipe, high_water_us: int, path: str,
+                  num_partitions: int, merge_route, p_total: int):
+    """One micro-batch source (a file read by ``recipe``, or a block if
+    ``recipe`` is None): its rows at or before the mark go to ``path``
+    (tmp + rename; the hidden tmp name does not end in ``.parquet``),
+    its new rows are routed (:func:`route_new`) and sliced by partition.
+    Returns ``((late rows, max(newest warc_ts, mark)), *sub-tables)``."""
+    block = source if recipe is None else recipe.read(source)
+    parts = _split_block(block, p_total, 1, route_new, high_water_us,
+                         num_partitions, merge_route)
+    parts = parts if p_total > 1 else (parts,)
     if not block.num_rows:
-        return 0, high_water_us
+        return ((0, high_water_us), *parts)
     ts = block.column("warc_ts")
     late = block.filter(pc.less_equal(ts, _hw_scalar(high_water_us)))
     if late.num_rows:
@@ -455,28 +459,31 @@ def _late_scan(block: pa.Table, high_water_us: int, path: str):
         pq.write_table(late, tmp)
         os.replace(tmp, path)
     newest = pc.max(ts).cast(pa.timestamp("us")).cast(pa.int64()).as_py()
-    return late.num_rows, max(newest, high_water_us)
+    return ((late.num_rows, max(newest, high_water_us)), *parts)
 
 
-def split_batch(flat_dataset, high_water_us: int, out_dir: str):
-    """The late/new split both increment modes share.
-
-    Materializes the batch once (read + extract: its one Ray Data
-    execution), then runs one plain task per block that dead-letters
-    the block's rows at or before the mark to
-    ``dead_letter/{batch}-{block}.parquet`` and returns its late count
-    and newest ``warc_ts``; the driver sees one such pair per block.
-    The new rows are filtered and routed later, inside the exchange's
-    split hop (:func:`route_new`).  Returns ``(materialized dataset,
-    late rows, new high-water mark)``."""
-    ds = flat_dataset.materialize()
+def split_batch(flat_dataset, high_water_us: int, out_dir: str,
+                num_partitions: int, merge_route, p_total: int):
+    """The split hop both increment modes share: one plain task per
+    source (:func:`_split_source`), dead-lettering to
+    ``dead_letter/{batch}-{source}.parquet``.  The sources of a Dataset
+    carrying ``ingest_webtext``'s ``scan_recipe`` are its input files,
+    read in the tasks, so no Ray Data executor starts; any other Dataset
+    runs once and its blocks are the sources.  The driver gets only the
+    late counts and newest ``warc_ts``.  Returns ``(per-source lists of
+    p_total sub-table refs, late rows, new high-water mark)``."""
+    recipe = getattr(flat_dataset, "scan_recipe", None)
+    sources = recipe.files if recipe is not None \
+        else _iter_block_refs(flat_dataset)
     dl_dir = os.path.join(out_dir, "dead_letter")
     batch = uuid.uuid4().hex[:12]
-    scan = ray.remote(_late_scan)
-    stats = ray.get([scan.remote(ref, high_water_us, os.path.join(
-        dl_dir, f"{batch}-{b:05d}.parquet"))
-        for b, ref in enumerate(_iter_block_refs(ds))])
-    return (ds, sum(n for n, _ in stats),
+    split = _split_source.options(num_returns=p_total + 1)
+    outs = [split.remote(src, recipe, high_water_us,
+                         os.path.join(dl_dir, f"{batch}-{b:05d}.parquet"),
+                         num_partitions, merge_route, p_total)
+            for b, src in enumerate(sources)]
+    stats = ray.get([o[0] for o in outs])
+    return ([o[1:] for o in outs], sum(n for n, _ in stats),
             max((m for _, m in stats), default=high_water_us))
 
 
@@ -490,8 +497,21 @@ def route_new(block: pa.Table, high_water_us: int, num_partitions: int,
     return add_bucket_column(new, num_partitions, merge_route=merge_route)
 
 
+@ray.remote
+def _increment_partition(proc, pid: int, sweep: bool, *tables):
+    """One partition's increment (:func:`reduce_tables`): its new rows
+    through ``proc``, else the retention sweep if the mark advanced
+    (``sweep``).  Returns its lineage row, or ``{"swept": bool}``."""
+    return reduce_tables(
+        proc, lambda: {"swept": sweep and proc.sweep_partition(pid)},
+        *tables)
+
+
 def run_increment(out_dir: str, flat_dataset, run_id: str = "incr") -> dict:
     """Apply a new batch of observations to an existing pipeline output.
+
+    One :func:`split_batch` hop, then one task per partition
+    (:func:`_increment_partition`).
 
     Args:
         out_dir: output directory of a previous ``run_pipeline`` call that
@@ -507,32 +527,19 @@ def run_increment(out_dir: str, flat_dataset, run_id: str = "incr") -> dict:
     old_hw = config["high_water_us"]
     hot_sorted, m_tasks, P_total = salted_layout(out_dir, config)
     # strictly-forward contract: rows at or before the mark are late
-    ds, late_rows, new_hw = split_batch(flat_dataset, old_hw, out_dir)
-
+    parts, late_rows, new_hw = split_batch(
+        flat_dataset, old_hw, out_dir, P,
+        (hot_sorted, m_tasks) if m_tasks else None, P_total)
     proc = IncrementProcessor(out_dir, run_id, config, new_hw)
-
-    def process(group: pa.Table) -> pa.Table:
-        return proc(group)
-
-    tables = exchange_map_groups(
-        ds, P_total, process, prep_fn=route_new,
-        prep_args=(old_hw, P, (hot_sorted, m_tasks) if m_tasks else None))
-    rows = [row for t in tables for row in t.to_pylist()]
-    # partitions that received no rows still need the new high-water
-    # mark applied to their retention tiers (one-shot equivalence);
-    # the sweep is a cheap retention trim and rewrites only on change
-    swept = 0
-    empty_pids = sorted(set(range(P_total)) - {r["pid"] for r in rows})
-    if empty_pids and new_hw > old_hw:
-        sweep_remote = ray.remote(
-            lambda pid: IncrementProcessor(
-                out_dir, run_id, config, new_hw).sweep_partition(pid))
-        swept = sum(ray.get([sweep_remote.remote(p) for p in empty_pids]))
+    out = ray.get([_increment_partition.remote(
+        proc, pid, new_hw > old_hw, *[s[pid] for s in parts])
+        for pid in range(P_total)])
+    rows = [r for r in out if "pid" in r]
     config["high_water_us"] = new_hw
     write_run_config(out_dir, config)
     return {
         "partitions_processed": len(rows),
-        "partitions_swept": int(swept),
+        "partitions_swept": sum(r.get("swept", False) for r in out),
         "input_rows": int(sum(r["input_rows"] for r in rows)),
         "rollup_points": int(sum(r["rollup_points"] for r in rows)),
         "late_rows": int(late_rows),

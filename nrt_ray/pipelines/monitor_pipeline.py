@@ -41,6 +41,7 @@ from __future__ import annotations
 import os
 import time
 import uuid
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
@@ -177,6 +178,8 @@ def ingest_webtext(input_path, verify_extract: bool = False,
     fragment id (int32 ``frag`` column, 4 B/row through the shuffle) so
     each partition's manifest commit can record exactly which input
     fragments fed it (north-rule lineage).
+    A plain scan of local Parquet files (no ``frag_ids``) records a
+    :class:`ScanRecipe`.
     """
     if is_warc_input(input_path):
         # raw crawl bytes: parse WARC records, run the byte-identity
@@ -198,6 +201,8 @@ def ingest_webtext(input_path, verify_extract: bool = False,
     ds = ray.data.read_parquet(input_path, columns=columns,
                                override_num_blocks=override_num_blocks,
                                **kw)
+    # the files this read scans (nested ones too), listed without running
+    files = sorted(map(os.path.abspath, ds.input_files()))
     if frag_ids:
         paths = pa.array(list(frag_ids), pa.string())
         ids = pa.array(list(frag_ids.values()), pa.int32())
@@ -215,8 +220,29 @@ def ingest_webtext(input_path, verify_extract: bool = False,
                 "frag", pc.take(ids, pos))
 
         ds = ds.map_batches(tag, batch_format="pyarrow")
-    return ds.map_batches(ExtractSignal(verify=verify_extract, aux=aux),
-                          batch_format="pyarrow")
+    extract = ExtractSignal(verify=verify_extract, aux=aux)
+    ds = ds.map_batches(extract, batch_format="pyarrow")
+    if not frag_ids and files and all(map(os.path.isfile, files)):
+        ds.scan_recipe = ScanRecipe(tuple(files), tuple(columns),
+                                    kw.get("filter"), extract)
+    return ds
+
+
+@dataclass(frozen=True)
+class ScanRecipe:
+    """How :func:`ingest_webtext` built a plain Parquet scan (its
+    Dataset's ``scan_recipe``; derived Datasets carry none), so that
+    ``incremental.split_batch`` reads it file by file in plain tasks."""
+    files: tuple
+    columns: tuple
+    filter: object          # the ``min_warc_ts_us`` expression, or None
+    extract: ExtractSignal
+
+    def read(self, path: str) -> pa.Table:
+        import pyarrow.parquet as pq
+        return self.extract(pq.read_table(path, columns=list(self.columns),
+                                          filters=self.filter,
+                                          use_threads=False))
 
 
 #: auto-salting heuristic knobs (``salt_threshold="auto"``): a url is

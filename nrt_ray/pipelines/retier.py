@@ -225,7 +225,8 @@ def verify_store(out_dir: str, repair: bool = False) -> dict:
     from its files and compare against the lineage records.
 
     Checks per partition: state file present + ``state_checksum``
-    matches the record; every per-table row count recorded at commit
+    matches the record (one committed empty, checksum "", must have no
+    file); every per-table row count recorded at commit
     time matches the file on disk (tier files: stored rows, retention
     anchors included); every segment decodes and serves ``n_points``
     points.  One Ray task per partition.
@@ -239,8 +240,15 @@ def verify_store(out_dir: str, repair: bool = False) -> dict:
     """
     records = {r["partition_id"]: r for r in manifest.load_manifest(out_dir)
                if r.get("committed")}
+    tables = ["state", "segments", "alerts"] + sorted(
+        t for t in os.listdir(out_dir) if t.startswith("rollup_"))
 
     def check(pid: int, rec: dict) -> list:
+        if rec.get("state_checksum") == "":    # emptied by run_forget
+            return [f"pid {pid}: empty partition has a {t} file"
+                    for t in tables if os.path.exists(os.path.join(
+                        manifest.partition_dir(out_dir, t, pid),
+                        "part.parquet"))]
         issues = []
         st_path = os.path.join(manifest.partition_dir(out_dir, "state",
                                                       pid), "part.parquet")

@@ -107,22 +107,27 @@ def _resplit(coarse: int, fanout: int, *tables):
     return tuple(out) if fanout > 1 else out[0]
 
 
+def reduce_tables(process_fn, empty_fn, *tables):
+    """One partition's reduce: ``process_fn`` of its concatenated
+    sub-tables, or ``empty_fn()`` (None without one) if none has rows."""
+    parts = [t for t in tables if t is not None and t.num_rows]
+    if not parts:
+        return empty_fn() if empty_fn is not None else None
+    return process_fn(pa.concat_tables(parts))
+
+
 def _exchange_reduce_refs(ds, num_partitions: int, process_fn, empty_fn,
                           num_cpus_per_reduce: float,
                           hierarchical: bool | None = None,
                           prep_fn=None, prep_args=()) -> list:
     """Common plan of both exchange entry points: split ``ds``'s blocks
     by pid (flat or two-level) and submit one reduce task per partition;
-    returns the P output refs.  A reduce concatenates its partition's
-    sub-tables and runs ``process_fn``; a partition without rows gives
-    ``empty_fn()``, or None without one.  ``prep_fn``/``prep_args`` run
-    inside the (first) split hop — see :func:`_split_block`."""
+    returns the P output refs.  Each reduce is :func:`reduce_tables`.
+    ``prep_fn``/``prep_args`` run inside the (first) split hop — see
+    :func:`_split_block`."""
 
     def _reduce(pid: int, *tables):
-        parts = [t for t in tables if t is not None and t.num_rows]
-        if not parts:
-            return empty_fn() if empty_fn is not None else None
-        return process_fn(pa.concat_tables(parts))
+        return reduce_tables(process_fn, empty_fn, *tables)
 
     reduce_remote = ray.remote(num_cpus=num_cpus_per_reduce)(_reduce)
     if num_partitions == 1:

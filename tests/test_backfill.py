@@ -129,13 +129,20 @@ def test_backfill_noop_without_dead_letter(ray_session, tmp_path):
                  "high_water_us": s["high_water_us"]}
 
 
-@pytest.mark.parametrize("mode", ["discrete", "continuous"])
-def test_dead_letter_contents_then_backfill(ray_session, tmp_path, mode):
+@pytest.mark.parametrize("mode,files", [
+    pytest.param("discrete", False, id="discrete"),
+    pytest.param("continuous", False, id="continuous"),
+    pytest.param("discrete", True, id="discrete-files"),
+    pytest.param("continuous", True, id="continuous-files")])
+def test_dead_letter_contents_then_backfill(ray_session, tmp_path, mode,
+                                            files):
     """A mixed micro-batch in three blocks (all late / mixed / all new):
     ``dead_letter/`` holds exactly the batch's rows at or before the
     mark, one file per block with late rows and no temporary file; the
-    new rows are applied; the batch runs one Ray Data execution; and a
-    backfill then equals a one-shot run over everything."""
+    new rows are applied; and a backfill then equals a one-shot run over
+    everything.  As a generic Dataset the batch runs one Ray Data
+    execution; as three Parquet files read by ``ingest_webtext`` it runs
+    none."""
     from unittest import mock
 
     import ray.data
@@ -171,10 +178,21 @@ def test_dead_letter_contents_then_backfill(ray_session, tmp_path, mode):
     late, new = flat.filter(is_late), flat.filter(pc.invert(is_late))
     n_late = late.num_rows
     assert 2 <= n_late and new.num_rows > 2
-    blocks = [late.slice(0, n_late // 2),
-              pa.concat_tables([late.slice(n_late // 2),
-                                new.slice(0, new.num_rows // 2)]),
-              new.slice(new.num_rows // 2)]
+
+    def thirds(late, new):
+        return [late.slice(0, late.num_rows // 2),
+                pa.concat_tables([late.slice(late.num_rows // 2),
+                                  new.slice(0, new.num_rows // 2)]),
+                new.slice(new.num_rows // 2)]
+
+    if files:
+        # the same split of the input rows, one Parquet file per block
+        in_late = pc.less_equal(batch.column("warc_ts").cast(pa.int64()),
+                                hw)
+        paths = [str(tmp_path / f"block{i}.parquet") for i in range(3)]
+        for path, block in zip(paths, thirds(
+                batch.filter(in_late), batch.filter(pc.invert(in_late)))):
+            pq.write_table(block, path)
 
     real = ExecutionPlan.create_executor
     calls = []
@@ -183,10 +201,11 @@ def test_dead_letter_contents_then_backfill(ray_session, tmp_path, mode):
         calls.append(1)
         return real(self)
 
-    # a lazy stage on top, so materializing the batch is an execution
-    ds = ray.data.from_arrow(blocks).map_batches(
-        lambda b: b, batch_format="pyarrow", batch_size=None)
     with mock.patch.object(ExecutionPlan, "create_executor", counting):
+        # a lazy stage on top, so reading the blocks is an execution
+        ds = mp.ingest_webtext(paths) if files else ray.data.from_arrow(
+            thirds(late, new)).map_batches(
+            lambda b: b, batch_format="pyarrow", batch_size=None)
         if mode == "discrete":
             s = inc.run_increment(out, ds)
         else:
@@ -196,15 +215,15 @@ def test_dead_letter_contents_then_backfill(ray_session, tmp_path, mode):
                 cm.checkpoint()
             finally:
                 cm.close()
-    assert len(calls) == 1
+    assert len(calls) == (0 if files else 1)
     assert s["late_rows"] == n_late and s["input_rows"] == new.num_rows
 
     dl = os.path.join(out, "dead_letter")
-    files = sorted(os.listdir(dl))
-    assert len(files) == 2 and all(f.endswith(".parquet") and
-                                   not f.startswith(".") for f in files)
+    written = sorted(os.listdir(dl))
+    assert len(written) == 2 and all(f.endswith(".parquet") and
+                                     not f.startswith(".") for f in written)
     got = pa.concat_tables([pq.read_table(os.path.join(dl, f))
-                            for f in files])
+                            for f in written])
     keys = [(c, "ascending") for c in late.column_names]
     assert got.select(late.column_names).take(
         pc.sort_indices(got, sort_keys=keys)).equals(

@@ -87,3 +87,36 @@ def test_forget_urls(ray_session, tmp_path):
                     rtol=1e-12, equal_nan=True, err_msg=f"{name}.{col}")
             else:
                 assert va == vb, f"{name}.{col}"
+
+
+def test_verify_store_accepts_emptied_partition(ray_session, tmp_path):
+    """A partition whose every url was forgotten is committed empty:
+    ``verify_store`` reports no issue for it and ``repair=True``
+    uncommits nothing (a resumed run would bring the urls back); a stale
+    file left for it is reported."""
+    from nrt_ray.pipelines import retier
+    from nrt_ray.stages.assemble import bucket_of
+
+    d = str(tmp_path / "wt")
+    info = synthetic.generate_webtext(d, n_urls=20, seed=71)
+    out = str(tmp_path / "out")
+    mp.run_pipeline(info["webtext"], out, **COMMON)
+    urls = np.unique(np.asarray(pq.read_table(
+        info["webtext"], columns=["url"]).column("url").to_pandas(),
+        dtype=object))
+    gone = urls[bucket_of(urls, COMMON["num_partitions"]) == 0].tolist()
+    assert gone
+    s = inc.run_forget(out, info["webtext"], gone)
+    assert s["partitions_emptied"] == 1
+
+    rep = retier.verify_store(out, repair=True)
+    assert rep["issues"] == [] and rep["ok"] == rep["partitions"]
+    assert "uncommitted" not in rep
+    assert 0 in manifest.committed_partitions(out)
+
+    stale = manifest.partition_dir(out, "state", 0)
+    os.makedirs(stale, exist_ok=True)
+    pq.write_table(pa.table({"url": ["x"]}),
+                   os.path.join(stale, "part.parquet"))
+    rep = retier.verify_store(out)
+    assert rep["issues"] == ["pid 0: empty partition has a state file"]

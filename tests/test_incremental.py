@@ -112,6 +112,72 @@ def test_late_rows_dead_lettered(ray_session, split_webtext, tmp_path):
     assert _by_url(state_before).equals(_by_url(state_after))
 
 
+def test_pruned_increment_filters_in_the_split_task(ray_session,
+                                                    split_webtext, tmp_path):
+    """``ingest_webtext(min_warc_ts_us=)`` (the CLI's ``increment
+    --prune-ingested``) reads through its scan recipe and applies the
+    filter inside the split task: over the on-time rows plus replayed
+    early ones, the pruned increment sees no late row, the unpruned one
+    dead-letters them, their state and tiers are equal, and neither
+    runs a Ray Data execution."""
+    import shutil
+    from unittest import mock
+
+    from ray.data._internal.plan import ExecutionPlan
+
+    d, _ = split_webtext
+    base = str(tmp_path / "base")
+    mp.run_pipeline(str(d / "early.parquet"), base, strategy="CUSUM",
+                    fit_method="OLS", monitor_params={"trend": False},
+                    monitor_start="2021-01-01", num_partitions=4,
+                    tiers=TIERS)
+    hw = inc.read_run_config(base)["high_water_us"]
+    bp = str(tmp_path / "batch.parquet")
+    pq.write_table(pa.concat_tables([
+        pq.read_table(str(d / "early.parquet")).slice(0, 50),
+        pq.read_table(str(d / "late.parquet"))]), bp)
+
+    real = ExecutionPlan.create_executor
+    calls, got = [], {}
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    with mock.patch.object(ExecutionPlan, "create_executor", counting):
+        for name, mark in (("plain", None), ("pruned", hw)):
+            shutil.copytree(base, str(tmp_path / name))
+            got[name] = inc.run_increment(
+                str(tmp_path / name), mp.ingest_webtext(
+                    bp, min_warc_ts_us=mark))
+    assert not calls
+    assert got["plain"]["late_rows"] == 50
+    assert got["pruned"]["late_rows"] == 0
+    assert got["pruned"]["input_rows"] == got["plain"]["input_rows"] > 0
+    assert not os.path.exists(str(tmp_path / "pruned" / "dead_letter"))
+    for table in ("state", "rollup_1d", "rollup_1w"):
+        extra = ("bucket_ts",) if table.startswith("rollup") else ()
+        assert _by_url(mp.read_output_table(
+            str(tmp_path / "plain"), table), extra).equals(_by_url(
+                mp.read_output_table(str(tmp_path / "pruned"), table),
+                extra)), table
+
+
+def test_scan_recipe_lists_the_files_ray_data_reads(ray_session,
+                                                    split_webtext, tmp_path):
+    """The recipe names every file the Ray Data read would scan, nested
+    directories included; a derived Dataset carries none."""
+    d, _ = split_webtext
+    os.makedirs(tmp_path / "in" / "sub")
+    t = pq.read_table(str(d / "late.parquet"))
+    pq.write_table(t.slice(0, 10), str(tmp_path / "in" / "a.parquet"))
+    pq.write_table(t.slice(10), str(tmp_path / "in" / "sub" / "b.parquet"))
+    ds = mp.ingest_webtext(str(tmp_path / "in"))
+    assert ds.scan_recipe.files == (str(tmp_path / "in" / "a.parquet"),
+                                    str(tmp_path / "in" / "sub" / "b.parquet"))
+    assert not hasattr(ds.map_batches(lambda b: b), "scan_recipe")
+
+
 def test_sparse_increment_reuses_segments(ray_session, tmp_path):
     """An increment touching a FEW urls must (a) still produce outputs
     identical to the one-shot run — including compressed segment BYTES —
