@@ -20,7 +20,10 @@ the order-sensitive monitor recursion).  ``checkpoint()`` flushes dirty
 partitions through the normal atomic manifest commit, so a crash between
 checkpoints loses at most the un-flushed micro-batches — the same
 replay-from-manifest contract as the discrete mode (re-ingest anything
-newer than the committed high-water mark).
+newer than the committed high-water mark).  Segments only reach disk at
+a checkpoint, so they are encoded there, once per dirty partition: the
+urls changed by any batch since the last checkpoint, onto the segments
+it wrote.
 
 Scale notes: partition→actor assignment is static (``pid % pool``), so a
 partition's state never moves between nodes; micro-batch routing ships
@@ -33,6 +36,7 @@ which leads the committed one between checkpoints.
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 
 import ray
@@ -54,8 +58,11 @@ class PartitionMonitorActor:
         self.proc = inc.IncrementProcessor(out_dir, run_id="continuous",
                                            config=config,
                                            new_high_water_us=0)
-        self.cache: dict[int, dict] = {}   # pid -> artifacts
-        self.dirty: set[int] = set()
+        # pid -> artifacts; "segments" are the last checkpointed
+        self.cache: dict[int, dict] = {}
+        # dirty pid -> its newest artifacts, "changed" holding every url
+        # changed since the last checkpoint
+        self.pending: dict[int, dict] = {}
         self._warm: dict = {}              # pid -> Future (prefetch)
 
     def _artifacts(self, pid: int) -> dict:
@@ -103,32 +110,31 @@ class PartitionMonitorActor:
             old = self._artifacts(pid)
             t_load = time.perf_counter() - t0
             art = self.proc.update_partition(group, old)
-        # cache the new artifacts for the next micro-batch (strip the
-        # per-batch counters; keep what load_partition would return —
-        # segments included, so the next batch's reuse path sees them)
+        # cache the new artifacts for the next micro-batch (what
+        # load_partition would return; segments stay the checkpointed)
         self.cache[pid] = {"state": art["state"], "tiers": art["tiers"],
                            "segments": art["segments"]}
-        self.cache[pid]["_pending"] = art
-        self.dirty.add(pid)
+        before = self.pending.get(pid, {"changed": {}})["changed"]
+        art["changed"] = {name: np.union1d(before.get(name, ()), urls)
+                          for name, urls in art["changed"].items()}
+        self.pending[pid] = art
         return {"pid": pid, "input_rows": art["input_rows"],
                 "rollup_points": art["rollup_points"],
                 "elapsed_s": round(time.perf_counter() - t0, 4),
                 "load_s": round(t_load, 4)}
 
     def checkpoint(self, run_id: str, high_water_us: int) -> list[dict]:
-        """Flush dirty partitions via atomic writes + manifest commits."""
+        """Flush dirty partitions via atomic writes + manifest commits,
+        encoding each one's segments."""
         out = []
         self.proc.run_id = run_id
         self.proc.new_hw = high_water_us
-        for pid in sorted(self.dirty):
-            art = self.cache[pid].pop("_pending")
+        for pid in sorted(self.pending):
+            art = self.pending.pop(pid)
             checksum = self.proc.persist_partition(pid, art)
+            self.cache[pid]["segments"] = art["segments"]
             out.append({"pid": pid, "state_checksum": checksum})
-        self.dirty.clear()
         return out
-
-    def dirty_pids(self) -> list[int]:
-        return sorted(self.dirty)
 
 
 class ContinuousMonitor:

@@ -175,7 +175,9 @@ class PartitionWriter:
                     tier: rollup.TierSpec, hw: int):
         """Append one tier's new observed buckets to its stored rows at
         mark ``hw``; returns ``(merged_table, changed_urls, (served
-        points, observed buckets))``, the counts over the merged table.
+        points, observed buckets), rolled)``, the counts over the merged
+        table and ``rolled`` the arrays its segments encode from
+        (``segments_from_rollups``' ``rolled``).
 
         Strictly-forward contract: every new row is newer than the
         committed high-water mark, so a url's new buckets start at or
@@ -235,7 +237,7 @@ class PartitionWriter:
         cat["series_idx"] = rank
         merged = rollup.trim_for_retention(cat, tier.width_us,
                                            tier.retention_us, hw)
-        first, _, served = rollup.served_runs(merged, tier, hw)
+        runs = rollup.served_runs(merged, tier, hw)
         # changed: touched, or stored rows / served count moved
         nu = len(dictionary)
         changed = np.zeros(nu, bool)
@@ -249,12 +251,13 @@ class PartitionWriter:
                         != np.bincount(merged["series_idx"], minlength=nu))
             changed |= (np.bincount(old_rank, rollup.served_runs(
                 r, tier, old_hw)[2], nu)
-                != np.bincount(merged["series_idx"], served, nu))
+                != np.bincount(merged["series_idx"], runs[2], nu))
         return (rollup.tag_tier(rollup.tier_table(merged, dictionary), tier,
                                 hw),
                 dictionary.filter(pa.array(changed))
                 .to_numpy(zero_copy_only=False),
-                rollup.run_totals(merged["bucket_ts"], first, served))
+                rollup.run_totals(merged["bucket_ts"], runs[0], runs[2]),
+                (merged, dictionary, runs))
 
     # -- update and persist ---------------------------------------------
 
@@ -264,8 +267,9 @@ class PartitionWriter:
         (``load_partition``'s shape; :data:`NOTHING` for a fresh
         partition) + one partition's assembled new ``series`` → new
         artifacts at mark ``hw``.  Urls without stored state are fitted
-        fresh; no disk I/O, so a long-lived actor can keep artifacts
-        cached between micro-batches and persist on its own cadence."""
+        fresh; no disk I/O and no segment encode, so a long-lived actor
+        can keep artifacts cached between micro-batches and persist
+        (and encode) on its own cadence."""
         if old["state"] is not None:
             state = self._update_state(old["state"], series)
         else:
@@ -279,29 +283,34 @@ class PartitionWriter:
     def _artifacts(self, old: dict, state: pa.Table, merged: dict,
                    input_rows: int, series_rows: int) -> dict:
         """New artifacts from merged tiers (``{name: (table, changed
-        urls, counts)}``): segments re-encoded for the changed urls only,
-        alerts from the state."""
-        tier_tables = {name: t for name, (t, _, _) in merged.items()}
-        segments = compress.segments_from_rollups(
-            tier_tables,
-            changed_urls={name: c for name, (_, c, _) in merged.items()},
-            old_segments=old.get("segments"))
+        urls, counts, rolled)}``): the tier tables, each tier's changed
+        urls and the arrays its segments encode from, ``old``'s
+        segments (the last persisted; :meth:`persist_partition` encodes
+        the changed urls onto them), alerts from the state."""
         alerts = state.filter(pc.equal(state.column("status"), 3)) \
             .select([c for c in ("url", "strategy", "detection_date",
                                  "process", "boundary")
                      if c in state.column_names])
-        return {"state": state, "tiers": tier_tables,
-                "segments": segments, "alerts": alerts,
-                "rollup_points": sum(n for _, _, (n, _) in merged.values()),
-                "observed_buckets": sum(o for _, _, (_, o)
-                                        in merged.values()),
+        return {"state": state,
+                "tiers": {name: m[0] for name, m in merged.items()},
+                "changed": {name: m[1] for name, m in merged.items()},
+                "rolled": {name: m[3] for name, m in merged.items()},
+                "segments": old.get("segments"), "alerts": alerts,
+                "rollup_points": sum(m[2][0] for m in merged.values()),
+                "observed_buckets": sum(m[2][1] for m in merged.values()),
                 "input_rows": input_rows, "series_rows": series_rows}
 
     def persist_partition(self, pid: int, art: dict, tables=None,
                           **record) -> str:
         """Commit ``art`` (and any extra ``tables``) through
         :func:`manifest.persist_partition`; ``record`` adds lineage
-        fields.  Returns the state checksum."""
+        fields.  The segments are encoded here, once per commit: the
+        changed urls' chunks are re-encoded onto ``art["segments"]``
+        (the last persisted segments), which then holds the committed
+        table.  Returns the state checksum."""
+        art["segments"] = compress.segments_from_rollups(
+            art["tiers"], changed_urls=art["changed"],
+            old_segments=art["segments"], rolled=art["rolled"])
         record["row_counts"] = dict(record.get("row_counts") or {},
                                     input=art["input_rows"],
                                     series=art["series_rows"])
@@ -373,7 +382,7 @@ class IncrementProcessor(PartitionWriter):
                                               None, tier, self.new_hw)
                   for tier in self.tiers
                   if old["tiers"].get(tier.name) is not None}
-        if not any(len(changed) for _, changed, _ in merged.values()):
+        if not any(len(m[1]) for m in merged.values()):
             return None
         return self._artifacts(old, old["state"], merged, 0, 0)
 

@@ -146,6 +146,17 @@ def input_files(input_path) -> list[str]:
     return paths
 
 
+def _absolute(input_path):
+    """``input_path`` (a path or a list of them) with each local,
+    scheme-less relative path made absolute."""
+    def fix(p):
+        p = os.fspath(p)
+        return p if "://" in p or os.path.isabs(p) else os.path.abspath(p)
+    if isinstance(input_path, (str, os.PathLike)):
+        return fix(input_path)
+    return [fix(p) for p in input_path]
+
+
 def is_warc_input(input_path) -> bool:
     """True when the input is WARC file(s) (.warc / .warc.gz) — the raw
     Common Crawl wire format (`sources/warc.py`) — rather than Parquet."""
@@ -188,6 +199,9 @@ def ingest_webtext(input_path, verify_extract: bool = False,
         # Parquet-layer features and don't apply
         from nrt_ray.sources.warc import warc_to_flat
         return warc_to_flat(input_path, aux=aux)
+    # Ray Data lists and samples the files in worker processes, whose
+    # working directory need not be the driver's
+    input_path = _absolute(input_path)
     columns = ["url", "warc_ts", "text"] + (
         ["html"] if verify_extract else [])
     kw = {}
@@ -204,7 +218,7 @@ def ingest_webtext(input_path, verify_extract: bool = False,
     # the files this read scans (nested ones too), listed without running
     files = sorted(map(os.path.abspath, ds.input_files()))
     if frag_ids:
-        paths = pa.array(list(frag_ids), pa.string())
+        paths = pa.array(_absolute(list(frag_ids)), pa.string())
         ids = pa.array(list(frag_ids.values()), pa.int32())
 
         def tag(t: pa.Table) -> pa.Table:
@@ -526,6 +540,8 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
     os.makedirs(out_dir, exist_ok=True)
     manifest.check_partitioning(out_dir, num_partitions)
     run_id = run_id or uuid.uuid4().hex[:12]
+    if flat_dataset is None:
+        input_path = _absolute(input_path)    # worker tasks read it too
 
     needs_hw = any(t.retention_us is not None for t in tiers)
     if high_water_us is None and needs_hw and flat_dataset is None \

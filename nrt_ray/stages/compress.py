@@ -4,11 +4,14 @@ Closed rollup ranges are stored as binary segment blobs in Arrow ``binary``
 columns: timestamps with **delta-of-delta** coding, values with **XOR**
 coding (Facebook Gorilla, Pelkonen et al. 2015).  Unlike the classic
 per-point bit-stream, both codecs here work on fixed blocks of points
-(size recorded in each payload's header) with a per-block bit-width header — the same information-theoretic idea
-(delta-of-delta ≈ 0 for regular cadence; XOR of similar floats has long
-runs of leading/trailing zero bits) but encode AND decode are pure
-vectorized NumPy (bit matrices + ``packbits``), which is what makes the
-codec usable inside high-throughput ``map_batches`` stages.
+(size recorded in each payload's header) with a per-block bit-width
+header — the same information-theoretic idea (delta-of-delta ≈ 0 for
+regular cadence; XOR of similar floats has long runs of leading/trailing
+zero bits) but encode AND decode are vectorized NumPy.  The encoder
+(:func:`encode_chunks`) takes all of a partition's chunks at once: block
+widths from ``reduceat``, byte-aligned packing through a mask over the
+values' little-endian bytes, every header placed with one ordered
+``np.insert`` — so its cost is per value, not per (url, tier) chunk.
 
 Format v2/v3 ("dod+xor3", little-endian) — SELF-DESCRIBING block size:
     dod segment:  u32 n | u16 block | i64 first | i64 first_delta |
@@ -47,10 +50,9 @@ from nrt_ray.stages import rollup
 
 #: default values per fixed-width block.  1024 (vs the classic 128)
 #: trades a few % of compression (one wide outlier widens more
-#: neighbours) for ~8x fewer python-level pack calls — the encode cost
-#: was ~1/4 of the whole partition-processor task at 128 (profiled r4).
-#: The chosen size is written into every payload header (u16), so
-#: decoders never depend on this constant.
+#: neighbours) for fewer block headers.  The chosen size is written into
+#: every payload header (u16), so decoders never depend on this
+#: constant.
 BLOCK = 1024
 
 #: codec tag written to the segment table.  "2" = the self-describing
@@ -79,32 +81,6 @@ def _unzigzag(u: np.ndarray) -> np.ndarray:
             ^ -(u & np.uint64(1)).astype(np.int64))
 
 
-def _bit_width(x: np.ndarray) -> int:
-    """Max bits needed for the values in x (0..64). Never underestimates:
-    float log2 rounds across power-of-two boundaries only upward."""
-    m = int(x.max()) if len(x) else 0
-    return m.bit_length()
-
-
-def _pack(values: np.ndarray, width: int) -> bytes:
-    """Pack uint64 values into a little-endian bitstream of ``width`` bits
-    each.  Byte-multiple widths take the fast path (a pure byte-slice
-    view of the little-endian u64s — ~10× the bit-matrix cost; encoders
-    round widths up to a byte boundary for exactly this reason); any
-    other width still packs via the (n, width) bit matrix so the stream
-    format stays fully general."""
-    if width == 0:
-        return b""
-    if width % 8 == 0:
-        nb = width // 8
-        le = values.astype("<u8", copy=False)
-        return le.view(np.uint8).reshape(len(values), 8)[:, :nb].tobytes()
-    shifts = np.arange(width, dtype=np.uint64)
-    bits = ((values[:, None] >> shifts[None, :]) & np.uint64(1)) \
-        .astype(np.uint8)
-    return np.packbits(bits.ravel(), bitorder="little").tobytes()
-
-
 def _unpack(buf: memoryview, count: int, width: int) -> np.ndarray:
     if width == 0:
         return np.zeros(count, dtype=np.uint64)
@@ -123,7 +99,7 @@ def _unpack(buf: memoryview, count: int, width: int) -> np.ndarray:
         axis=1, dtype=np.uint64)
 
 
-def _round_width(width: int) -> int:
+def _round_width(width: np.ndarray) -> np.ndarray:
     """Encoder-side width policy: round up to a whole byte.  Costs ≤7
     bits/value of compression; buys the byte-aligned fast path in BOTH
     codec directions.  Decoders honor whatever width the stream says,
@@ -131,31 +107,110 @@ def _round_width(width: int) -> int:
     return (width + 7) & ~7
 
 
-def encode_dod(ts: np.ndarray, block: int = BLOCK) -> bytes:
-    """Delta-of-delta encode an int64 array (e.g. epoch-µs timestamps).
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """Exact bit length of each uint64 (0 for 0): how many of its right
+    shifts by 0..63 are nonzero.  A float log2 would round 2^k − 1 up to
+    k + 1 bits above 2^53."""
+    return ((x[:, None] >> np.arange(64, dtype=np.uint64)) != 0).sum(axis=1)
+
+
+def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + l) for s, l in zip(start, length)])``."""
+    return np.arange(int(length.sum())) - np.repeat(
+        np.cumsum(length) - length - start, length)
+
+
+def _column(head: np.ndarray, head_len: np.ndarray, vals: np.ndarray,
+            m: np.ndarray, block: int, xor: bool) -> pa.BinaryArray:
+    """One payload column.  Row k is the first ``head_len[k]`` bytes of
+    the packed record ``head[k]``, then the row's ``m[k]`` values
+    (``vals`` holds every row's, in order) in blocks of ``block``.  A
+    block is its header — dod: u8 width; xor: u8 shift, u8 width, its
+    values shifted right by the trailing zeros common to them all — then
+    the low width/8 little-endian bytes of each value."""
+    nseg = len(m)
+    nblk = -(-m // block)
+    first = np.cumsum(nblk) - nblk          # each row's first block
+    j = np.arange(int(nblk.sum())) - np.repeat(first, nblk)
+    start = np.repeat(np.cumsum(m) - m, nblk) + j * block
+    cnt = np.minimum(block, np.repeat(m, nblk) - j * block)
+    if xor:
+        ored = np.bitwise_or.reduceat(vals, start)
+        low = ored & (~ored + np.uint64(1))          # lowest set bit
+        shift = np.where(ored != 0, _bit_length(low) - 1, 0)
+        width = _round_width(_bit_length(ored) - shift)
+        vals = vals >> np.repeat(shift, cnt).astype(np.uint64)
+        bhead = np.stack([shift, width], axis=1)
+    else:
+        width = _round_width(_bit_length(np.maximum.reduceat(vals, start)))
+        bhead = width[:, None]
+    nbyte = width // 8
+    packed = vals.astype("<u8").view(np.uint8).reshape(-1, 8)[np.repeat(
+        np.arange(8) < nbyte[:, None], cnt, axis=0)]
+    # every row and block header goes in front of its packed bytes: one
+    # ordered insert, headers in stream order (equal positions keep it)
+    cb = np.concatenate([[0], np.cumsum(cnt * nbyte)])
+    srow = np.arange(nseg) + first
+    brow = np.repeat(srow + 1, nblk) + j
+    hdr = np.zeros((nseg + len(j), head.dtype.itemsize), np.uint8)
+    hdr[srow] = head.view(np.uint8).reshape(nseg, hdr.shape[1])
+    hdr[brow, :bhead.shape[1]] = bhead
+    size = np.empty(len(hdr), np.int64)
+    size[srow], size[brow] = head_len, bhead.shape[1]
+    at = np.empty(len(hdr), np.int64)
+    at[srow], at[brow] = cb[first], cb[:-1]
+    data = np.insert(packed, np.repeat(at, size),
+                     hdr[np.arange(hdr.shape[1]) < size[:, None]])
+    offsets = np.concatenate([[0], np.cumsum(
+        head_len + cb[first + nblk] - cb[first] + bhead.shape[1] * nblk)])
+    if offsets[-1] > np.iinfo(np.int32).max:
+        raise ValueError("segment payloads exceed a binary column's 2 GiB")
+    return pa.Array.from_buffers(pa.binary(), nseg, [
+        None, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(data)])
+
+
+def encode_chunks(ts: np.ndarray, mean: np.ndarray, cs: np.ndarray,
+                  pe: np.ndarray, block: int = BLOCK):
+    """Both payload columns of many chunks in one pass of array ops: row
+    k of the returned ``(payload_ts, payload_value)`` binary arrays is
+    ``ts[cs[k]:pe[k]]`` delta-of-delta coded and ``mean[cs[k]:pe[k]]``
+    XOR coded.  Chunks may overlap (a chunk's right anchor is the next
+    chunk's first row).  The cost is per value, not per chunk, so a
+    partition's many small chunks encode in one call.
 
     ``block`` (1..65535) is written into the header; decoders read it
     from the stream, so any value round-trips against the same decoder.
     """
     if not 1 <= block <= 0xFFFF:
         raise ValueError(f"block must fit u16 and be >=1, got {block}")
-    ts = np.asarray(ts, dtype=np.int64)
+    ts = np.asarray(ts, np.int64)
+    bits = np.ascontiguousarray(mean, np.float64).view(np.uint64)
+    cs = np.asarray(cs, np.int64)
+    n = np.asarray(pe, np.int64) - cs
+    pad = np.concatenate([ts, np.zeros(2, np.int64)])
+    head = np.zeros(len(cs), [("n", "<u4"), ("block", "<u2"),
+                              ("first", "<i8"), ("delta", "<i8")])
+    head["n"], head["block"] = n, block
+    head["first"], head["delta"] = pad[cs], pad[cs + 1] - pad[cs]
+    m = np.maximum(n - 2, 0)
+    i = _ranges(cs, m)
+    dod = _column(head, 6 + 8 * np.minimum(n, 2), _zigzag(
+        (ts[i + 2] - ts[i + 1]) - (ts[i + 1] - ts[i])), m, block, xor=False)
+    head = np.zeros(len(cs), [("n", "<u4"), ("block", "<u2"),
+                              ("first", "<u8")])
+    head["n"], head["block"] = n, block
+    head["first"] = np.concatenate([bits, np.zeros(1, np.uint64)])[cs]
+    m = np.maximum(n - 1, 0)
+    i = _ranges(cs, m)
+    return dod, _column(head, 6 + 8 * np.minimum(n, 1),
+                        bits[i + 1] ^ bits[i], m, block, xor=True)
+
+
+def encode_dod(ts: np.ndarray, block: int = BLOCK) -> bytes:
+    """Delta-of-delta encode an int64 array (e.g. epoch-µs timestamps):
+    the one-chunk case of :func:`encode_chunks`."""
     n = len(ts)
-    parts = [n.to_bytes(4, "little") + block.to_bytes(2, "little")]
-    if n == 0:
-        return parts[0]
-    parts.append(ts[:1].tobytes())
-    if n == 1:
-        return b"".join(parts)
-    deltas = np.diff(ts)
-    parts.append(deltas[:1].tobytes())
-    dod = _zigzag(np.diff(deltas))  # n-2 values
-    for i in range(0, len(dod), block):
-        blk = dod[i:i + block]
-        width = _round_width(_bit_width(blk))
-        parts.append(bytes([width]))
-        parts.append(_pack(blk, width))
-    return b"".join(parts)
+    return encode_chunks(ts, np.zeros(n), [0], [n], block)[0][0].as_py()
 
 
 def _header(mv: memoryview, size: int, kind: str) -> tuple[int, int]:
@@ -218,34 +273,11 @@ def decode_dod(buf: bytes) -> np.ndarray:
 
 
 def encode_xor(values: np.ndarray, block: int = BLOCK) -> bytes:
-    """XOR-encode a float64 array (Gorilla value stream, block-wise).
-
-    ``block`` (1..65535) is written into the header; decoders read it
-    from the stream, so any value round-trips against the same decoder.
-    """
-    if not 1 <= block <= 0xFFFF:
-        raise ValueError(f"block must fit u16 and be >=1, got {block}")
-    v = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    n = len(v)
-    parts = [n.to_bytes(4, "little") + block.to_bytes(2, "little")]
-    if n == 0:
-        return parts[0]
-    parts.append(v[:1].tobytes())
-    xors = v[1:] ^ v[:-1]
-    for i in range(0, len(xors), block):
-        blk = xors[i:i + block]
-        nz = blk[blk != 0]
-        if len(nz) == 0:
-            shift, width = 0, 0
-        else:
-            # common trailing-zero count via lowest set bit of the OR;
-            # width from the highest set bit (bit_length is exact on ints)
-            ored = int(np.bitwise_or.reduce(nz))
-            shift = (ored & -ored).bit_length() - 1
-            width = min(64, _round_width(ored.bit_length() - shift))
-        parts.append(bytes([shift, width]))
-        parts.append(_pack(blk >> np.uint64(shift), width))
-    return b"".join(parts)
+    """XOR-encode a float64 array (Gorilla value stream, block-wise):
+    the one-chunk case of :func:`encode_chunks`."""
+    n = len(values)
+    return encode_chunks(np.zeros(n, np.int64), values, [0], [n],
+                         block)[1][0].as_py()
 
 
 def decode_xor(buf: bytes) -> np.ndarray:
@@ -265,7 +297,7 @@ def decode_xor(buf: bytes) -> np.ndarray:
 
 def segments_from_rollups(tier_tables: dict, max_points: int = 4096,
                           changed_urls: dict | None = None,
-                          old_segments=None):
+                          old_segments=None, rolled: dict | None = None):
     """Build the compressed segment table from rolled-up tier tables.
 
     One segment per (url, tier) chunk of at most ``max_points`` stored
@@ -292,7 +324,16 @@ def segments_from_rollups(tier_tables: dict, max_points: int = 4096,
     increment and ``old_segments`` is the previous commit's segment
     table, payloads for UNCHANGED (url, tier) pairs are carried over
     byte-identical instead of re-encoded — the codecs are deterministic,
-    so re-encoding identical points would produce identical bytes.
+    so re-encoding identical points would produce identical bytes.  The
+    table is then sorted by (tier, url, seg_start); a full encode keeps
+    the tier tables' order.
+
+    ``rolled`` maps a tier name to the arrays its segments encode from,
+    ``(rolled dict, per-series urls, served runs)``
+    (:func:`nrt_ray.stages.rollup.table_rolled`,
+    :func:`nrt_ray.stages.rollup.served_runs`); a writer that has just
+    merged a tier passes its own instead of having them derived again
+    from the table.
 
     Returns:
         pyarrow.Table (url, tier, seg_start, seg_end, n_points, width_us,
@@ -326,9 +367,7 @@ def segments_from_rollups(tier_tables: dict, max_points: int = 4096,
             old_segments = old_segments.filter(pc.equal(
                 old_segments.column("codec"), CODEC))
         for tier_name in tier_tables:
-            ch = pa.array(np.asarray(changed_urls.get(tier_name, ()),
-                                     dtype=object), pa.string(),
-                          from_pandas=True)
+            ch = _url_array(changed_urls.get(tier_name, ()))
             tier_old = old_segments.filter(
                 pc.equal(old_segments.column("tier"), tier_name))
             # hash-based membership — np.isin on object strings is
@@ -337,33 +376,44 @@ def segments_from_rollups(tier_tables: dict, max_points: int = 4096,
                 tier_old.column("url"), value_set=ch)))
             if tier_old.num_rows:
                 reused.append(tier_old)
-    parts = []
-    for tier_name, table in tier_tables.items():
-        if incremental:
-            table = table.filter(pc.is_in(
-                table.column("url"), value_set=pa.array(
-                    np.asarray(changed_urls.get(tier_name, ()),
-                               dtype=object), pa.string(),
-                    from_pandas=True)))
-        if table.num_rows:
-            parts.append(_encode_tier(tier_name, table, max_points))
+    parts = [_encode_tier(tier_name, table, max_points,
+                          (rolled or {}).get(tier_name),
+                          _url_array(changed_urls.get(tier_name, ()))
+                          if incremental else None)
+             for tier_name, table in tier_tables.items() if table.num_rows]
     out = pa.concat_tables([SEGMENT_SCHEMA.empty_table()] + reused + parts)
-    if reused:
+    if incremental:
+        # sorted whether or not anything was reused, so the bytes do not
+        # depend on how many commits the changes were spread over
         out = out.take(pc.sort_indices(out, sort_keys=[
             ("tier", "ascending"), ("url", "ascending"),
             ("seg_start", "ascending")]))
     return out
 
 
-def _encode_tier(tier_name: str, table: pa.Table, max_points: int):
+def _url_array(urls) -> pa.Array:
+    return pa.array(np.asarray(urls, dtype=object), pa.string(),
+                    from_pandas=True)
+
+
+def _encode_tier(tier_name: str, table: pa.Table, max_points: int,
+                 rolled=None, only: pa.Array | None = None):
     """Segments of one non-empty tier table (see
-    :func:`segments_from_rollups`)."""
+    :func:`segments_from_rollups`); of its urls in ``only`` when given."""
     tier, hw = rollup.tier_meta(table) or (
         rollup.TierSpec(tier_name, gapfill=False), None)
-    rolled, urls = rollup.table_rolled(table)
-    ts, mean, sidx = rolled["bucket_ts"], rolled["mean"], \
-        rolled["series_idx"]
-    first, last, count = rollup.served_runs(rolled, tier, hw)
+    if rolled is None:
+        r, urls = rollup.table_rolled(table)
+        rolled = r, urls, rollup.served_runs(r, tier, hw)
+    r, urls, runs = rolled
+    cols = (r["bucket_ts"], r["mean"], r["series_idx"]) + tuple(runs)
+    if only is not None:
+        rows = pc.is_in(urls, value_set=only).to_numpy(
+            zero_copy_only=False)[r["series_idx"]]
+        if not rows.any():
+            return SEGMENT_SCHEMA.empty_table()
+        cols = tuple(c[rows] for c in cols)
+    ts, mean, sidx, first, last, count = cols
     # chunk starts cs / ends ce: <= max_points stored rows per url run
     u0 = np.flatnonzero(np.r_[True, sidx[1:] != sidx[:-1]])
     u1 = np.r_[u0[1:], len(sidx)]
@@ -384,19 +434,18 @@ def _encode_tier(tier_name: str, table: pa.Table, max_points: int):
     keep = n_points > 0                # e.g. a lone anchor serving nothing
     cs, pe = cs[keep], pe[keep]
     nseg = len(cs)
+    payload_ts, payload_value = encode_chunks(ts, mean, cs, pe)
     return pa.table({
         "url": urls.take(pa.array(sidx[cs])),
-        "tier": pa.array([tier_name] * nseg, pa.string()),
+        "tier": pa.repeat(pa.scalar(tier_name, pa.string()), nseg),
         "seg_start": pa.array(seg_start[keep]).cast(pa.timestamp("us")),
         "seg_end": pa.array(seg_end[keep]).cast(pa.timestamp("us")),
         "n_points": pa.array(n_points[keep], pa.int32()),
-        "width_us": pa.array([tier.width_us] * nseg, pa.int64()),
-        "max_gap": pa.array([tier.fill_gap] * nseg, pa.int64()),
-        "codec": pa.array([CODEC] * nseg, pa.string()),
-        "payload_ts": pa.array([encode_dod(ts[c:e])
-                                for c, e in zip(cs, pe)], pa.binary()),
-        "payload_value": pa.array([encode_xor(mean[c:e])
-                                   for c, e in zip(cs, pe)], pa.binary()),
+        "width_us": pa.repeat(pa.scalar(tier.width_us, pa.int64()), nseg),
+        "max_gap": pa.repeat(pa.scalar(tier.fill_gap, pa.int64()), nseg),
+        "codec": pa.repeat(pa.scalar(CODEC, pa.string()), nseg),
+        "payload_ts": payload_ts,
+        "payload_value": payload_value,
     }, schema=SEGMENT_SCHEMA)
 
 

@@ -293,3 +293,134 @@ def test_legacy_rows_for_missing_tier_raise():
                                          changed_urls={"1d": []},
                                          old_segments=legacy)
     assert set(out.column("codec").to_pylist()) == {compress.CODEC}
+
+
+# -- oracle: the per-segment encoders the partition-wide one replaced ------
+
+def _oracle_pack(values: np.ndarray, width: int) -> bytes:
+    if width == 0:
+        return b""
+    if width % 8 == 0:
+        le = values.astype("<u8", copy=False)
+        return le.view(np.uint8).reshape(len(values), 8)[:, :width // 8] \
+            .tobytes()
+    shifts = np.arange(width, dtype=np.uint64)
+    bits = ((values[:, None] >> shifts[None, :]) & np.uint64(1)) \
+        .astype(np.uint8)
+    return np.packbits(bits.ravel(), bitorder="little").tobytes()
+
+
+def _oracle_round(width: int) -> int:
+    return (width + 7) & ~7
+
+
+def _oracle_dod(ts: np.ndarray, block: int) -> bytes:
+    ts = np.asarray(ts, dtype=np.int64)
+    n = len(ts)
+    parts = [n.to_bytes(4, "little") + block.to_bytes(2, "little")]
+    if n == 0:
+        return parts[0]
+    parts.append(ts[:1].tobytes())
+    if n == 1:
+        return b"".join(parts)
+    deltas = np.diff(ts)
+    parts.append(deltas[:1].tobytes())
+    dod = compress._zigzag(np.diff(deltas))
+    for i in range(0, len(dod), block):
+        blk = dod[i:i + block]
+        width = _oracle_round(int(blk.max()).bit_length())
+        parts.append(bytes([width]))
+        parts.append(_oracle_pack(blk, width))
+    return b"".join(parts)
+
+
+def _oracle_xor(values: np.ndarray, block: int) -> bytes:
+    v = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    n = len(v)
+    parts = [n.to_bytes(4, "little") + block.to_bytes(2, "little")]
+    if n == 0:
+        return parts[0]
+    parts.append(v[:1].tobytes())
+    xors = v[1:] ^ v[:-1]
+    for i in range(0, len(xors), block):
+        blk = xors[i:i + block]
+        nz = blk[blk != 0]
+        if len(nz) == 0:
+            shift, width = 0, 0
+        else:
+            ored = int(np.bitwise_or.reduce(nz))
+            shift = (ored & -ored).bit_length() - 1
+            width = min(64, _oracle_round(ored.bit_length() - shift))
+        parts.append(bytes([shift, width]))
+        parts.append(_oracle_pack(blk >> np.uint64(shift), width))
+    return b"".join(parts)
+
+
+def _assert_oracle(ts, mean, cs, pe, block):
+    pts, pval = compress.encode_chunks(ts, mean, cs, pe, block=block)
+    pts.validate(full=True)
+    pval.validate(full=True)
+    assert len(pts) == len(pval) == len(cs)
+    for k, (c, e) in enumerate(zip(cs, pe)):
+        assert pts[k].as_py() == _oracle_dod(ts[c:e], block), (k, c, e)
+        assert pval[k].as_py() == _oracle_xor(mean[c:e], block), (k, c, e)
+
+
+ONES = np.array([np.iinfo(np.uint64).max], np.uint64).view(np.float64)[0]
+
+
+@pytest.mark.parametrize("block", [1, 3, 17, 1024, 65535])
+def test_encode_chunks_matches_per_segment_oracle(block):
+    """The partition-wide encoder equals the per-segment encoders byte
+    for byte: 0/1/2-point chunks, overlapping right-anchor ranges
+    (``pe = ce + 1``), NaN and all-ones float payloads, constant runs
+    (width 0), 64-bit XOR widths, deltas near ±2^40 and timestamps near
+    2^62."""
+    rng = np.random.default_rng(block)
+    n = 3000
+    steps = np.where(rng.random(n) < 0.5, 1, -1) * (2 ** 40 - rng.integers(
+        0, 1000, n))
+    ts = np.concatenate([
+        2 ** 62 + np.cumsum(rng.integers(0, 10 ** 6, n)),   # near 2^62
+        np.cumsum(steps),                                   # ±2^40 deltas
+        np.arange(n) * 3600 * US,                           # regular
+    ]).astype(np.int64)
+    mean = np.concatenate([
+        np.where(rng.random(n) < 0.5, 0.0, ONES),           # 64-bit xors
+        np.full(n, 2.5),                                    # constant run
+        np.where(rng.random(n) < 0.2, np.nan, rng.normal(size=n)),
+    ])
+    N = len(ts)
+    cs = np.concatenate([
+        [0, 5, 5, 9, N - 1, N],                 # 3, 0, 1, 2, 1, 0 points
+        np.arange(20, N - 700, 677),            # long chunks
+    ])
+    pe = np.concatenate([[3, 5, 6, 11, N, N],
+                         np.arange(20, N - 700, 677) + 678])  # overlap +1
+    _assert_oracle(ts, mean, cs, pe, block)
+    assert compress.encode_dod(ts, block) == _oracle_dod(ts, block)
+    assert compress.encode_xor(mean, block) == _oracle_xor(mean, block)
+
+
+def test_encode_chunks_random_cases_match_oracle():
+    rng = np.random.default_rng(2024)
+    for case in range(300):
+        n = int(rng.integers(0, 200))
+        ts = (rng.integers(-2 ** 63, 2 ** 63 - 1, n, dtype=np.int64)
+              if case % 3 == 0 else
+              np.cumsum(rng.integers(0, 10 ** rng.integers(1, 12), n)))
+        mean = (rng.integers(0, 2 ** 64 - 1, n, dtype=np.uint64)
+                .view(np.float64) if case % 2 else
+                np.round(rng.normal(size=n), int(rng.integers(0, 4))))
+        k = int(rng.integers(0, 12))
+        cs = rng.integers(0, n + 1, k)
+        pe = np.minimum(cs + rng.integers(0, 60, k), n)
+        _assert_oracle(ts.astype(np.int64), mean, cs, pe,
+                       int(rng.choice([1, 3, 17, 1024, 65535])))
+
+
+def test_encode_chunks_rejects_bad_block():
+    for block in (0, 65536):
+        with pytest.raises(ValueError):
+            compress.encode_chunks(np.zeros(3, np.int64), np.zeros(3),
+                                   [0], [3], block=block)

@@ -180,3 +180,79 @@ def test_continuous_actor_crash_recovery(ray_session, chunked_webtext,
         cm2.close()
 
     _assert_outputs_equal(out, str(tmp_path / "full"))
+
+
+def _count_encodes(cm) -> None:
+    """Count the segment encodes in each actor's process (a local
+    function, so Ray ships it by value)."""
+    import ray as _ray
+
+    def install(actor):
+        from nrt_ray.stages import compress
+        real = compress.segments_from_rollups
+        actor.encodes = 0
+
+        def counting(*args, **kwargs):
+            actor.encodes += 1
+            return real(*args, **kwargs)
+
+        compress.segments_from_rollups = counting
+
+    _ray.get([a.__ray_call__.remote(install) for a in cm.actors])
+
+
+def _encodes(cm) -> int:
+    import ray as _ray
+    return sum(_ray.get([a.__ray_call__.remote(lambda actor: actor.encodes)
+                         for a in cm.actors]))
+
+
+def test_continuous_encodes_segments_at_checkpoint(ray_session,
+                                                   chunked_webtext,
+                                                   tmp_path):
+    """Segments are encoded at a checkpoint, once per dirty partition,
+    for every url changed since the last one: batch 1 touches only url
+    A, batch 2 only the other urls (its newer rows advance the 1h
+    window), so A's 1d/1w segments change in batch 1 alone.  The
+    checkpointed segment files equal the discrete run's byte for byte,
+    and a checkpoint with nothing pending encodes nothing."""
+    d = chunked_webtext
+    t = pq.read_table(str(d / "webtext.parquet"))
+    c0, c1 = (pa.scalar(int(c.astype(np.int64)), pa.int64())
+              .cast(pa.timestamp("us")) for c in CUTS)
+    ts, url = t.column("warc_ts"), t.column("url")
+    mid = pc.and_(pc.greater(ts, c0), pc.less_equal(ts, c1))
+    a = t.filter(mid).column("url")[0]
+    pq.write_table(t.filter(pc.and_(mid, pc.equal(url, a))),
+                   str(tmp_path / "b1.parquet"))
+    pq.write_table(t.filter(pc.and_(pc.greater(ts, c1),
+                                    pc.not_equal(url, a))),
+                   str(tmp_path / "b2.parquet"))
+    batches = [str(tmp_path / f"b{k}.parquet") for k in (1, 2)]
+
+    disc, cont = str(tmp_path / "disc"), str(tmp_path / "cont")
+    for out in (disc, cont):
+        mp.run_pipeline(str(d / "chunk0.parquet"), out, **COMMON)
+    for b in batches:
+        inc.run_increment(disc, mp.ingest_webtext(b))
+
+    cm = ContinuousMonitor(cont, pool=2)
+    try:
+        _count_encodes(cm)
+        for b in batches:
+            assert cm.ingest(mp.ingest_webtext(b))["input_rows"] > 0
+        assert _encodes(cm) == 0              # nothing encoded per batch
+        ck = cm.checkpoint()
+        assert ck["partitions_flushed"] == COMMON["num_partitions"]
+        assert _encodes(cm) == ck["partitions_flushed"]
+        assert cm.checkpoint()["partitions_flushed"] == 0
+        assert _encodes(cm) == ck["partitions_flushed"]
+    finally:
+        cm.close()
+
+    for pid in range(COMMON["num_partitions"]):
+        f = os.path.join("segments", f"part={pid}", "part.parquet")
+        with open(os.path.join(disc, f), "rb") as fa, \
+                open(os.path.join(cont, f), "rb") as fb:
+            assert fa.read() == fb.read(), f
+    _assert_outputs_equal(cont, disc)

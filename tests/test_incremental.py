@@ -178,6 +178,34 @@ def test_scan_recipe_lists_the_files_ray_data_reads(ray_session,
     assert not hasattr(ds.map_batches(lambda b: b), "scan_recipe")
 
 
+def test_ingest_relative_path_after_chdir(ray_session, split_webtext,
+                                         tmp_path, monkeypatch):
+    """A driver that changed directory after ``ray.init`` reads relative
+    paths: Ray Data samples the files in worker processes, whose working
+    directory is not the driver's.  The reads run in a thread with a
+    join timeout, so a hang fails the test instead of stalling the run."""
+    import threading
+
+    d, _ = split_webtext
+    want = mp.ingest_webtext(str(d / "late.parquet")).count()
+    monkeypatch.chdir(d)
+    got = []
+
+    def read():
+        got.append(mp.ingest_webtext("late.parquet").count())
+        # fragment lineage maps each row's file path to its id
+        got.append(mp.run_pipeline(
+            "late.parquet", str(tmp_path / "out"), strategy="IQR",
+            monitor_start="2021-01-01", num_partitions=2,
+            tiers=TIERS)["input_rows"])
+
+    th = threading.Thread(target=read, daemon=True)
+    th.start()
+    th.join(300)
+    assert not th.is_alive(), "a relative-path read hung"
+    assert got == [want, want]
+
+
 def test_sparse_increment_reuses_segments(ray_session, tmp_path):
     """An increment touching a FEW urls must (a) still produce outputs
     identical to the one-shot run — including compressed segment BYTES —
@@ -215,11 +243,11 @@ def test_sparse_increment_reuses_segments(ray_session, tmp_path):
                     **common)
 
     n_encoded = {"n": 0}
-    real_xor = cz.encode_xor
+    real_encode = cz.encode_chunks
 
-    def counting_xor(vals):
-        n_encoded["n"] += 1
-        return real_xor(vals)
+    def counting_encode(ts, mean, cs, pe):
+        n_encoded["n"] += len(cs)            # chunks, one per segment
+        return real_encode(ts, mean, cs, pe)
 
     # drive the per-partition update IN-PROCESS (what the exchange's
     # reduce tasks run) so the encode-counting mock can observe it
@@ -235,7 +263,7 @@ def test_sparse_increment_reuses_segments(ray_session, tmp_path):
                                   new_hw)
     total = 0
     swept = 0
-    with mock.patch.object(cz, "encode_xor", counting_xor):
+    with mock.patch.object(cz, "encode_chunks", counting_encode):
         for pid in range(cfg["num_partitions"]):
             group = ft.filter(pc.equal(ft.column("pid"), pid))
             if group.num_rows:
