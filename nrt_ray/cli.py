@@ -91,10 +91,9 @@ def main(argv=None) -> int:
 
     fg = sub.add_parser("forget", help="right-to-be-forgotten: remove "
                                        "urls from every output artifact "
-                                       "by rebuilding only the owning "
-                                       "partitions")
-    fg.add_argument("--input", required=True,
-                    help="the run's original input parquet")
+                                       "by filtering the owning "
+                                       "partitions' committed tables "
+                                       "(no input is read)")
     fg.add_argument("--out", required=True)
     fg.add_argument("--urls", nargs="+", default=None)
     fg.add_argument("--urls-file", default=None,
@@ -340,7 +339,7 @@ def main(argv=None) -> int:
                     urls += [ln.strip() for ln in f if ln.strip()]
             if not urls:
                 raise SystemExit("forget: need --urls or --urls-file")
-            print(json.dumps(run_forget(args.out, args.input, urls)))
+            print(json.dumps(run_forget(args.out, urls)))
         elif args.cmd == "query":
             import pandas as pd
             import pyarrow as pa

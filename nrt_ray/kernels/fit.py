@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from nrt_ray.kernels.stats import (bisquare, mad, masked_normal_equations,
-                                   nanlstsq)
+from nrt_ray.kernels.stats import bisquare, mad, nanlstsq
 from nrt_ray.kernels.efp import history_roc
 
 MIN_SPAN_DAYS = 183  # half a year — minimum history span for stable fits
@@ -58,19 +57,6 @@ def ols(X: np.ndarray, y: np.ndarray):
     beta = nanlstsq(X, y)
     residuals = X @ beta - y
     return beta, residuals
-
-
-def weighted_ols(X: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Weighted 1-D OLS via lstsq on the √w-scaled system (parity helper;
-    the batched RIRLS below solves the same system across all series at
-    once).
-
-    Returns:
-        (beta ``(k,)``, residuals ``(n,)`` as ``y − X·β``).
-    """
-    sw = np.sqrt(w)
-    beta, *_ = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)
-    return beta, y - X @ beta
 
 
 def rirls(X: np.ndarray, y: np.ndarray, tune: float = 4.685,

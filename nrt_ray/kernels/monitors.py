@@ -126,10 +126,6 @@ class BaseMonitor:
 
     # ------------------------------------------------------------------ fit
 
-    @property
-    def n_regressors(self) -> int:
-        return 1 + int(self.trend) + 2 * self.harmonic_order
-
     def design_matrix(self, dates) -> np.ndarray:
         return regressors.design_matrix(dates, trend=self.trend,
                                         harmonic_order=self.harmonic_order)
@@ -415,7 +411,7 @@ class BaseMonitor:
         a, b = self.state_dict(), other.state_dict()
         if a.keys() != b.keys():
             return False
-        return all(np.array_equal(a[k_], b[k_], equal_nan=True) for k_ in a)
+        return all(map(_equal, a.values(), b.values()))
 
 
 @register
@@ -547,6 +543,13 @@ class CuSum(BaseMonitor):
         return {"sigma": self.sigma, "histsize": self.histsize, "n": self.n}
 
 
+def _equal(x, y) -> bool:
+    """NaN-equal state entries; a list (MoSum's windows) row by row."""
+    if isinstance(x, list):
+        return len(x) == len(y) and all(map(_equal, x, y))
+    return np.array_equal(x, y, equal_nan=True)
+
+
 @register
 class MoSum(BaseMonitor):
     """OLS-MOSUM monitoring (moving sum over a per-series ring buffer of the
@@ -554,7 +557,8 @@ class MoSum(BaseMonitor):
     ``nrt/monitor/mosum.py``).
 
     ``process`` is derived (``nansum`` of the window), not stored.  The ring
-    buffer is serialized as a ``(m, maxw)`` list column in checkpoints.
+    buffer is serialized as a list column in checkpoints, each url's at
+    its own ``winsize``.
     """
 
     strategy = "MOSUM"
@@ -641,16 +645,20 @@ class MoSum(BaseMonitor):
         return {"sigma": self.sigma, "histsize": self.histsize, "n": self.n,
                 "winsize": self.winsize,
                 "window": None if self.window is None else
-                list(self.window.T)}
+                [w[:k] for w, k in zip(self.window.T, self.winsize)]}
 
     @classmethod
     def from_state(cls, config, state):
+        """Each url's stored window holds its own ``winsize`` slots; the
+        ring buffers are zero-padded to the longest."""
         state = dict(state)
         window = state.pop("window", None)
         obj = super().from_state(config, state)
         if window is not None:
-            obj.window = np.ascontiguousarray(np.vstack(list(window)).T,
-                                              dtype=np.float64)
+            obj.window = np.zeros((max(map(len, window), default=0),
+                                   len(window)))
+            for j, w in enumerate(window):
+                obj.window[:len(w), j] = w
         return obj
 
 

@@ -45,9 +45,9 @@ import pyarrow.parquet as pq
 import ray
 
 from nrt_ray.stages import compress, rollup
-from nrt_ray.stages.assemble import add_bucket_column, assemble_series
+from nrt_ray.stages.assemble import (add_bucket_column, assemble_series,
+                                     bucket_of, padded_matrices)
 from nrt_ray.stages.fit_monitor import SeriesFitMonitor, regressor_tensor
-from nrt_ray.stages.assemble import padded_matrices
 from nrt_ray.stages.exchange import (_iter_block_refs, _split_block,
                                      reduce_tables)
 from nrt_ray.state import manifest
@@ -578,36 +578,25 @@ def _merge_rebuild(pid, kwargs, want, *blocks):
 
 
 def _rebuild_merge_partitions(out_dir: str, config: dict, hot_sorted,
-                              m_tasks: int, merge_pids, flat, run_id,
-                              exclude=frozenset()) -> int:
+                              m_tasks: int, merge_pids, flat,
+                              run_id) -> int:
     """Rebuild the given merge partitions from SOURCE (the ``flat``
-    stream), each filtered to its task's hot urls minus ``exclude``.
-    Shared by run_forget and run_backfill — increment-proof, unlike
-    replaying the one-shot hot_series intermediates.  Returns how many
-    partitions were rebuilt (fully-excluded tasks are skipped and left
-    for the caller's empty-commit cleanup)."""
-    import ray as _ray
-
+    stream), each filtered to its task's hot urls — increment-proof,
+    unlike replaying the one-shot hot_series intermediates.  Returns
+    how many partitions were rebuilt."""
     P = int(config["num_partitions"])
     processor_kwargs = dict(run_settings(config), out_dir=out_dir,
                             run_id=run_id)
-    rebuild_remote = _ray.remote(_merge_rebuild)
-    # materialize the source block refs ONCE (iterating inside the loop
-    # would re-execute the flat stream per merge partition) and launch
-    # every rebuild task concurrently, gathering once
-    blocks = None
-    futs = []
-    for mpid in sorted(merge_pids):
-        m = mpid - P
-        want = {u for i, u in enumerate(hot_sorted)
-                if i % m_tasks == m and u not in exclude}
-        if not want:
-            continue
-        if blocks is None:
-            blocks = list(_iter_block_refs(flat))
-        futs.append(rebuild_remote.remote(
-            mpid, processor_kwargs, want, *blocks))
-    return sum(1 for res in _ray.get(futs) if res is not None)
+    rebuild_remote = ray.remote(_merge_rebuild)
+    # materialize the source block refs ONCE (iterating per merge
+    # partition would re-execute the flat stream) and launch every
+    # rebuild task concurrently, gathering once
+    blocks = list(_iter_block_refs(flat))
+    futs = [rebuild_remote.remote(
+        mpid, processor_kwargs,
+        {u for i, u in enumerate(hot_sorted) if i % m_tasks == mpid - P},
+        *blocks) for mpid in sorted(merge_pids)]
+    return sum(1 for res in ray.get(futs) if res is not None)
 
 
 def _scrub_hot_series(out_dir: str, urls) -> int:
@@ -616,147 +605,103 @@ def _scrub_hot_series(out_dir: str, urls) -> int:
     A salted one-shot run writes each hot url's assembled sub-series
     aside in nearly every hash partition (``hot_series/part=*``) for the
     merge phase to replay.  Right-to-be-forgotten covers every output
-    artifact, intermediates included — rebuilding the merge partitions
+    artifact, intermediates included — filtering the merge partitions
     alone would leave the forgotten url's complete raw series on disk.
     Atomic rewrite per file (tmp + rename, the manifest discipline);
     files left empty are deleted.  Returns how many files were touched.
     """
-    import glob as _glob
+    import glob
 
-    import ray as _ray
-
-    files = sorted(_glob.glob(os.path.join(
+    files = sorted(glob.glob(os.path.join(
         out_dir, "hot_series", "part=*", "part.parquet")))
-    if not files:
-        return 0
-    urls_sorted = sorted(set(urls))
+    drop = pa.array(sorted(set(urls)), pa.string())
 
     def scrub(path: str) -> int:
-        import pyarrow.parquet as _pq
-        t = _pq.read_table(path, use_threads=False)
-        drop = pc.is_in(t.column("url"),
-                        value_set=pa.array(urls_sorted, pa.string()))
-        if not (pc.sum(pc.cast(drop, pa.int64())).as_py() or 0):
+        t = pq.read_table(path, use_threads=False)
+        kept = t.filter(pc.invert(pc.is_in(t.column("url"), value_set=drop)))
+        if kept.num_rows == t.num_rows:
             return 0
-        kept = t.filter(pc.invert(drop))
         if kept.num_rows:
             tmp = path + f".tmp-{os.getpid()}"
-            _pq.write_table(kept, tmp)
+            pq.write_table(kept, tmp)
             os.replace(tmp, path)
         else:
             os.remove(path)
         return 1
-    scrub_remote = _ray.remote(num_cpus=0.5)(scrub)
-    return int(sum(_ray.get([scrub_remote.remote(f) for f in files])))
+    scrub_remote = ray.remote(num_cpus=0.5)(scrub)
+    return int(sum(ray.get([scrub_remote.remote(f) for f in files])))
 
 
-def run_forget(out_dir: str, input_path, urls, run_id: str = "forget",
-               reduce_num_cpus: float = 1.0) -> dict:
+@ray.remote
+def _forget_partition(out_dir: str, run_id: str, tables, pid: int,
+                      record: dict, urls) -> str | None:
+    """Drop ``urls``' rows from partition ``pid``'s committed ``tables``
+    (schema metadata kept, segments not re-encoded) and commit once over
+    its lineage ``record`` at the same mark, tier points recounted; a
+    partition left without rows is committed empty.  Returns "emptied",
+    "rewritten", or None (nothing written) when the record already
+    counts every filtered table's rows — so a rerun also commits a
+    partition whose files a crashed forget wrote but did not commit."""
+    drop = pa.array(urls, pa.string())
+    kept = {}
+    for name in tables:
+        path = os.path.join(manifest.partition_dir(out_dir, name, pid),
+                            "part.parquet")
+        if os.path.exists(path):
+            t = pq.read_table(path, use_threads=False)
+            kept[name] = t.filter(pc.invert(
+                pc.is_in(t.column("url"), value_set=drop)))
+    counts = record.get("row_counts") or {}
+    if all(counts.get(name) == t.num_rows for name, t in kept.items()):
+        return None
+    empty = not any(t.num_rows for t in kept.values())
+    points = [rollup.served_counts(t) for name, t in kept.items()
+              if name.startswith("rollup_")]
+    manifest.persist_partition(
+        out_dir, run_id, pid, dict.fromkeys(tables) if empty else kept,
+        dict(record, forgotten_empty=True) if empty else record,
+        np.sum([(0, 0), *points], axis=0))
+    return "emptied" if empty else "rewritten"
+
+
+def run_forget(out_dir: str, urls, run_id: str = "forget") -> dict:
     """Right-to-be-forgotten: remove ``urls`` from every output artifact
-    (state, rollup tiers, compressed segments, alerts) by REBUILDING only
-    the partitions that own them from the original input minus those
-    urls — everything else is untouched (hash-pinned partitioning makes
-    the blast radius exactly ``len({hash(url) % P})`` partitions).
+    (state, rollup tiers, segments, alerts), leaving the store as if they
+    had never been ingested.  Each url is its own series, so one task
+    per owning partition (hash pid ``bucket_of(url, P)``, or merge pid
+    ``P + sorted_rank % M`` for a salted hot url) drops their rows
+    (:func:`_forget_partition`): no input is read, nothing is rebuilt,
+    and a rerun finishes an interrupted forget.
 
-    ``input_path`` must cover EVERYTHING the run has ingested (original
-    input plus any increment batches — ``read_parquet`` accepts a list),
-    since affected partitions rebuild from source; rows above the
-    committed high-water mark, if any, are naturally re-ingested by the
-    rebuild.
-
-    Result is identical to a fresh run over the input with the urls
-    filtered out, except the committed high-water mark is preserved (it
-    may have been set by a forgotten url's last snapshot; shrinking it
-    would re-classify other urls' already-ingested rows as new).  The
-    ``dead_letter`` audit table, if any, is NOT scrubbed (it is an
-    append-only audit log outside the queryable outputs).
-
-    Salted runs: forgetting a HOT url rebuilds its merge partition
-    ``P + sorted_rank % M`` from SOURCE (filtered to that merge task's
-    remaining urls — increment-proof, unlike replaying the one-shot
-    ``hot_series`` intermediates); the persisted hot-url list stays
-    intact so increment routing for the other hot urls is unchanged.
-    The forgotten urls are additionally scrubbed from every
-    ``hot_series/part=*`` intermediate file — the one-shot run wrote
-    their full assembled sub-series aside in nearly every hash
-    partition, and "every output artifact" includes intermediates
-    (only the append-only ``dead_letter`` audit log is exempt).
+    The committed high-water mark stays (a forgotten url may have set
+    it; shrinking it would re-classify other urls' ingested rows as
+    new), and so does the persisted hot-url list (increment routing).
+    The urls are also scrubbed from the ``hot_series`` intermediates;
+    only the append-only ``dead_letter`` audit log is exempt.
     """
-    from nrt_ray.pipelines import monitor_pipeline as mp
-    from nrt_ray.stages.assemble import bucket_of
-
     config = read_run_config(out_dir)
     P = int(config["num_partitions"])
     hot_sorted, m_tasks, _ = salted_layout(out_dir, config)
     hot_rank = {u: i for i, u in enumerate(hot_sorted)}
-    urls_arr = np.asarray(sorted(set(urls)), dtype=object)
-    non_hot = np.asarray([u for u in urls_arr if u not in hot_rank],
-                         dtype=object)
-    hot_forgot = [u for u in urls_arr if u in hot_rank]
-    pids = sorted(set(bucket_of(non_hot, P).tolist())) \
-        if len(non_hot) else []
-    merge_pids = sorted({P + hot_rank[u] % m_tasks
-                         for u in hot_forgot}) if hot_forgot else []
-    # hash pids first; merge pids stay committed until after the
-    # run_pipeline rebuild so its resume-skip keeps the one-shot merge
-    # phase (which replays stale hot_series intermediates) disabled
-    manifest.uncommit_partitions(out_dir, pids)
-
-    def drop_urls(t: pa.Table) -> pa.Table:
-        drop = pc.is_in(t.column("url"),
-                        value_set=pa.array(urls_arr, pa.string(),
-                                           from_pandas=True))
-        return t.filter(pc.invert(drop))
-
-    flat = mp.ingest_webtext(input_path) \
-        .map_batches(drop_urls, batch_format="pyarrow")
-    summary = {"partitions_processed": 0}
-    if pids:
-        summary = mp.run_pipeline(
-            input_path, out_dir, **run_settings(config),
-            resume=True, run_id=run_id, flat_dataset=flat,
-            # hash-partition rebuilds must keep deferring the (still
-            # live) hot urls to the merge phase, exactly as one-shot
-            hot_urls=set(hot_sorted) or None,
-            reduce_num_cpus=reduce_num_cpus)
-
-    if merge_pids:
-        # rebuild each affected merge partition from SOURCE: the flat
-        # stream filtered to that merge task's REMAINING urls (ranks —
-        # and therefore routing for the other hot urls — are preserved
-        # by keeping the persisted list intact)
-        manifest.uncommit_partitions(out_dir, merge_pids)
-        n_rebuilt = _rebuild_merge_partitions(
-            out_dir, config, hot_sorted, m_tasks, merge_pids, flat,
-            run_id, exclude=frozenset(hot_forgot))
-        summary["partitions_processed"] = \
-            int(summary["partitions_processed"]) + n_rebuilt
-
-    # scrub forgotten HOT urls out of the one-shot hot_series
-    # intermediates (after the rebuilds: the hash-pid rebuild rewrites
-    # its own pids' files from the already-filtered flat stream, so the
-    # scrub only has the untouched partitions left to clean)
-    scrubbed = _scrub_hot_series(out_dir, hot_forgot) if hot_forgot else 0
-
-    # a partition whose every url was forgotten gets no exchange rows →
-    # its stale tables must be dropped and an empty commit recorded
-    still_open = (set(pids) | set(merge_pids)) \
-        - manifest.committed_partitions(out_dir)
-    for pid in sorted(still_open):
-        manifest.persist_partition(out_dir, run_id, pid, dict.fromkeys(
-            ["state", "alerts", "segments"]
-            + [f"rollup_{t['name']}" for t in config["tiers"]]), {
-            "num_partitions": P, "row_counts": {"input": 0},
-            "strategy": config["strategy"],
-            "high_water_us": int(config["high_water_us"]),
-            "forgotten_empty": True,
-        })
+    urls = sorted(set(urls))
+    hot_forgot = [u for u in urls if u in hot_rank]
+    cold = [u for u in urls if u not in hot_rank]
+    records = {r["partition_id"]: r for r in manifest.load_manifest(out_dir)
+               if r.get("committed")}
+    pids = sorted(({P + hot_rank[u] % m_tasks for u in hot_forgot}
+                   | set(bucket_of(cold, P).tolist()))
+                  & records.keys())
+    tables = ["state", "alerts", "segments"] \
+        + [f"rollup_{t['name']}" for t in config["tiers"]]
+    done = ray.get([_forget_partition.remote(
+        out_dir, run_id, tables, pid, records[pid], urls) for pid in pids])
     return {
-        "partitions_rebuilt": int(summary["partitions_processed"]),
-        "partitions_emptied": len(still_open),
-        "urls_forgotten": int(len(urls_arr)),
-        "affected_pids": pids + merge_pids,
-        "hot_series_files_scrubbed": int(scrubbed),
+        "urls_forgotten": len(urls),
+        "affected_pids": pids,
+        "partitions_rewritten": done.count("rewritten"),
+        "partitions_emptied": done.count("emptied"),
+        "hot_series_files_scrubbed":
+            _scrub_hot_series(out_dir, hot_forgot) if hot_forgot else 0,
     }
 
 
@@ -771,9 +716,9 @@ def run_backfill(out_dir: str, input_path, run_id: str = "backfill",
 
     ``input_path`` must cover EVERYTHING the run has ingested INCLUDING
     the late rows' source batches (original input plus every increment
-    batch — ``read_parquet`` accepts a list), the same contract as
-    ``run_forget``: affected partitions rebuild from source, and the
-    dead-letter table is only used to locate them (its url set hashes
+    batch — ``read_parquet`` accepts a list): affected partitions
+    rebuild from source, and the dead-letter table is only used to
+    locate them (its url set hashes
     to exactly the partitions whose state is missing late data).  The
     result is identical to a fresh one-shot run over the combined
     input; untouched partitions are never recomputed or rewritten.
@@ -781,14 +726,13 @@ def run_backfill(out_dir: str, input_path, run_id: str = "backfill",
     On success the applied dead-letter files are moved to
     ``dead_letter_applied/{run_id}/`` (append-only audit, never
     re-applied).  Salted runs: a hot url's late rows map to its MERGE
-    partition, which rebuilds from source like ``run_forget``'s path.
+    partition, which rebuilds from source
+    (:func:`_rebuild_merge_partitions`).
     Returns a summary dict.
     """
-    import ray as _ray
     import ray.data as _rd
 
     from nrt_ray.pipelines import monitor_pipeline as mp
-    from nrt_ray.stages.assemble import add_bucket_column, bucket_of
 
     config = read_run_config(out_dir)
     P = int(config["num_partitions"])

@@ -236,7 +236,9 @@ def verify_store(out_dir: str, repair: bool = False) -> dict:
     issue (removes its manifest record): the next resumed
     ``run_pipeline`` over the original input rebuilds exactly those
     partitions — corruption recovery reuses the engine's normal
-    resume path, no special rebuild code.
+    resume path, no special rebuild code.  A partition an interrupted
+    ``run_forget`` left half-written is mended by rerunning the forget,
+    which reads no input and would not bring the urls back.
     """
     records = {r["partition_id"]: r for r in manifest.load_manifest(out_dir)
                if r.get("committed")}

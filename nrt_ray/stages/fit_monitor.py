@@ -30,7 +30,7 @@ from nrt_ray.util import full as nrfull
 from nrt_ray.kernels import fit as fit_kernels
 from nrt_ray.kernels import regressors
 from nrt_ray.kernels.monitors import (MONITORED, MONITOR_REGISTRY, TOO_SHORT,
-                                      BaseMonitor, MoSum)
+                                      BaseMonitor)
 from nrt_ray.stages.assemble import padded_matrices
 
 US = 1_000_000
@@ -374,14 +374,16 @@ class SeriesFitMonitor:
         return pa.table(cols)
 
     def restore(self, state: pa.Table) -> BaseMonitor:
-        """Rebuild a monitor from a state table (resume path)."""
+        """Rebuild a monitor from a state table (resume path).  List
+        columns pass as rows: MoSum's windows are ragged, each url's at
+        its own ``winsize``, and ``from_state`` pads them."""
         cols = {}
         for name in state.column_names:
             if name in ("url", "strategy"):
                 continue
             col = state.column(name)
             if pa.types.is_list(col.type):
-                cols[name] = np.array(col.to_pylist(), dtype=np.float64)
+                cols[name] = col.to_pylist()
             else:
                 cols[name] = col.to_numpy(zero_copy_only=False)
         cls = MONITOR_REGISTRY[self.strategy]

@@ -20,7 +20,7 @@ place, so a kill at any point leaves either a fully committed partition
 (skipped on resume) or an uncommitted one (recomputed; its possibly
 half-written temp files are ignored by readers and overwritten).  Every
 writer — flagship reduce, hot-url merge, increment, continuous
-checkpoint, retier and forget/backfill — commits through
+checkpoint, retier, forget and backfill — commits through
 :func:`persist_partition`, so every record carries the same keys.
 """
 
@@ -174,9 +174,10 @@ def check_partitioning(out_dir: str, num_partitions: int) -> None:
 
 def uncommit_partitions(out_dir: str, pids) -> list[int]:
     """Remove the commit records for ``pids`` so a resumed run rebuilds
-    them (the forget/rebuild path).  Output tables stay on disk until
-    the rebuild overwrites them — a crash between uncommit and rebuild
-    is safe: the partitions simply rebuild on the next resume."""
+    them: used by backfill and by ``verify_store(repair=True)`` only.
+    Output tables stay on disk until the rebuild overwrites them — a
+    crash between uncommit and rebuild is safe: the partitions simply
+    rebuild on the next resume."""
     d = os.path.join(out_dir, MANIFEST_DIR)
     removed = []
     for pid in pids:

@@ -180,3 +180,37 @@ def test_cli_retier_fsck(tmp_path):
     dec = _run(["decode", "--out", "out", "--tier", "4w",
                 "--dest", "dec"], d)
     assert dec["points"] == s["rollup_points"]
+
+
+def test_cli_forget_reads_no_input_then_fsck(tmp_path):
+    """``forget`` takes no ``--input``: the store's input is deleted
+    first, the urls leave every table (a retiered tier included), and
+    ``fsck`` finds the store consistent."""
+    import shutil
+
+    d = str(tmp_path)
+    gen = subprocess.run(
+        [sys.executable, "-m", "nrt_ray.cli", "generate",
+         "--out", "wt", "--urls", "20", "--seed", "9"],
+        cwd=d, env=dict(os.environ, PYTHONPATH="/root/repo"),
+        capture_output=True, text=True, timeout=300)
+    assert gen.returncode == 0, gen.stderr[-2000:]
+    _run(["run", "--input", "wt/webtext.parquet", "--out", "out",
+          "--strategy", "CUSUM", "--partitions", "3"], d)
+    _run(["retier", "--out", "out", "--tier", "4w",
+          "--width-s", str(4 * 7 * 86400), "--source", "1w"], d)
+    urls = sorted(set(pq.read_table(os.path.join(
+        d, "wt", "webtext.parquet"), columns=["url"])
+        .column("url").to_pylist()))[:2]
+    shutil.rmtree(os.path.join(d, "wt"))
+
+    s = _run(["forget", "--out", "out", "--urls"] + urls, d)
+    assert s["urls_forgotten"] == 2
+    assert s["partitions_rewritten"] + s["partitions_emptied"] >= 1
+    for table in ("state", "alerts", "segments", "rollup_1w", "rollup_4w"):
+        left = pq.read_table(os.path.join(d, "out", table),
+                             columns=["url"]).column("url").to_pylist()
+        assert not set(left) & set(urls), table
+
+    rep = _run(["fsck", "--out", "out"], d)
+    assert rep["partitions"] == 3 and rep["ok"] == 3 and not rep["issues"]

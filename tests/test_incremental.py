@@ -449,3 +449,68 @@ def test_retention_advance_reencodes_fill_only_changes(ray_session,
         assert a.column(col).to_pylist() == b.column(col).to_pylist(), col
     np.testing.assert_allclose(a.column("mean").to_numpy(),
                                b.column("mean").to_numpy(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_mosum_increment_adds_urls(ray_session, tmp_path, mode):
+    """A MoSum store keeps taking increments after one brings in urls
+    with no stored state: each url's ring buffer is stored at its own
+    ``winsize``, so the restored windows of the old and the new urls
+    stack, and a second increment runs.  The store then equals a
+    one-shot run over the same rows."""
+    from nrt_ray.pipelines.continuous import ContinuousMonitor
+
+    d = tmp_path / "wt"
+    info = synthetic.generate_webtext(str(d), n_urls=32, seed=43)
+    t = pq.read_table(info["webtext"])
+    urls = t.column("url").to_pandas().to_numpy(dtype=object)
+    ts = t.column("warc_ts").cast(pa.int64()).to_numpy()
+    cuts = [int(np.datetime64(c, "us").astype(np.int64))
+            for c in ("2021-09-01", "2021-11-01")]
+    # two urls start after the first cut: increment 1 brings them in
+    late_urls = np.unique(urls)[[3, 17]]
+    keep = ~(np.isin(urls, late_urls) & (ts <= cuts[0]))
+    t, ts = t.filter(pa.array(keep)), ts[keep]
+    pieces = [ts <= cuts[0], (ts > cuts[0]) & (ts <= cuts[1]),
+              ts > cuts[1]]
+    paths = []
+    for i, sel in enumerate(pieces):
+        paths.append(str(d / f"chunk{i}.parquet"))
+        pq.write_table(t.filter(pa.array(sel)), paths[-1])
+    pq.write_table(t, str(d / "all.parquet"))
+    common = dict(strategy="MOSUM", monitor_params={"trend": False},
+                  monitor_start="2021-01-01", num_partitions=3,
+                  tiers=(rollup.TierSpec("1d"),))
+
+    out = str(tmp_path / "inc")
+    mp.run_pipeline(paths[0], out, **common)
+    if mode == "discrete":
+        for p in paths[1:]:
+            inc.run_increment(out, mp.ingest_webtext(p))
+    else:
+        cm = ContinuousMonitor(out, pool=2)
+        try:
+            for p in paths[1:]:
+                cm.ingest(mp.ingest_webtext(p))
+                cm.checkpoint()
+        finally:
+            cm.close()
+    ref = str(tmp_path / "ref")
+    mp.run_pipeline(str(d / "all.parquet"), ref, **common)
+
+    sa = _by_url(mp.read_output_table(out, "state"))
+    sb = _by_url(mp.read_output_table(ref, "state"))
+    assert set(late_urls) <= set(sa.column("url").to_pylist())
+    for col in ("url", "status", "detection_date", "histsize", "n",
+                "winsize"):
+        assert sa.column(col).to_pylist() == sb.column(col).to_pylist(), col
+    wa, wb = sa.column("window").to_pylist(), sb.column("window").to_pylist()
+    assert [len(w) for w in wa] == sa.column("winsize").to_pylist()
+    assert [len(w) for w in wa] == [len(w) for w in wb]
+    for col, a, b in (("process", sa.column("process").to_pylist(),
+                       sb.column("process").to_pylist()),
+                      ("window", [x for w in wa for x in w],
+                       [x for w in wb for x in w])):
+        np.testing.assert_allclose(np.array(a, np.float64),
+                                   np.array(b, np.float64), rtol=1e-12,
+                                   atol=1e-14, err_msg=col)

@@ -290,11 +290,16 @@ def test_auto_threshold_detection(ray_session, skewed_webtext):
 
 def test_salted_forget_hot_and_cold(ray_session, skewed_webtext,
                                     tmp_path):
-    """run_forget on a salted run: forgetting the hot url rebuilds its
-    merge partition from source; forgetting a normal url rebuilds its
-    hash partition with hot deferral intact — outputs equal a salted
-    run over the filtered input at the same high-water mark."""
+    """run_forget on a salted run: forgetting the hot url filters its
+    merge partition; forgetting a normal url filters its hash partition
+    — outputs equal a salted run over the filtered input at the same
+    high-water mark.  The store is built from a copy of the input that
+    is deleted before the forget, so the forget reads no input."""
+    import os
+    import shutil
+
     from nrt_ray.pipelines import incremental as inc
+    from nrt_ray.pipelines import retier
 
     path, hot_rows = skewed_webtext
     t = pq.read_table(path)
@@ -307,19 +312,24 @@ def test_salted_forget_hot_and_cold(ray_session, skewed_webtext,
                   tiers=TIERS, hot_urls=hot)
 
     out = str(tmp_path / "out")
-    mp.run_pipeline(path, out, **common)
+    copy = str(tmp_path / "input.parquet")
+    shutil.copy(path, copy)
+    mp.run_pipeline(copy, out, **common)
+    os.remove(copy)
     hw = inc.read_run_config(out)["high_water_us"]
 
-    s = inc.run_forget(out, path, [hot_url, cold_url])
+    s = inc.run_forget(out, [hot_url, cold_url])
     assert s["urls_forgotten"] == 2
     P = common["num_partitions"]
     assert any(p >= P for p in s["affected_pids"])   # merge pid touched
     assert any(p < P for p in s["affected_pids"])    # hash pid touched
+    assert s["partitions_rewritten"] + s["partitions_emptied"] \
+        == len(s["affected_pids"])
+    assert retier.verify_store(out)["issues"] == []
 
     # right-to-be-forgotten reaches the one-shot hot_series
     # intermediates too: no surviving file may still hold the hot url
     import glob
-    import os
     assert s["hot_series_files_scrubbed"] >= 1
     for f in glob.glob(os.path.join(out, "hot_series", "part=*",
                                     "part.parquet")):
