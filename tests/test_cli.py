@@ -189,10 +189,11 @@ def test_cli_forget_reads_no_input_then_fsck(tmp_path):
     import shutil
 
     d = str(tmp_path)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     gen = subprocess.run(
         [sys.executable, "-m", "nrt_ray.cli", "generate",
          "--out", "wt", "--urls", "20", "--seed", "9"],
-        cwd=d, env=dict(os.environ, PYTHONPATH="/root/repo"),
+        cwd=d, env=dict(os.environ, PYTHONPATH=root),
         capture_output=True, text=True, timeout=300)
     assert gen.returncode == 0, gen.stderr[-2000:]
     _run(["run", "--input", "wt/webtext.parquet", "--out", "out",
