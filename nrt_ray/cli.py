@@ -392,13 +392,15 @@ def main(argv=None) -> int:
                 f1 = pc_.field("seg_start") < np.datetime64(args.t1, "us")
                 flt = f1 if flt is None else (flt & f1)
             tier = args.tier
+            from nrt_ray.pipelines.incremental import read_run_config
+            from nrt_ray.pipelines.monitor_pipeline import window_starts
+            cfg = read_run_config(args.out)
+            window = window_starts(cfg)
             if args.max_points is not None:
                 if t0_us is None or t1_us is None:
                     raise SystemExit("decode: --max-points needs --t0 "
                                      "and --t1")
-                from nrt_ray.pipelines.incremental import read_run_config
                 from nrt_ray.stages.rollup import TierSpec, choose_tier
-                cfg = read_run_config(args.out)
                 tiers = [TierSpec(**t) for t in cfg["tiers"]]
                 tier = choose_tier(tiers, t0_us, t1_us,
                                    args.max_points,
@@ -409,8 +411,8 @@ def main(argv=None) -> int:
                 flt = ft if flt is None else (flt & ft)
             ds = ray.data.read_parquet(
                 f"{args.out}/segments", filter=flt).map_batches(
-                lambda t: decode_segments_table(t, tier=tier,
-                                                t0_us=t0_us, t1_us=t1_us),
+                lambda t: decode_segments_table(t, tier=tier, t0_us=t0_us,
+                                                t1_us=t1_us, window=window),
                 batch_format="pyarrow")
             ds.write_parquet(args.dest)
             import pyarrow.dataset as pds_

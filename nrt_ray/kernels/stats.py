@@ -14,35 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def masked_normal_equations(X: np.ndarray, y: np.ndarray,
-                            weights: np.ndarray | None = None):
-    """Batched normal equations for per-column missing data.
-
-    For each series (column of ``y``), solving OLS on the subset of rows
-    where ``y`` is finite is algebraically identical to solving
-    ``(Xᵀ W X) β = Xᵀ W y`` with a 0/1 row-weight matrix ``W`` — which
-    vectorizes across all series with one einsum + one batched solve.
-
-    Args:
-        X: ``(n, k)`` design matrix shared by all series.
-        y: ``(n, m)`` observations, NaN = missing.
-        weights: optional ``(n, m)`` nonnegative weights (combined with the
-            NaN mask); used by the IRLS fit.
-
-    Returns:
-        (XtX ``(m, k, k)``, Xty ``(m, k)``, valid ``(n, m)`` bool)
-    """
-    valid = np.isfinite(y)
-    w = valid.astype(np.float64)
-    if weights is not None:
-        w = w * weights
-    y0 = np.where(valid, y, 0.0)
-    # XtX[m] = Xᵀ diag(w[:, m]) X  ;  Xty[m] = Xᵀ (w*y)[:, m]
-    XtX = np.einsum("nk,nm,nj->mkj", X, w, X, optimize=True)
-    Xty = np.einsum("nk,nm->mk", X, w * y0, optimize=True)
-    return XtX, Xty, valid
-
-
 def nanlstsq(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """NaN-aware least squares, vectorized over series.
 

@@ -60,9 +60,9 @@ class PartitionMonitorActor:
                                            new_high_water_us=0)
         # pid -> artifacts; "segments" are the last checkpointed
         self.cache: dict[int, dict] = {}
-        # dirty pid -> its newest artifacts, "changed" holding every url
-        # changed since the last checkpoint
-        self.pending: dict[int, dict] = {}
+        # dirty pid -> (its newest artifacts, "changed" holding every url
+        # changed since the last checkpoint; the mark they were built at)
+        self.pending: dict[int, tuple[dict, int]] = {}
         self._warm: dict = {}              # pid -> Future (prefetch)
 
     def _artifacts(self, pid: int) -> dict:
@@ -89,48 +89,39 @@ class PartitionMonitorActor:
         ex.shutdown(wait=False)
         return len(pids)
 
-    def apply(self, pid: int, new_hw_us: int, *tables) -> dict:
-        """Apply one micro-batch's slice for ``pid``; returns summary."""
+    def apply(self, pid: int, new_hw_us: int, *tables) -> dict | None:
+        """Apply one micro-batch's slice for ``pid``; returns summary, or
+        None for a slice without rows (the partition is left as it is:
+        readers apply retention at the store's mark)."""
         import time
         t0 = time.perf_counter()
         parts = [t for t in tables if t is not None and t.num_rows]
-        self.proc.new_hw = new_hw_us
         if not parts:
-            # no new rows: advance retention on cached artifacts so the
-            # new high-water mark applies everywhere (one-shot parity)
-            old = self._artifacts(pid)
-            art = self.proc.sweep_update(old)
-            if art is None:
-                return {"pid": pid, "input_rows": 0, "rollup_points": 0,
-                        "elapsed_s": round(time.perf_counter() - t0, 4),
-                        "load_s": 0.0}
-            t_load = 0.0
-        else:
-            group = pa.concat_tables(parts)
-            old = self._artifacts(pid)
-            t_load = time.perf_counter() - t0
-            art = self.proc.update_partition(group, old)
+            return None
+        self.proc.new_hw = new_hw_us
+        art = self.proc.update_partition(pa.concat_tables(parts),
+                                         self._artifacts(pid))
         # cache the new artifacts for the next micro-batch (what
         # load_partition would return; segments stay the checkpointed)
         self.cache[pid] = {"state": art["state"], "tiers": art["tiers"],
                            "segments": art["segments"]}
-        before = self.pending.get(pid, {"changed": {}})["changed"]
-        art["changed"] = {name: np.union1d(before.get(name, ()), urls)
-                          for name, urls in art["changed"].items()}
-        self.pending[pid] = art
+        if pid in self.pending:
+            before = self.pending[pid][0]["changed"]
+            art["changed"] = {name: np.union1d(before.get(name, ()), urls)
+                              for name, urls in art["changed"].items()}
+        self.pending[pid] = art, new_hw_us
         return {"pid": pid, "input_rows": art["input_rows"],
                 "rollup_points": art["rollup_points"],
-                "elapsed_s": round(time.perf_counter() - t0, 4),
-                "load_s": round(t_load, 4)}
+                "elapsed_s": round(time.perf_counter() - t0, 4)}
 
-    def checkpoint(self, run_id: str, high_water_us: int) -> list[dict]:
+    def checkpoint(self, run_id: str) -> list[dict]:
         """Flush dirty partitions via atomic writes + manifest commits,
-        encoding each one's segments."""
+        encoding each one's segments; each commit records the mark of
+        the last batch that touched it, which its tiers are trimmed at."""
         out = []
         self.proc.run_id = run_id
-        self.proc.new_hw = high_water_us
         for pid in sorted(self.pending):
-            art = self.pending.pop(pid)
+            art, self.proc.new_hw = self.pending.pop(pid)
             checksum = self.proc.persist_partition(pid, art)
             self.cache[pid]["segments"] = art["segments"]
             out.append({"pid": pid, "state_checksum": checksum})
@@ -139,6 +130,11 @@ class PartitionMonitorActor:
 
 class ContinuousMonitor:
     """Driver-side handle for the actor-pool continuous mode.
+
+    A micro-batch updates only the partitions its rows route to; a
+    partition without rows is neither touched nor flushed, and serves
+    the newer window anyway, because readers apply retention at the
+    mark the checkpoint commits.
 
     Usage::
 
@@ -192,7 +188,7 @@ class ContinuousMonitor:
         refs = [self.actors[pid % self.pool].apply.remote(
                     pid, new_hw, *[s[pid] for s in parts])
                 for pid in range(self.P_total)]
-        summaries = ray.get(refs)
+        summaries = [s for s in ray.get(refs) if s is not None]
         self.high_water_us = new_hw
         self.batches_applied += 1
         return {
@@ -212,7 +208,7 @@ class ContinuousMonitor:
     def checkpoint(self, run_id: str = "continuous") -> dict:
         """Flush all cached dirty partitions + commit the new high-water
         mark; after this, a crash replays nothing."""
-        commits = ray.get([a.checkpoint.remote(run_id, self.high_water_us)
+        commits = ray.get([a.checkpoint.remote(run_id)
                            for a in self.actors])
         flushed = [c for per_actor in commits for c in per_actor]
         self.config["high_water_us"] = self.high_water_us

@@ -19,10 +19,16 @@ report back):
 * rollup tiers are merged append-only: new buckets follow each url's
   stored ones, and only the boundary bucket combines (counts/sums add,
   min/min, max/max, ``last`` = newest since ingest is monotone); an
-  out-of-order bucket raises.  Retention is re-trimmed at the new
-  high-water mark (each series keeps its anchor); gap-fill is derived on
-  read, so the gap between a series' previous last bucket and its first
-  new bucket fills with the same linear semantics as a one-shot run.
+  out-of-order bucket raises.  A rewritten partition's tiers are
+  re-trimmed at the new high-water mark (each series keeps its anchor);
+  gap-fill is derived on read, so the gap between a series' previous
+  last bucket and its first new bucket fills with the same linear
+  semantics as a one-shot run,
+* only the partitions the batch's rows touch are loaded and rewritten.
+  Readers apply the retention window at the store's committed mark, so
+  a partition without new rows keeps the stored rows, segments and
+  commit record of the older mark it was last written at, and still
+  serves what a one-shot run at the new mark serves.
 
 Float caveat (documented semantics): a bucket whose observations span an
 increment boundary accumulates its sum as ``sum_old + sum_new``, which can
@@ -171,7 +177,7 @@ class PartitionWriter:
 
     # -- rollup merge ---------------------------------------------------
 
-    def _merge_tier(self, old: pa.Table | None, series: pa.Table | None,
+    def _merge_tier(self, old: pa.Table | None, series: pa.Table,
                     tier: rollup.TierSpec, hw: int):
         """Append one tier's new observed buckets to its stored rows at
         mark ``hw``; returns ``(merged_table, changed_urls, (served
@@ -187,20 +193,16 @@ class PartitionWriter:
         to every url's stored rows, touched or not; a new bucket before
         its url's last stored bucket raises.  Retention is re-trimmed
         at the new mark (each url keeps its anchor).  ``changed_urls``
-        (touched ∪ urls whose stored rows or served count moved — served
-        counts from the gap lengths, no fill materialized) tells the
+        (touched ∪ urls whose stored rows the trim moved) tells the
         segment stage which (url, tier) payloads to re-encode; the rest
-        are reused byte-identical.  ``series=None`` only advances
-        retention; ``old=None`` builds the tier fresh.  At least one of
-        ``old`` and ``series`` is given.
+        are reused byte-identical, and readers cut their served span at
+        the store's mark.  ``old=None`` builds the tier fresh.
         """
-        rolled = []                       # (rolled dict, per-series urls)
-        if old is not None:
-            rolled.append(rollup.table_rolled(old))
-        if series is not None:
-            (_, new, urls, _), = rollup.observed_rolled(
-                series, [rollup.TierSpec(tier.name, tier.width_us)], hw)
-            rolled.append((new, urls.combine_chunks()))
+        (_, new, urls, _), = rollup.observed_rolled(
+            series, [rollup.TierSpec(tier.name, tier.width_us)], hw)
+        # (rolled dict, per-series urls), stored rows first
+        rolled = [] if old is None else [rollup.table_rolled(old)]
+        rolled.append((new, urls.combine_chunks()))
         keys = ("bucket_ts", "count", "sum", "mean", "min", "max", "last")
         # one sorted url dictionary; each row keyed by its url's rank
         dictionary = pc.unique(pa.chunked_array(
@@ -238,20 +240,14 @@ class PartitionWriter:
         merged = rollup.trim_for_retention(cat, tier.width_us,
                                            tier.retention_us, hw)
         runs = rollup.served_runs(merged, tier, hw)
-        # changed: touched, or stored rows / served count moved
+        # changed: touched, or stored rows trimmed
         nu = len(dictionary)
         changed = np.zeros(nu, bool)
-        if series is not None:
-            changed[pc.index_in(series.column("url"),
-                                value_set=dictionary).to_numpy()] = True
+        changed[pc.index_in(series.column("url"),
+                            value_set=dictionary).to_numpy()] = True
         if old is not None:
-            (r, _), old_rank = rolled[0], ranks[0]
-            old_hw = (rollup.tier_meta(old) or (None, None))[1]
-            changed |= (np.bincount(old_rank, minlength=nu)
+            changed |= (np.bincount(ranks[0], minlength=nu)
                         != np.bincount(merged["series_idx"], minlength=nu))
-            changed |= (np.bincount(old_rank, rollup.served_runs(
-                r, tier, old_hw)[2], nu)
-                != np.bincount(merged["series_idx"], runs[2], nu))
         return (rollup.tag_tier(rollup.tier_table(merged, dictionary), tier,
                                 hw),
                 dictionary.filter(pa.array(changed))
@@ -370,30 +366,6 @@ class IncrementProcessor(PartitionWriter):
         series = assemble_series(group)
         return self.update_series(series, old, group.num_rows, self.new_hw)
 
-    def sweep_update(self, old: dict) -> dict | None:
-        """Pure retention advance for a partition with NO new rows this
-        increment (one-shot equivalence requires every partition to see
-        the new high-water mark, not just the ones with data): the tier
-        merge with no new rows.  Returns the new artifacts, or None when
-        no url changed (nothing needs rewriting)."""
-        if old["state"] is None:
-            return None
-        merged = {tier.name: self._merge_tier(old["tiers"][tier.name],
-                                              None, tier, self.new_hw)
-                  for tier in self.tiers
-                  if old["tiers"].get(tier.name) is not None}
-        if not any(len(m[1]) for m in merged.values()):
-            return None
-        return self._artifacts(old, old["state"], merged, 0, 0)
-
-    def sweep_partition(self, pid: int) -> bool:
-        """Disk-backed :meth:`sweep_update`; returns True if rewritten."""
-        art = self.sweep_update(self.load_partition(pid))
-        if art is None:
-            return False
-        self.persist_partition(pid, art)
-        return True
-
     def persist_partition(self, pid: int, art: dict) -> str:
         """Commit an increment's artifacts; returns the state checksum."""
         return super().persist_partition(pid, art, increment=True)
@@ -506,21 +478,19 @@ def route_new(block: pa.Table, high_water_us: int, num_partitions: int,
     return add_bucket_column(new, num_partitions, merge_route=merge_route)
 
 
-@ray.remote
-def _increment_partition(proc, pid: int, sweep: bool, *tables):
-    """One partition's increment (:func:`reduce_tables`): its new rows
-    through ``proc``, else the retention sweep if the mark advanced
-    (``sweep``).  Returns its lineage row, or ``{"swept": bool}``."""
-    return reduce_tables(
-        proc, lambda: {"swept": sweep and proc.sweep_partition(pid)},
-        *tables)
+#: one partition's increment task: its new rows through the processor;
+#: a partition without rows returns None, nothing loaded or written
+_increment_partition = ray.remote(reduce_tables)
 
 
 def run_increment(out_dir: str, flat_dataset, run_id: str = "incr") -> dict:
     """Apply a new batch of observations to an existing pipeline output.
 
     One :func:`split_batch` hop, then one task per partition
-    (:func:`_increment_partition`).
+    (``_increment_partition``): a partition the batch's rows touch is
+    loaded, updated and rewritten, any other is neither loaded nor
+    written.  The new mark is committed last; readers apply retention
+    at it, so the partitions left as they were serve the new window too.
 
     Args:
         out_dir: output directory of a previous ``run_pipeline`` call that
@@ -533,22 +503,19 @@ def run_increment(out_dir: str, flat_dataset, run_id: str = "incr") -> dict:
     """
     config = read_run_config(out_dir)
     P = config["num_partitions"]
-    old_hw = config["high_water_us"]
     hot_sorted, m_tasks, P_total = salted_layout(out_dir, config)
     # strictly-forward contract: rows at or before the mark are late
     parts, late_rows, new_hw = split_batch(
-        flat_dataset, old_hw, out_dir, P,
+        flat_dataset, config["high_water_us"], out_dir, P,
         (hot_sorted, m_tasks) if m_tasks else None, P_total)
     proc = IncrementProcessor(out_dir, run_id, config, new_hw)
-    out = ray.get([_increment_partition.remote(
-        proc, pid, new_hw > old_hw, *[s[pid] for s in parts])
-        for pid in range(P_total)])
-    rows = [r for r in out if "pid" in r]
+    rows = [r for r in ray.get([_increment_partition.remote(
+        proc, None, *[s[pid] for s in parts]) for pid in range(P_total)])
+        if r is not None]
     config["high_water_us"] = new_hw
     write_run_config(out_dir, config)
     return {
         "partitions_processed": len(rows),
-        "partitions_swept": sum(r.get("swept", False) for r in out),
         "input_rows": int(sum(r["input_rows"] for r in rows)),
         "rollup_points": int(sum(r["rollup_points"] for r in rows)),
         "late_rows": int(late_rows),
@@ -581,10 +548,11 @@ def _rebuild_merge_partitions(out_dir: str, config: dict, hot_sorted,
                               m_tasks: int, merge_pids, flat,
                               run_id) -> int:
     """Rebuild the given merge partitions from SOURCE (the ``flat``
-    stream), each filtered to its task's hot urls — increment-proof,
-    unlike replaying the one-shot hot_series intermediates.  Returns
-    how many partitions were rebuilt."""
+    stream), each filtered to its task's hot urls that no forget removed
+    — increment-proof, unlike replaying the one-shot hot_series
+    intermediates.  Returns how many partitions were rebuilt."""
     P = int(config["num_partitions"])
+    forgotten = set(config.get("forgotten_urls", ()))
     processor_kwargs = dict(run_settings(config), out_dir=out_dir,
                             run_id=run_id)
     rebuild_remote = ray.remote(_merge_rebuild)
@@ -594,7 +562,8 @@ def _rebuild_merge_partitions(out_dir: str, config: dict, hot_sorted,
     blocks = list(_iter_block_refs(flat))
     futs = [rebuild_remote.remote(
         mpid, processor_kwargs,
-        {u for i, u in enumerate(hot_sorted) if i % m_tasks == mpid - P},
+        {u for i, u in enumerate(hot_sorted)
+         if i % m_tasks == mpid - P and u not in forgotten},
         *blocks) for mpid in sorted(merge_pids)]
     return sum(1 for res in ray.get(futs) if res is not None)
 
@@ -673,6 +642,12 @@ def run_forget(out_dir: str, urls, run_id: str = "forget") -> dict:
     (:func:`_forget_partition`): no input is read, nothing is rebuilt,
     and a rerun finishes an interrupted forget.
 
+    Before any partition is written, the urls join the run config's
+    sorted ``forgotten_urls``: a resumed ``run_pipeline`` (the rebuild
+    after ``verify_store(repair=True)``, or a backfill's) drops their
+    rows, so no rebuild brings them back.  Increments do not consult
+    the list.
+
     The committed high-water mark stays (a forgotten url may have set
     it; shrinking it would re-classify other urls' ingested rows as
     new), and so does the persisted hot-url list (increment routing).
@@ -684,6 +659,10 @@ def run_forget(out_dir: str, urls, run_id: str = "forget") -> dict:
     hot_sorted, m_tasks, _ = salted_layout(out_dir, config)
     hot_rank = {u: i for i, u in enumerate(hot_sorted)}
     urls = sorted(set(urls))
+    forgotten = sorted(set(config.get("forgotten_urls", ())) | set(urls))
+    if forgotten != config.get("forgotten_urls"):
+        config["forgotten_urls"] = forgotten
+        write_run_config(out_dir, config)
     hot_forgot = [u for u in urls if u in hot_rank]
     cold = [u for u in urls if u not in hot_rank]
     records = {r["partition_id"]: r for r in manifest.load_manifest(out_dir)

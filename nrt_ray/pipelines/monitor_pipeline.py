@@ -49,7 +49,9 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from nrt_ray.pipelines.incremental import NOTHING, PartitionWriter
+from nrt_ray.pipelines.incremental import (NOTHING, PartitionWriter,
+                                           read_run_config,
+                                           write_run_config)
 from nrt_ray.sources.extract import ExtractSignal, timestamp_features
 from nrt_ray.stages import rollup
 from nrt_ray.stages.assemble import add_bucket_column, assemble_series
@@ -567,19 +569,22 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
         high_water_us = int(pa.scalar(hw, pa.timestamp("us"))
                             .cast(pa.int64()).as_py())
 
-    if hot_urls is None and resume:
+    prev = {}
+    if resume:
+        try:
+            prev = read_run_config(out_dir)
+        except (OSError, ValueError):
+            pass
+    if hot_urls is None and "hot_urls" in prev \
+            and int(prev.get("num_partitions", -1)) == num_partitions:
         # an existing store pins its salting layout: reuse the persisted
         # hot set (possibly empty) instead of re-detecting — re-salting
         # mid-life would scatter a url's state across inconsistent pids
-        try:
-            from nrt_ray.pipelines.incremental import read_run_config
-            prev = read_run_config(out_dir)
-            if "hot_urls" in prev \
-                    and int(prev.get("num_partitions", -1)) \
-                    == num_partitions:
-                hot_urls = prev["hot_urls"]
-        except (OSError, ValueError, KeyError):
-            pass
+        hot_urls = prev["hot_urls"]
+    # urls a forget removed stay out of every partition a resumed run
+    # rebuilds (say after fsck repair uncommitted one)
+    forgotten = prev.get("forgotten_urls", [])
+    forgotten_arr = pa.array(forgotten, pa.string()) if forgotten else None
     detect_ref = None
     salt_detect_sec = None
     if hot_urls is None and salt_threshold:
@@ -641,6 +646,9 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
         if committed_arr is not None:
             t = t.filter(pc.invert(pc.is_in(
                 t.column("pid"), value_set=committed_arr)))
+        if forgotten_arr is not None:
+            t = t.filter(pc.invert(pc.is_in(
+                t.column("url"), value_set=forgotten_arr)))
         return t
 
     tables = exchange_map_groups(
@@ -664,20 +672,13 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
                                           num_partitions)
             rows += [row for t in merged for row in t.to_pylist()]
 
-    from nrt_ray.pipelines.incremental import write_run_config
     hw_cfg = high_water_us if high_water_us is not None else \
         max((int(r["max_ts_us"]) for r in rows), default=0)
-    if high_water_us is None and skipped:
+    if high_water_us is None and skipped and prev.get("high_water_us"):
         # resumed run: partitions committed earlier are absent from `rows`,
         # so merge with the previous run config's high-water mark — else a
         # later increment would re-classify already-ingested rows as new
-        try:
-            from nrt_ray.pipelines.incremental import read_run_config
-            prev_hw = read_run_config(out_dir).get("high_water_us")
-            if prev_hw:
-                hw_cfg = max(hw_cfg, int(prev_hw))
-        except (OSError, ValueError, KeyError):
-            pass
+        hw_cfg = max(hw_cfg, int(prev["high_water_us"]))
     write_run_config(out_dir, {
         "strategy": strategy, "monitor_start": monitor_start,
         "num_partitions": num_partitions,
@@ -695,6 +696,7 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
         "num_merge_tasks": (max(1, min(DEFAULT_MERGE_TASKS,
                                        len(hot_urls)))
                             if hot_urls else 0),
+        "forgotten_urls": forgotten,
     })
     summary = {
         "run_id": run_id,
@@ -749,11 +751,21 @@ def top_recent_breaks(out_dir: str, k: int = 100):
                        descending=[True, False]).limit(k)
 
 
+def window_starts(config: dict) -> dict:
+    """``{tier: first served bucket}`` at a store's committed mark, from
+    its run config: the retention cut every segment reader applies
+    (``window`` of :func:`compress.decode_segments_table`)."""
+    hw = int(config["high_water_us"])
+    return {t["name"]: rollup.window_start(t["width_us"], t["retention_us"],
+                                           hw) for t in config["tiers"]}
+
+
 def read_output_table(out_dir: str, table: str):
     """Read a pipeline output table back as one pyarrow Table (test/report
     helper; partitions are concatenated in pid order).  ``rollup_*``
     tables come back as served: the stored observed buckets gap-filled
-    and retention-trimmed on read (:func:`rollup.serve_tier_table`)."""
+    and retention-trimmed on read at the store's committed mark, or each
+    file's own without a run config (:func:`rollup.serve_tier_table`)."""
     import pyarrow.parquet as pq
     base = os.path.join(out_dir, table)
     parts = []
@@ -764,7 +776,10 @@ def read_output_table(out_dir: str, table: str):
             if os.path.exists(f):
                 parts.append(pq.read_table(f))
     if table.startswith("rollup_"):
-        parts = [rollup.serve_tier_table(p) for p in parts]
+        hw = read_run_config(out_dir)["high_water_us"] if os.path.exists(
+            os.path.join(out_dir, manifest.MANIFEST_DIR, "run.json")) \
+            else None
+        parts = [rollup.serve_tier_table(p, hw) for p in parts]
     if not parts:
         return None
     return pa.concat_tables(parts)
@@ -790,12 +805,12 @@ def lookup_url(out_dir: str, url: str) -> dict:
     files, and return the url's monitor state plus per-tier decoded
     point counts and the latest rollup point per tier.  The whole read
     touches ``|tables|`` files regardless of P or corpus size — the
-    serving-path complement to the scan-shaped queries.
+    serving-path complement to the scan-shaped queries.  Points are
+    served at the store's committed mark (:func:`window_starts`).
 
     Salted runs serve too: a hot url reads its merge partition (the
     persisted ``P + sorted_rank % M`` routing), everything else its
     hash partition."""
-    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     from nrt_ray.pipelines.incremental import read_run_config
@@ -825,13 +840,13 @@ def lookup_url(out_dir: str, url: str) -> dict:
     if seg is not None:
         mine = seg.filter(pc.equal(seg.column("url"), url))
         if mine.num_rows:
-            pts = decode_segments_table(mine)
+            pts = decode_segments_table(mine, window=window_starts(config))
             ts = pts.column("bucket_ts").cast(pa.int64()) \
                 .to_numpy(zero_copy_only=False)
             mean = pts.column("mean").to_numpy(zero_copy_only=False)
             # per-tier masks on the Arrow column: the served points
             # (fills included) never become Python objects
-            for t in sorted(set(mine.column("tier").to_pylist())):
+            for t in sorted(pc.unique(pts.column("tier")).to_pylist()):
                 m = pc.equal(pts.column("tier"), t) \
                     .to_numpy(zero_copy_only=False)
                 last = int(np.argmax(np.where(m, ts,
@@ -852,9 +867,9 @@ def read_url_range(out_dir: str, url: str, t0_us: int, t1_us: int,
     budget (:func:`nrt_ray.stages.rollup.choose_tier`), decode ONLY
     that url's segments overlapping the range (segment metadata prunes
     before any payload decodes), and return the (bucket_ts, mean)
-    series.  Still O(1) files read at any P or corpus size; on salted
-    runs a hot url reads its merge partition (persisted routing)."""
-    import pyarrow.compute as pc
+    series at the store's committed mark.  Still O(1) files read at any
+    P or corpus size; on salted runs a hot url reads its merge partition
+    (persisted routing)."""
     import pyarrow.parquet as pq
 
     from nrt_ray.pipelines.incremental import read_run_config
@@ -879,8 +894,8 @@ def read_url_range(out_dir: str, url: str, t0_us: int, t1_us: int,
         pc.equal(seg.column("tier"), tier.name)))
     if not mine.num_rows:
         return out
-    pts = decode_segments_table(mine, tier=tier.name,
-                                t0_us=t0_us, t1_us=t1_us)
+    pts = decode_segments_table(mine, tier=tier.name, t0_us=t0_us,
+                                t1_us=t1_us, window=window_starts(config))
     ts = pts.column("bucket_ts").cast(pa.int64()) \
         .to_numpy(zero_copy_only=False)
     mean = pts.column("mean").to_numpy(zero_copy_only=False)

@@ -26,8 +26,10 @@ the incremental merge documents at ``incremental.py:24-28``):
   the engine's documented float caveat for any out-of-order
   accumulation, identical to the increment-boundary case.
 
-Retention trimming and segment encoding then run through the SAME
-kernels as the flagship (`rollup.trim_for_retention`,
+The source tier is read as served at the store's committed mark, so a
+partition no increment rewrote since an older mark composes what a
+current one does.  Retention trimming and segment encoding then run
+through the SAME kernels as the flagship (`rollup.trim_for_retention`,
 `compress.segments_from_rollups`), and the new tier stores observed
 buckets only — its gap-fill is derived on read like every tier's — so it
 is served by the existing lookup / decode / choose_tier paths with no
@@ -60,13 +62,15 @@ from nrt_ray.stages import compress, rollup
 from nrt_ray.state import manifest
 
 
-def compose_rolled(src: pa.Table, width_us: int) -> dict:
+def compose_rolled(src: pa.Table, width_us: int,
+                   high_water_us: int | None) -> dict:
     """Compose a coarser ``rolled`` dict (rollup_flat layout) from a
     persisted finer tier table.  Only served observations count: the
-    source's retention anchor (stored, never served) is dropped at the
-    source's own high-water mark, and so are the gap-filled rows
-    (count==0) of a tier file that still holds them."""
-    meta = rollup.tier_meta(src)
+    source's retention window, at ``high_water_us`` (the store's mark;
+    the file's own when None), drops its anchor and any older mark's
+    wider window, and so are the gap-filled rows (count==0) of a tier
+    file that still holds them."""
+    meta = rollup.tier_meta(src, high_water_us)
     if meta is not None and src.num_rows:
         tier, hw = meta
         rows = rollup.apply_retention(
@@ -130,7 +134,7 @@ def retier_partition(out_dir: str, pid: int, new_tier: rollup.TierSpec,
     src_path = os.path.join(manifest.partition_dir(
         out_dir, f"rollup_{source}", pid), "part.parquet")
     src = pq.read_table(src_path)
-    rolled, uurls = compose_rolled(src, new_tier.width_us)
+    rolled, uurls = compose_rolled(src, new_tier.width_us, high_water_us)
     if high_water_us is None:
         high_water_us = int(rolled["bucket_ts"].max()) \
             if len(rolled["bucket_ts"]) else 0
@@ -229,16 +233,17 @@ def verify_store(out_dir: str, repair: bool = False) -> dict:
     file); every per-table row count recorded at commit
     time matches the file on disk (tier files: stored rows, retention
     anchors included); every segment decodes and serves ``n_points``
-    points.  One Ray task per partition.
+    points at the mark it was written at.  One Ray task per partition.
     Returns ``{"partitions": N, "ok": M, "issues": [...]}.``
 
     ``repair=True`` additionally UNCOMMITS every partition with an
     issue (removes its manifest record): the next resumed
     ``run_pipeline`` over the original input rebuilds exactly those
     partitions — corruption recovery reuses the engine's normal
-    resume path, no special rebuild code.  A partition an interrupted
-    ``run_forget`` left half-written is mended by rerunning the forget,
-    which reads no input and would not bring the urls back.
+    resume path, no special rebuild code.  The rebuild drops the run
+    config's ``forgotten_urls``, so a partition an interrupted
+    ``run_forget`` left half-written comes back without them; rerunning
+    the forget mends it too, without reading any input.
     """
     records = {r["partition_id"]: r for r in manifest.load_manifest(out_dir)
                if r.get("committed")}

@@ -451,13 +451,19 @@ def _encode_tier(tier_name: str, table: pa.Table, max_points: int,
 
 def decode_segments_table(segments, tier: str | None = None,
                           t0_us: int | None = None,
-                          t1_us: int | None = None):
+                          t1_us: int | None = None,
+                          window: dict | None = None):
     """Decode a segment table back to served rollup points — the
     storage-layer read path (``(url, tier, bucket_ts, mean)`` rows):
     each row's stored points, the linear gap-fill between them
     (:func:`nrt_ray.stages.rollup.gapfill_linear` with the row's
     ``width_us``/``max_gap``), cut to the row's served span
     ``[seg_start, seg_end]``.
+
+    ``window`` maps a tier name to its first served bucket at the
+    store's committed mark (:func:`nrt_ray.stages.rollup.window_start`),
+    which cuts the wider span of a segment encoded at an older mark;
+    without it each row serves its own span, exact for a one-shot store.
 
     Runs fine inside ``map_batches`` over segment batches: each row
     decodes independently, so the read path scales exactly like the
@@ -486,12 +492,23 @@ def decode_segments_table(segments, tier: str | None = None,
                 "their block size (v1 'dod+xor') or hold materialized "
                 "gap-fill (v2) — re-encode the store (any increment "
                 "re-encodes touched partitions automatically).")
+    # each row's served span [lo, hi], cut to the window and the range
+    lo = segments.column("seg_start").cast(pa.int64()) \
+        .to_numpy(zero_copy_only=False)
+    hi = segments.column("seg_end").cast(pa.int64()) \
+        .to_numpy(zero_copy_only=False)
+    for name, start in (window or {}).items():
+        if start is not None:
+            lo = np.where(pc.equal(segments.column("tier"), name)
+                          .to_numpy(zero_copy_only=False),
+                          np.maximum(lo, start), lo)
     if t0_us is not None:
-        segments = segments.filter(pc.greater_equal(
-            segments.column("seg_end").cast(pa.int64()), t0_us))
+        lo = np.maximum(lo, t0_us)
     if t1_us is not None:
-        segments = segments.filter(pc.less(
-            segments.column("seg_start").cast(pa.int64()), t1_us))
+        hi = np.minimum(hi, t1_us - 1)
+    live = lo <= hi
+    if not live.all():
+        segments, lo, hi = segments.filter(pa.array(live)), lo[live], hi[live]
     decoded = [(decode_dod(bts), decode_xor(bval)) for bts, bval in zip(
         segments.column("payload_ts").to_pylist(),
         segments.column("payload_value").to_pylist())]
@@ -519,15 +536,7 @@ def decode_segments_table(segments, tier: str | None = None,
         if len(filled) > 1:
             order = np.argsort(row, kind="stable")
             row, ts, mean = row[order], ts[order], mean[order]
-    lo = segments.column("seg_start").cast(pa.int64()) \
-        .to_numpy(zero_copy_only=False)
-    hi = segments.column("seg_end").cast(pa.int64()) \
-        .to_numpy(zero_copy_only=False)
     m = (ts >= lo[row]) & (ts <= hi[row])
-    if t0_us is not None:
-        m &= ts >= t0_us
-    if t1_us is not None:
-        m &= ts < t1_us
     row, ts, mean = row[m], ts[m], mean[m]
     return pa.table({
         "url": segments.column("url").take(pa.array(row)),

@@ -14,11 +14,12 @@ implementation in ``tests/test_rollup.py``):
   same url get ``count = 0, gapfilled = true`` and a linearly interpolated
   ``mean`` (on the bucket index axis); ``min/max/last`` are null.
 * *Retention*: per tier, buckets whose end falls more than ``retention``
-  before the url's (or dataset's) high-water mark are dropped after being
-  rolled into coarser tiers.
+  before the dataset's high-water mark are dropped after being rolled
+  into coarser tiers (:func:`window_start` holds the rule).
 * *Stored vs served*: a store persists only the observed buckets plus
   each series' retention anchor (:func:`observed_tier_tables`); gap-fill
-  and retention run when a tier is read (:func:`serve_tier_table`).
+  and retention run when a tier is read (:func:`serve_tier_table`), the
+  retention at the store's committed mark.
   :func:`rollup_series_table` is the two halves composed — the served
   view, unchanged bit for bit.
 
@@ -171,28 +172,39 @@ def gapfill_linear(rolled: dict, width_us: int, max_gap: int | None = None):
     return out
 
 
+def window_start(width_us: int, retention_us: int | None,
+                 high_water_us: int) -> int | None:
+    """The retention window rule, the one place it lives: the first
+    bucket a tier serves at mark ``high_water_us`` — the bucket holding
+    ``high_water − retention``, so every bucket that ends after it is
+    served.  None for a tier that keeps every bucket."""
+    if retention_us is None:
+        return None
+    return (high_water_us - retention_us) // width_us * width_us
+
+
 def apply_retention(rolled: dict, width_us: int, retention_us: int | None,
                     high_water_us: int):
-    """Drop buckets entirely older than ``high_water − retention``."""
-    if retention_us is None:
+    """Drop buckets before the :func:`window_start` at ``high_water``."""
+    start = window_start(width_us, retention_us, high_water_us)
+    if start is None:
         return rolled
-    cutoff = high_water_us - retention_us
-    keep = rolled["bucket_ts"] + width_us > cutoff
+    keep = rolled["bucket_ts"] >= start
     return {k: v[keep] for k, v in rolled.items()}
 
 
 def trim_for_retention(rolled: dict, width_us: int,
                        retention_us: int | None, high_water_us: int):
     """Pre-gapfill retention trim: drop observed buckets outside the
-    retention window EXCEPT each series' last bucket before the cutoff
+    retention window EXCEPT each series' last bucket before the window
     (the left interpolation anchor), so gap-fill inside the window is
     bit-identical to gap-filling the full history first — without
     materializing millions of fill rows that retention would discard.
     """
-    if retention_us is None:
+    start = window_start(width_us, retention_us, high_water_us)
+    if start is None:
         return rolled
-    cutoff = high_water_us - retention_us
-    in_window = rolled["bucket_ts"] + width_us > cutoff
+    in_window = rolled["bucket_ts"] >= start
     sidx = rolled["series_idx"]
     # a bucket is the left anchor iff it is out-of-window and its successor
     # within the same series is in-window (rows are series/bucket sorted)
@@ -244,16 +256,18 @@ DEFAULT_TIERS = (
 TIER_META = b"nrt_ray.tier"
 
 
-def tier_meta(table: pa.Table):
-    """``(TierSpec, high_water_us)`` of a stored tier table, or None for
-    a table that carries no tier metadata (a served view, or a tier file
-    written before stores kept observed buckets only)."""
+def tier_meta(table: pa.Table, high_water_us: int | None = None):
+    """``(TierSpec, mark)`` of a stored tier table, or None for a table
+    that carries no tier metadata (a served view, or a tier file written
+    before stores kept observed buckets only).  The mark is
+    ``high_water_us`` when given (a reader's store mark), else the one
+    the file was trimmed at."""
     raw = (table.schema.metadata or {}).get(TIER_META)
     if raw is None:
         return None
     d = json.loads(raw)
     hw = d.pop("high_water_us")
-    return TierSpec(**d), hw
+    return TierSpec(**d), hw if high_water_us is None else high_water_us
 
 
 def tag_tier(table: pa.Table, tier: TierSpec,
@@ -317,12 +331,12 @@ def served_runs(rolled: dict, tier: TierSpec, high_water_us: int | None):
     nmiss = np.zeros(len(bts), np.int64)
     nmiss[:-1] = _gap_lengths(sidx, bts, w, tier.fill_gap)
     last = bts + nmiss * w
-    if tier.retention_us is None:
+    start = window_start(w, tier.retention_us, high_water_us)
+    if start is None:
         return bts, last, nmiss + 1
-    # positions j = 0..nmiss sit at bts + j·w; apply_retention keeps
-    # bucket_ts > high_water − retention − width
-    lo = high_water_us - tier.retention_us - w
-    skip = np.maximum((lo - bts) // w + 1, 0)
+    # positions j = 0..nmiss sit at bts + j·w; the first served is the
+    # first at or after the window start
+    skip = np.maximum(-((bts - start) // w), 0)
     return bts + skip * w, last, np.maximum(nmiss + 1 - skip, 0)
 
 
@@ -386,12 +400,15 @@ def observed_tier_tables(series: pa.Table, tiers=DEFAULT_TIERS,
             observed_rolled(series, tiers, high_water_us)}
 
 
-def serve_tier_table(table: pa.Table) -> pa.Table:
+def serve_tier_table(table: pa.Table,
+                     high_water_us: int | None = None) -> pa.Table:
     """The read half: a stored tier table's served view — linear gap-fill
-    between its observed buckets, then retention at its high-water mark
-    (which drops the anchor row).  A table without tier metadata is
-    returned as it is: it already is a served view."""
-    meta = tier_meta(table)
+    between its observed buckets, then retention (which drops the anchor
+    row) at ``high_water_us``, the store's committed mark: it cuts the
+    wider window of a file written at an older mark.  With no mark the
+    file's own applies, exact for a one-shot store.  A table without
+    tier metadata is returned as it is: it already is a served view."""
+    meta = tier_meta(table, high_water_us)
     if meta is None:
         return table
     rolled, urls = table_rolled(table)
@@ -428,8 +445,8 @@ def choose_tier(tiers, t0_us: int, t1_us: int, max_points: int,
     first listed.
 
     A tier with a retention policy is only ELIGIBLE when its retained
-    window still covers ``t0`` (``now_us`` — normally the run's
-    committed high-water mark — minus ``retention_us``): a 90-day 1-hour
+    window still covers ``t0`` (its :func:`window_start` at ``now_us``,
+    normally the run's committed high-water mark): a 90-day 1-hour
     tier cannot serve last year's data no matter how well it fits the
     point budget.  Pass ``now_us=None`` to skip the retention check.
 
@@ -441,8 +458,9 @@ def choose_tier(tiers, t0_us: int, t1_us: int, max_points: int,
         raise ValueError("need t1 > t0 and max_points > 0")
 
     def eligible(t):
-        return (now_us is None or t.retention_us is None
-                or now_us - t.retention_us <= t0_us)
+        start = None if now_us is None else \
+            window_start(t.width_us, t.retention_us, now_us)
+        return start is None or start <= t0_us
 
     cands = [t for t in tiers if eligible(t)] or list(tiers)
     span = t1_us - t0_us

@@ -180,3 +180,41 @@ def test_forget_rerun_finishes_an_interrupted_forget(ray_session, tmp_path):
     assert retier.verify_store(out)["issues"] == []
     assert url not in mp.read_output_table(out, "state") \
         .column("url").to_pylist()
+
+
+def test_repair_rebuild_keeps_forgotten_urls_out(ray_session, tmp_path):
+    """An interrupted forget (filtered files, the pre-forget commit
+    record) repaired the fsck way: ``verify_store(repair=True)``
+    uncommits the partition and a resumed ``run_pipeline`` over the
+    original input rebuilds it.  The forget recorded its urls in the run
+    config first, so the rebuild leaves the url out of every table."""
+    import shutil
+
+    from nrt_ray.pipelines import retier
+    from nrt_ray.stages.assemble import bucket_of
+
+    info = synthetic.generate_webtext(str(tmp_path / "wt"), n_urls=20,
+                                      seed=71)
+    out = str(tmp_path / "out")
+    mp.run_pipeline(info["webtext"], out, **COMMON)
+    url = sorted(set(pq.read_table(info["webtext"], columns=["url"])
+                     .column("url").to_pylist()))[0]
+    pid = int(bucket_of([url], COMMON["num_partitions"])[0])
+    rec = os.path.join(out, manifest.MANIFEST_DIR, f"partition-{pid:05d}.json")
+    shutil.copy(rec, str(tmp_path / "record.json"))
+
+    inc.run_forget(out, [url])
+    assert inc.read_run_config(out)["forgotten_urls"] == [url]
+    shutil.copy(str(tmp_path / "record.json"), rec)     # the lost commit
+    assert retier.verify_store(out, repair=True)["uncommitted"] == [pid]
+
+    s = mp.run_pipeline(info["webtext"], out, resume=True, **COMMON)
+    assert s["partitions_processed"] == 1
+    assert inc.read_run_config(out)["forgotten_urls"] == [url]
+    assert retier.verify_store(out)["issues"] == []
+    for table in ["state", "alerts", "segments"] + [
+            f"rollup_{t.name}" for t in TIERS]:
+        got = mp.read_output_table(out, table)
+        assert got is None or url not in got.column("url").to_pylist(), \
+            table
+    assert mp.lookup_url(out, url)["tiers"] == {}

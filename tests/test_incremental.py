@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
@@ -206,11 +207,37 @@ def test_ingest_relative_path_after_chdir(ray_session, split_webtext,
     assert got == [want, want]
 
 
+def _tier_files(root: str, pid: int) -> dict:
+    """``{tier: stored table}`` of one partition."""
+    return {t.name: pq.read_table(os.path.join(
+        root, f"rollup_{t.name}", f"part={pid}", "part.parquet"))
+        for t in TIERS}
+
+
+def _served_points(root: str) -> pa.Table:
+    """Every decoded segment point at the store's mark, sorted."""
+    from nrt_ray.stages import compress as cz
+    pts = cz.decode_segments_table(
+        mp.read_output_table(root, "segments"),
+        window=mp.window_starts(inc.read_run_config(root)))
+    return pts.take(pc.sort_indices(pts, sort_keys=[
+        ("url", "ascending"), ("tier", "ascending"),
+        ("bucket_ts", "ascending")]))
+
+
+def _assert_same_points(a: pa.Table, b: pa.Table) -> None:
+    for col in ("url", "tier", "bucket_ts"):
+        assert a.column(col).to_pylist() == b.column(col).to_pylist(), col
+    np.testing.assert_allclose(a.column("mean").to_numpy(),
+                               b.column("mean").to_numpy(), rtol=1e-12)
+
+
 def test_sparse_increment_reuses_segments(ray_session, tmp_path):
-    """An increment touching a FEW urls must (a) still produce outputs
-    identical to the one-shot run — including compressed segment BYTES —
-    and (b) only re-encode the touched urls' segments (O(touched)
-    increments)."""
+    """An increment touching a FEW urls (a) serves what the one-shot run
+    serves — tiers and decoded segment points at the store's mark — and
+    (b) re-encodes exactly the chunks of the urls it touched or whose
+    stored rows its retention trim moved (O(touched) increments); a
+    partition without rows is not rewritten."""
     from unittest import mock
 
     from nrt_ray.stages import compress as cz
@@ -239,8 +266,8 @@ def test_sparse_increment_reuses_segments(ray_session, tmp_path):
                   tiers=TIERS)
     mp.run_pipeline(str(d / "all.parquet"), str(tmp_path / "full"),
                     **common)
-    mp.run_pipeline(str(d / "early.parquet"), str(tmp_path / "inc"),
-                    **common)
+    inc_dir = str(tmp_path / "inc")
+    mp.run_pipeline(str(d / "early.parquet"), inc_dir, **common)
 
     n_encoded = {"n": 0}
     real_encode = cz.encode_chunks
@@ -249,62 +276,58 @@ def test_sparse_increment_reuses_segments(ray_session, tmp_path):
         n_encoded["n"] += len(cs)            # chunks, one per segment
         return real_encode(ts, mean, cs, pe)
 
-    # drive the per-partition update IN-PROCESS (what the exchange's
-    # reduce tasks run) so the encode-counting mock can observe it
+    # drive the per-partition update IN-PROCESS (what the increment's
+    # partition tasks run) so the encode-counting mock can observe it
     from nrt_ray.stages.assemble import add_bucket_column
-    cfg = inc.read_run_config(str(tmp_path / "inc"))
+    cfg = inc.read_run_config(inc_dir)
     flat = mp.ingest_webtext(str(d / "late.parquet")).materialize()
     ft = pa.concat_tables([b for b in
                            flat.iter_batches(batch_format="pyarrow")],
                           promote_options="default")
     ft = add_bucket_column(ft, cfg["num_partitions"])
     new_hw = int(pc.max(ft.column("warc_ts")).cast(pa.int64()).as_py())
-    proc = inc.IncrementProcessor(str(tmp_path / "inc"), "incr", cfg,
-                                  new_hw)
-    total = 0
-    swept = 0
+    proc = inc.IncrementProcessor(inc_dir, "incr", cfg, new_hw)
+    groups = {pid: ft.filter(pc.equal(ft.column("pid"), pid))
+              for pid in range(cfg["num_partitions"])}
+    touched = {pid for pid, g in groups.items() if g.num_rows}
+    untouched = set(groups) - touched
+    assert touched and untouched
+    before = {pid: _tier_files(inc_dir, pid) for pid in groups}
     with mock.patch.object(cz, "encode_chunks", counting_encode):
-        for pid in range(cfg["num_partitions"]):
-            group = ft.filter(pc.equal(ft.column("pid"), pid))
-            if group.num_rows:
-                proc(group)
-                total += group.num_rows
-            else:
-                # empty partitions get the retention sweep (the new
-                # high-water mark applies everywhere)
-                swept += proc.sweep_partition(pid)
+        for pid in sorted(touched):
+            proc(groups[pid])
     cfg["high_water_us"] = new_hw
-    inc.write_run_config(str(tmp_path / "inc"), cfg)
-    assert total > 0 and swept >= 1
+    inc.write_run_config(inc_dir, cfg)
 
-    # (b) fewer encodes than a full rebuild (~40 urls × 2 tiers = 80):
-    # only the touched urls plus the retention-trimmed untouched urls
-    # (the 1w tier's advancing cutoff legitimately dirties more, incl.
-    # the swept empty partition's urls)
-    assert 0 < n_encoded["n"] < 60
+    # (b) the chunks of touched ∪ trimmed urls, one per served (url,
+    # tier) at most 4096 stored rows
+    want = 0
+    for pid in touched:
+        for name, new in _tier_files(inc_dir, pid).items():
+            old = before[pid][name]
+            n_old, n_new = (dict(zip(*np.unique(
+                x.column("url").to_pylist(), return_counts=True)))
+                for x in (old, new))
+            changed = set(groups[pid].column("url").to_pylist()) | {
+                u for u in n_old.keys() | n_new.keys()
+                if n_old.get(u) != n_new.get(u)}
+            want += len(changed & n_new.keys())
+    assert 0 < n_encoded["n"] == want
+    for pid in untouched:
+        for name, old in before[pid].items():
+            assert _tier_files(inc_dir, pid)[name].equals(old)
 
-    # (a) outputs identical to one-shot, segments byte-for-byte
+    # (a) served views equal the one-shot run's at the store's mark
     for name in ("rollup_1d", "rollup_1w"):
         ta = _by_url(mp.read_output_table(str(tmp_path / "full"), name),
                      extra=("bucket_ts",))
-        tb = _by_url(mp.read_output_table(str(tmp_path / "inc"), name),
+        tb = _by_url(mp.read_output_table(inc_dir, name),
                      extra=("bucket_ts",))
         assert ta.num_rows == tb.num_rows
         for col in ("url", "bucket_ts", "count", "gapfilled"):
             assert ta.column(col).to_pylist() == tb.column(col).to_pylist()
-    sa = mp.read_output_table(str(tmp_path / "full"), "segments")
-    sb = mp.read_output_table(str(tmp_path / "inc"), "segments")
-    key = [("tier", "ascending"), ("url", "ascending"),
-           ("seg_start", "ascending")]
-    sa = sa.take(pc.sort_indices(sa, sort_keys=key))
-    sb = sb.take(pc.sort_indices(sb, sort_keys=key))
-    assert sa.num_rows == sb.num_rows
-    for col in ("url", "tier", "seg_start", "seg_end", "n_points"):
-        assert sa.column(col).to_pylist() == sb.column(col).to_pylist(), col
-    assert sa.column("payload_ts").to_pylist() == \
-        sb.column("payload_ts").to_pylist()
-    assert sa.column("payload_value").to_pylist() == \
-        sb.column("payload_value").to_pylist()
+    _assert_same_points(_served_points(str(tmp_path / "full")),
+                        _served_points(inc_dir))
 
 
 def test_legacy_codec_store_migrates_on_increment(ray_session,
@@ -416,9 +439,11 @@ def test_retention_advance_reencodes_fill_only_changes(ray_session,
                                                        tmp_path):
     """A small high-water advance moves the 1h window's start inside
     filled gaps: untouched urls keep their stored rows but serve fewer
-    fills, so their segments must be re-encoded — decoded segments equal
-    a one-shot run's."""
-    from nrt_ray.stages import compress as cz
+    fills.  The advance re-encodes none of those fill-only changes —
+    only the touched url and the urls whose stored rows the trim moved —
+    and the readers' cut at the store's mark still serves the one-shot
+    run's points."""
+    import glob
 
     d, _ = split_webtext
     common = dict(strategy="EWMA", monitor_params={"trend": False},
@@ -434,21 +459,48 @@ def test_retention_advance_reencodes_fill_only_changes(ray_session,
 
     out, ref = str(tmp_path / "out"), str(tmp_path / "ref")
     mp.run_pipeline(str(d / "early.parquet"), out, **common)
+
+    def segments(root):
+        seg = mp.read_output_table(root, "segments")
+        return seg.take(pc.sort_indices(seg, sort_keys=[
+            ("url", "ascending"), ("tier", "ascending"),
+            ("seg_start", "ascending")]))
+
+    def stored_rows(root):
+        n = Counter()
+        for f in glob.glob(os.path.join(root, "rollup_*", "part=*",
+                                        "part.parquet")):
+            tier = f.split("rollup_")[1].split(os.sep)[0]
+            for u in pq.read_table(f).column("url").to_pylist():
+                n[tier, u] += 1
+        return n
+
+    old, n_old = segments(out), stored_rows(out)
     inc.run_increment(out, mp.ingest_webtext(str(tmp_path / "one.parquet")))
     mp.run_pipeline(str(tmp_path / "all.parquet"), ref, **common)
+    new, n_new = segments(out), stored_rows(out)
 
-    def decoded(root):
-        pts = cz.decode_segments_table(mp.read_output_table(root,
-                                                            "segments"))
-        return pts.take(pc.sort_indices(pts, sort_keys=[
-            ("url", "ascending"), ("tier", "ascending"),
-            ("bucket_ts", "ascending")]))
+    url = first.column("url")[0].as_py()
+    moved = {k for k in n_old.keys() | n_new.keys()
+             if n_old[k] != n_new[k]} | {(t.name, url) for t in TIERS_1H}
+    assert len(moved) > len(TIERS_1H)
 
-    a, b = decoded(ref), decoded(out)
-    for col in ("url", "tier", "bucket_ts"):
-        assert a.column(col).to_pylist() == b.column(col).to_pylist(), col
-    np.testing.assert_allclose(a.column("mean").to_numpy(),
-                               b.column("mean").to_numpy(), rtol=1e-12)
+    def rest(seg):
+        return seg.filter(pa.array([
+            (t, u) not in moved for t, u in zip(
+                seg.column("tier").to_pylist(),
+                seg.column("url").to_pylist())]))
+
+    assert rest(old).equals(rest(new))              # nothing re-encoded
+    # yet some of them serve fewer 1h points at the new mark than their
+    # segment metadata (written at the old one) records
+    n_points = [Counter() for _ in range(2)]
+    for n, seg in zip(n_points, (segments(ref), rest(new))):
+        for u, k in zip(*seg.filter(pc.field("tier") == "1h").select(
+                ["url", "n_points"]).to_pydict().values()):
+            n[u] += k
+    assert any(k != n_points[0][u] for u, k in n_points[1].items())
+    _assert_same_points(_served_points(ref), _served_points(out))
 
 
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])
@@ -514,3 +566,114 @@ def test_mosum_increment_adds_urls(ray_session, tmp_path, mode):
         np.testing.assert_allclose(np.array(a, np.float64),
                                    np.array(b, np.float64), rtol=1e-12,
                                    atol=1e-14, err_msg=col)
+
+
+def _partition_files(root: str) -> dict:
+    """``{pid: {path: bytes}}``: every table file and commit record."""
+    import glob
+    out = {}
+    for f in glob.glob(os.path.join(root, "*", "part=*", "part.parquet")) \
+            + glob.glob(os.path.join(root, "manifest", "partition-*.json")):
+        pid = int(f.split("part=")[1].split(os.sep)[0]) if "part=" in f \
+            else int(f.rsplit("-", 1)[1].split(".")[0])
+        with open(f, "rb") as fh:
+            out.setdefault(pid, {})[os.path.relpath(f, root)] = fh.read()
+    return out
+
+
+def _close(a, b) -> bool:
+    """Equal, floats to a relative 1e-12 (boundary-bucket sums and
+    means, fitted state), through lists and dicts."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a == b or (np.isnan(a) and np.isnan(b)) \
+            or abs(a - b) <= 1e-12 * max(abs(a), abs(b)) + 1e-14
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_close(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_close, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_increment_rewrites_only_touched_partitions(ray_session,
+                                                    split_webtext, tmp_path,
+                                                    mode):
+    """Readers apply retention at the store's committed mark, so an
+    increment rewrites only the partitions its rows touch: a one-row
+    increment for one url leaves every other partition's commit record
+    and files byte-identical.  After a batch that leaves a partition
+    without rows, the store serves exactly what a one-shot run over the
+    same input, at the same mark, serves: ``state`` and every tier
+    through ``read_output_table``, ``lookup_url`` and ``read_url_range``
+    for every url."""
+    from nrt_ray.pipelines.continuous import ContinuousMonitor
+    from nrt_ray.stages.assemble import bucket_of
+
+    d, _ = split_webtext
+    P = 4
+    common = dict(strategy="CUSUM", fit_method="OLS",
+                  monitor_params={"trend": False},
+                  monitor_start="2021-01-01", num_partitions=P,
+                  tiers=TIERS_1H)
+    early = pq.read_table(str(d / "early.parquet"))
+    late = pq.read_table(str(d / "late.parquet"))
+    late = late.take(pc.sort_indices(late, sort_keys=[
+        ("warc_ts", "ascending")]))
+    one = late.slice(0, 1)
+    rest = late.filter(pc.greater(late.column("warc_ts"),
+                                  one.column("warc_ts")[0]))
+    owner = int(bucket_of(one.column("url").to_pylist(), P)[0])
+    idle = (owner + 1) % P                  # gets no row of the batch
+    batch = rest.filter(pa.array(bucket_of(
+        rest.column("url").to_pylist(), P) != idle))
+    paths = {}
+    for name, t in (("one", one), ("batch", batch),
+                    ("all", pa.concat_tables([early, one, batch]))):
+        paths[name] = str(tmp_path / f"{name}.parquet")
+        pq.write_table(t, paths[name])
+
+    out = str(tmp_path / "store")
+    mp.run_pipeline(str(d / "early.parquet"), out, **common)
+    cm = ContinuousMonitor(out, pool=2) if mode == "continuous" else None
+    try:
+        def apply(path):
+            if cm is None:
+                inc.run_increment(out, mp.ingest_webtext(path))
+            else:
+                cm.ingest(mp.ingest_webtext(path))
+                cm.checkpoint()
+
+        before = _partition_files(out)
+        apply(paths["one"])
+        after = _partition_files(out)
+        assert after.keys() == before.keys() == set(range(P))
+        for pid in range(P):
+            assert (after[pid] == before[pid]) == (pid != owner), pid
+        apply(paths["batch"])
+    finally:
+        if cm is not None:
+            cm.close()
+    assert _partition_files(out)[idle] == before[idle]
+
+    ref = str(tmp_path / "ref")
+    mp.run_pipeline(paths["all"], ref, **common)
+    hw = inc.read_run_config(out)["high_water_us"]
+    assert hw == inc.read_run_config(ref)["high_water_us"]
+    for table in ["state"] + [f"rollup_{t.name}" for t in TIERS_1H]:
+        extra = ("bucket_ts",) if table.startswith("rollup") else ()
+        a = _by_url(mp.read_output_table(ref, table), extra)
+        b = _by_url(mp.read_output_table(out, table), extra)
+        assert _close(a.to_pylist(), b.to_pylist()), table
+    day = 86400 * US
+    served = Counter()
+    for url in sorted(set(early.column("url").to_pylist())
+                      | set(late.column("url").to_pylist())):
+        assert _close(mp.lookup_url(ref, url), mp.lookup_url(out, url)), url
+        # 1h, then 1d (before the 1h window), then 1w
+        for t0, t1, budget in ((hw - 20 * day, hw, 500),
+                               (hw - 200 * day, hw - 100 * day, 500),
+                               (hw - 280 * day, hw, 60)):
+            a = mp.read_url_range(ref, url, t0, t1, budget)
+            served[a["tier"]] += a["points"]
+            assert _close(a, mp.read_url_range(out, url, t0, t1, budget))
+    assert all(served[t.name] for t in TIERS_1H)

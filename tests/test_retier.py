@@ -111,6 +111,53 @@ def test_retier_matches_fresh_run(ray_session, tmp_path):
             out, "rollup_1w", pid), "part.parquet")) == mtimes[pid]
 
 
+def test_retier_composes_at_the_store_mark(ray_session, tmp_path):
+    """An increment leaves a partition without rows untouched, so its 1h
+    tier still holds the older mark's wider window.  Retier cuts the
+    source at the store's mark before composing: the new tier's served
+    view and decoded segments equal a retier of the one-shot store,
+    the coarse bucket straddling the window start included."""
+    from nrt_ray.stages.assemble import bucket_of
+
+    info = synthetic.generate_webtext(str(tmp_path / "wt"), n_urls=40,
+                                      seed=61)
+    t = pq.read_table(info["webtext"])
+    ts = t.column("warc_ts").cast(pa.int64()).to_numpy()
+    pid = bucket_of(t.column("url").to_pylist(), P)
+    # the batch moves the mark by less than the 1h window, so partition
+    # 0's stored 1h rows reach into the new window from before it
+    cut = int(np.datetime64("2021-09-01", "us").astype(np.int64))
+    batch = (ts > cut) & (ts <= cut + 30 * 86400 * US) & (pid != 0)
+    paths = {}
+    for name, keep in (("early", ts <= cut), ("batch", batch),
+                       ("all", (ts <= cut) | batch)):
+        paths[name] = str(tmp_path / f"{name}.parquet")
+        pq.write_table(t.filter(pa.array(keep)), paths[name])
+    tiers = (rollup.DEFAULT_TIERS[0], rollup.TierSpec("1d"))
+    six = rollup.TierSpec("6h", width_us=6 * 3600 * US,
+                          retention_us=tiers[0].retention_us)
+
+    out, ref = str(tmp_path / "out"), str(tmp_path / "ref")
+    mp.run_pipeline(paths["early"], out, tiers=tiers, **BASE)
+    s = inc.run_increment(out, mp.ingest_webtext(paths["batch"]))
+    assert s["partitions_processed"] == P - 1
+    mp.run_pipeline(paths["all"], ref, tiers=tiers, **BASE)
+    for root in (out, ref):
+        retier.run_retier(root, six, source="1h")
+
+    _assert_tier_equal(_sorted(mp.read_output_table(out, "rollup_6h")),
+                       _sorted(mp.read_output_table(ref, "rollup_6h")))
+    got, want = (_sorted(compress.decode_segments_table(
+        mp.read_output_table(root, "segments"), tier="6h",
+        window=mp.window_starts(inc.read_run_config(root))))
+        for root in (out, ref))
+    assert got.column("url").to_pylist() == want.column("url").to_pylist()
+    assert got.column("bucket_ts").to_pylist() \
+        == want.column("bucket_ts").to_pylist()
+    np.testing.assert_allclose(got.column("mean").to_numpy(),
+                               want.column("mean").to_numpy(), rtol=1e-12)
+
+
 def test_retier_resume_and_increment(ray_session, tmp_path):
     d = str(tmp_path / "wt")
     info = synthetic.generate_webtext(d, n_urls=30, seed=62)
