@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import uuid
 
 import numpy as np
@@ -523,84 +524,6 @@ def run_increment(out_dir: str, flat_dataset, run_id: str = "incr") -> dict:
     }
 
 
-def _merge_rebuild(pid, kwargs, want, *blocks):
-    """One merge partition rebuilt from flat source blocks: filter to
-    the merge task's urls, tag the pid, run the fused processor."""
-    from nrt_ray.pipelines import monitor_pipeline as mp
-    parts = []
-    for b in blocks:
-        if b is None or not b.num_rows:
-            continue
-        keep = pc.is_in(b.column("url"),
-                        value_set=pa.array(sorted(want), pa.string()))
-        sub = b.filter(keep)
-        if sub.num_rows:
-            parts.append(sub)
-    if not parts:
-        return None
-    tbl = pa.concat_tables(parts, promote_options="default")
-    tbl = tbl.append_column(
-        "pid", pa.array(np.full(tbl.num_rows, pid, np.int32)))
-    return mp.PartitionProcessor(**kwargs)(tbl)
-
-
-def _rebuild_merge_partitions(out_dir: str, config: dict, hot_sorted,
-                              m_tasks: int, merge_pids, flat,
-                              run_id) -> int:
-    """Rebuild the given merge partitions from SOURCE (the ``flat``
-    stream), each filtered to its task's hot urls that no forget removed
-    — increment-proof, unlike replaying the one-shot hot_series
-    intermediates.  Returns how many partitions were rebuilt."""
-    P = int(config["num_partitions"])
-    forgotten = set(config.get("forgotten_urls", ()))
-    processor_kwargs = dict(run_settings(config), out_dir=out_dir,
-                            run_id=run_id)
-    rebuild_remote = ray.remote(_merge_rebuild)
-    # materialize the source block refs ONCE (iterating per merge
-    # partition would re-execute the flat stream) and launch every
-    # rebuild task concurrently, gathering once
-    blocks = list(_iter_block_refs(flat))
-    futs = [rebuild_remote.remote(
-        mpid, processor_kwargs,
-        {u for i, u in enumerate(hot_sorted)
-         if i % m_tasks == mpid - P and u not in forgotten},
-        *blocks) for mpid in sorted(merge_pids)]
-    return sum(1 for res in ray.get(futs) if res is not None)
-
-
-def _scrub_hot_series(out_dir: str, urls) -> int:
-    """Remove ``urls`` from every one-shot ``hot_series`` intermediate.
-
-    A salted one-shot run writes each hot url's assembled sub-series
-    aside in nearly every hash partition (``hot_series/part=*``) for the
-    merge phase to replay.  Right-to-be-forgotten covers every output
-    artifact, intermediates included — filtering the merge partitions
-    alone would leave the forgotten url's complete raw series on disk.
-    Atomic rewrite per file (tmp + rename, the manifest discipline);
-    files left empty are deleted.  Returns how many files were touched.
-    """
-    import glob
-
-    files = sorted(glob.glob(os.path.join(
-        out_dir, "hot_series", "part=*", "part.parquet")))
-    drop = pa.array(sorted(set(urls)), pa.string())
-
-    def scrub(path: str) -> int:
-        t = pq.read_table(path, use_threads=False)
-        kept = t.filter(pc.invert(pc.is_in(t.column("url"), value_set=drop)))
-        if kept.num_rows == t.num_rows:
-            return 0
-        if kept.num_rows:
-            tmp = path + f".tmp-{os.getpid()}"
-            pq.write_table(kept, tmp)
-            os.replace(tmp, path)
-        else:
-            os.remove(path)
-        return 1
-    scrub_remote = ray.remote(num_cpus=0.5)(scrub)
-    return int(sum(ray.get([scrub_remote.remote(f) for f in files])))
-
-
 @ray.remote
 def _forget_partition(out_dir: str, run_id: str, tables, pid: int,
                       record: dict, urls) -> str | None:
@@ -651,8 +574,10 @@ def run_forget(out_dir: str, urls, run_id: str = "forget") -> dict:
     The committed high-water mark stays (a forgotten url may have set
     it; shrinking it would re-classify other urls' ingested rows as
     new), and so does the persisted hot-url list (increment routing).
-    The urls are also scrubbed from the ``hot_series`` intermediates;
-    only the append-only ``dead_letter`` audit log is exempt.
+    A ``hot_series`` directory a salted run left behind (one that died
+    before its merges committed, or a store written before runs deleted
+    it) holds hot urls' raw sub-series and is deleted wholesale; only
+    the append-only ``dead_letter`` audit log is exempt.
     """
     config = read_run_config(out_dir)
     P = int(config["num_partitions"])
@@ -663,11 +588,12 @@ def run_forget(out_dir: str, urls, run_id: str = "forget") -> dict:
     if forgotten != config.get("forgotten_urls"):
         config["forgotten_urls"] = forgotten
         write_run_config(out_dir, config)
-    hot_forgot = [u for u in urls if u in hot_rank]
+    shutil.rmtree(os.path.join(out_dir, "hot_series"), ignore_errors=True)
     cold = [u for u in urls if u not in hot_rank]
     records = {r["partition_id"]: r for r in manifest.load_manifest(out_dir)
                if r.get("committed")}
-    pids = sorted(({P + hot_rank[u] % m_tasks for u in hot_forgot}
+    pids = sorted(({P + hot_rank[u] % m_tasks for u in urls
+                    if u in hot_rank}
                    | set(bucket_of(cold, P).tolist()))
                   & records.keys())
     tables = ["state", "alerts", "segments"] \
@@ -679,8 +605,6 @@ def run_forget(out_dir: str, urls, run_id: str = "forget") -> dict:
         "affected_pids": pids,
         "partitions_rewritten": done.count("rewritten"),
         "partitions_emptied": done.count("emptied"),
-        "hot_series_files_scrubbed":
-            _scrub_hot_series(out_dir, hot_forgot) if hot_forgot else 0,
     }
 
 
@@ -697,17 +621,17 @@ def run_backfill(out_dir: str, input_path, run_id: str = "backfill",
     the late rows' source batches (original input plus every increment
     batch — ``read_parquet`` accepts a list): affected partitions
     rebuild from source, and the dead-letter table is only used to
-    locate them (its url set hashes
-    to exactly the partitions whose state is missing late data).  The
-    result is identical to a fresh one-shot run over the combined
-    input; untouched partitions are never recomputed or rewritten.
+    locate them (its url set routes to exactly the partitions whose
+    state is missing late data: hash pids, and merge pids for a salted
+    run's hot urls).  Those are uncommitted and one resumed
+    ``run_pipeline`` rebuilds them, routing hot rows to their merge
+    partitions as increments do.  The result is identical to a fresh
+    one-shot run over the combined input; untouched partitions are never
+    recomputed or rewritten.
 
     On success the applied dead-letter files are moved to
     ``dead_letter_applied/{run_id}/`` (append-only audit, never
-    re-applied).  Salted runs: a hot url's late rows map to its MERGE
-    partition, which rebuilds from source
-    (:func:`_rebuild_merge_partitions`).
-    Returns a summary dict.
+    re-applied).  Returns a summary dict.
     """
     import ray.data as _rd
 
@@ -736,27 +660,13 @@ def run_backfill(out_dir: str, input_path, run_id: str = "backfill",
             .astype(np.int64)
         return pa.table({"pid": pa.array(pids)})
 
-    all_pids = sorted(int(p) for p in
-                      dl.map_batches(pid_partial, batch_format="pyarrow")
-                      .unique("pid"))
-    pids = [p for p in all_pids if p < P]
-    merge_pids = [p for p in all_pids if p >= P]
+    pids = sorted(int(p) for p in
+                  dl.map_batches(pid_partial, batch_format="pyarrow")
+                  .unique("pid"))
     manifest.uncommit_partitions(out_dir, pids)
-
-    summary = {"partitions_processed": 0}
-    if pids:
-        summary = mp.run_pipeline(
-            input_path, out_dir, **run_settings(config),
-            resume=True, run_id=run_id, reduce_num_cpus=reduce_num_cpus)
-
-    if merge_pids:
-        manifest.uncommit_partitions(out_dir, merge_pids)
-        flat = mp.ingest_webtext(input_path)
-        n_rebuilt = _rebuild_merge_partitions(
-            out_dir, config, hot_sorted, m_tasks, merge_pids, flat,
-            run_id)
-        summary["partitions_processed"] = \
-            int(summary["partitions_processed"]) + n_rebuilt
+    summary = mp.run_pipeline(
+        input_path, out_dir, **run_settings(config),
+        resume=True, run_id=run_id, reduce_num_cpus=reduce_num_cpus)
 
     # archive the applied dead-letter files (audit, never re-applied)
     applied = os.path.join(out_dir, "dead_letter_applied", run_id)
@@ -771,6 +681,6 @@ def run_backfill(out_dir: str, input_path, run_id: str = "backfill",
     return {
         "late_rows_applied": int(late_rows),
         "partitions_rebuilt": int(summary["partitions_processed"]),
-        "affected_pids": pids + merge_pids,
+        "affected_pids": pids,
         "high_water_us": int(config["high_water_us"]),
     }

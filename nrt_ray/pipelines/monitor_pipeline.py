@@ -22,23 +22,25 @@ cores`` absorbs.  For a single url exceeding partition capacity the SURVEY
 §4 salting path is ON BY DEFAULT (``salt_threshold="auto"``): detection is
 a plain task graph of url-column pruned per-file counts, key-disjoint
 hash folds and one gather (threshold = max(8× mean rows/url, half a
-mean partition share, 10k rows));
-detected (or explicitly passed) ``hot_urls`` are time-sliced across
-partitions and a tiny merge phase re-concatenates the assembled slices
-(see ``merge_hot_partitions``).  On the exchange path the detection pass
-runs OVERLAPPED with read/extract (a zero-CPU ray task whose ObjectRef
-feeds the split-side prep), so it costs almost no wall.  Pass
-``salt_threshold=None`` to disable, an int for a fixed threshold, or a
-precomputed ``hot_urls`` set (e.g. from a prior run's config) to skip
-detection entirely.  The hot-url list and merge-task count persist in
-the run config,
-so increments, continuous mode, forget, backfill and the point-read
-serving API all route hot urls to their committed merge partitions.
+mean partition share, 10k rows)), run OVERLAPPED with read/extract (its
+ObjectRef feeds the split-side prep), so it costs almost no wall.  Pass
+``salt_threshold=None`` to disable, or a fixed ``hot_urls`` set to skip
+detection.  A run that starts with nothing committed time-slices the hot
+urls across partitions, and a tiny merge phase re-concatenates the
+assembled slices (``merge_hot_partitions``) from the ``hot_series``
+intermediates, which the run deletes once the merges commit.  A run that
+starts with committed partitions (a resume, a backfill) routes hot rows
+the way increments do: straight to their merge partitions
+``P + sorted_rank % M`` in the one exchange.  The hot-url list and
+merge-task count persist in the run config, so resumes, increments,
+continuous mode, forget, backfill and the point-read serving API all
+route hot urls to their committed merge partitions.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import time
 import uuid
 from dataclasses import dataclass
@@ -168,7 +170,6 @@ def is_warc_input(input_path) -> bool:
 
 
 def ingest_webtext(input_path, verify_extract: bool = False,
-                   override_num_blocks: int | None = None,
                    aux: bool = False,
                    min_warc_ts_us: int | None = None,
                    frag_ids: dict | None = None):
@@ -214,9 +215,7 @@ def ingest_webtext(input_path, verify_extract: bool = False,
                         .cast(pa.timestamp("us")))
     if frag_ids:
         kw["include_paths"] = True
-    ds = ray.data.read_parquet(input_path, columns=columns,
-                               override_num_blocks=override_num_blocks,
-                               **kw)
+    ds = ray.data.read_parquet(input_path, columns=columns, **kw)
     # the files this read scans (nested ones too), listed without running
     files = sorted(map(os.path.abspath, ds.input_files()))
     if frag_ids:
@@ -280,52 +279,6 @@ def _input_total_rows(input_path) -> int | None:
                    for f in input_files(input_path))
     except Exception:
         return None
-
-
-def detect_hot_urls(input_path, threshold: int,
-                    flat_dataset=None) -> set[str]:
-    """Hot-key detection at a fixed threshold: per-url row counts from a
-    url-column-only pruned read (no html/text leaves storage), or from
-    ``flat_dataset`` when given, per-batch combiner → ONE url-keyed hash
-    exchange whose fold filters IN the reduce (the exchange co-locates
-    every row of a url, so per-partition counts are exact global
-    counts).  Returns urls with ≥ ``threshold`` rows.  The auto
-    threshold runs as a plain task graph instead
-    (:func:`_submit_detect_auto`).  At real scale the hot set can also
-    come from a prior run's lineage — pass it straight to
-    ``run_pipeline(hot_urls=...)``."""
-    from nrt_ray.stages.exchange import exchange_dataset
-    from nrt_ray.stages.hashagg import _pid_for_keys
-
-    ds = flat_dataset.select_columns(["url"]) if flat_dataset is not None \
-        else ray.data.read_parquet(input_path, columns=["url"])
-    nparts = 16
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("url").aggregate([("url", "count")])
-        urls = np.asarray(g.column("url").to_pylist(), dtype=object)
-        return pa.table({
-            "url": g.column("url"),
-            "n": g.column("url_count").cast(pa.int64()),
-            "pid": pa.array(_pid_for_keys(urls, nparts)),
-        })
-
-    def fold(tbl: pa.Table) -> pa.Table:
-        urls = np.asarray(tbl["url"].to_pylist(), dtype=object)
-        n = tbl["n"].to_numpy(zero_copy_only=False)
-        uk, inv = np.unique(urls, return_inverse=True)
-        acc = np.zeros(len(uk), np.int64)
-        np.add.at(acc, inv, n)
-        return pa.table({"url": pa.array(uk[acc >= threshold],
-                                         pa.string())})
-
-    def empty() -> pa.Table:
-        return pa.table({"url": pa.array([], pa.string())})
-
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=262_144)
-    return {r["url"] for r in
-            exchange_dataset(parts, nparts, fold, empty).take_all()}
 
 
 def _detect_count_file(path: str, nparts: int):
@@ -410,19 +363,25 @@ DEFAULT_SALT_SLICE_US = 8 * 7 * 86400 * 1_000_000
 DEFAULT_MERGE_TASKS = 8
 
 
+def _merge_tasks(hot_urls) -> int:
+    """Merge partitions ``M`` of a run with these hot urls (0 for none)."""
+    return max(1, min(DEFAULT_MERGE_TASKS, len(hot_urls))) if hot_urls \
+        else 0
+
+
 def merge_hot_partitions(out_dir: str, hot_urls, processor_kwargs: dict,
-                         num_partitions: int,
-                         num_merge_tasks: int = DEFAULT_MERGE_TASKS) -> list:
+                         num_partitions: int) -> list:
     """Second (tiny) phase for salted hot urls: each merge task reads the
     hot sub-series its urls left behind in every partition, concatenates
     them by time (flatten → re-assemble), and runs the SAME fused
-    processor, committing under merge pids ``P .. P+M−1``.  The heavy
+    processor, committing under merge pids ``P .. P+M−1``
+    (``run_pipeline`` then deletes the ``hot_series`` files).  The heavy
     shuffle/assembly work already happened in parallel; only the
     algorithm-inherent sequential monitor recursion runs per url here."""
     import glob
 
     hot_urls = sorted(hot_urls)
-    M = max(1, min(num_merge_tasks, len(hot_urls)))
+    M = _merge_tasks(hot_urls)
     by_task: list[list[str]] = [[] for _ in range(M)]
     for i, u in enumerate(hot_urls):
         by_task[i % M].append(u)
@@ -496,9 +455,8 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
                  high_water_us: int | None = None,
                  run_id: str | None = None,
                  flat_dataset=None,
-                 salt_threshold: int | str | None = "auto",
+                 salt_threshold: str | None = "auto",
                  hot_urls=None,
-                 salt_slice_us: int = DEFAULT_SALT_SLICE_US,
                  reduce_num_cpus: float = 1.0,
                  fragment_lineage: bool = True,
                  fault_hook=None) -> dict:
@@ -510,25 +468,31 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
         flat_dataset: optional pre-extracted flat Dataset with columns
             ``url, warc_ts, value, days, dyear`` (e.g. the events adapter).
         resume: skip partitions already committed in ``out_dir``'s manifest.
-        salt_threshold: urls with at least this many rows are
-            salted by time slice (SURVEY §4): their rows spread over many
-            partitions (no single melted reduce task), each partition
-            assembles its slice, and a tiny merge phase concatenates the
-            slices and runs fit/monitor/rollup on the full series —
-            results identical to the unsalted plan (bitwise for rollups /
-            segments / codes; last-ulp float tolerance for fitted state,
-            whose reductions run over differently-shaped padded batches).
-            Default ``"auto"``: the threshold is derived from the url
-            row-count distribution (AUTO_SALT_* knobs — skew factor,
-            partition-share fraction, absolute floor) so a skewed run
-            can't blow a partition because the operator forgot the flag.
-            Auto detection engages only for Parquet inputs, where the
-            url-column count pass is a cheap pruned read; WARC and
-            ``flat_dataset`` inputs would re-run extraction to count, so
-            they stay unsalted unless an integer threshold is passed.
-            ``None``/``0`` is the kill switch (no detection pass at all).
-        hot_urls: explicit hot-url set (skips detection) — e.g. from a
-            previous run's lineage.
+        salt_threshold: ``"auto"`` (the default) detects hot urls from
+            the url row-count distribution (AUTO_SALT_* knobs — skew
+            factor, partition-share fraction, absolute floor) so a
+            skewed run can't blow a partition because the operator
+            forgot the flag; ``None`` is the kill switch (no detection
+            pass).  Any other value raises ``ValueError``: a fixed hot
+            set goes in ``hot_urls``.  Auto detection engages only for
+            Parquet inputs, where the url-column count pass is a cheap
+            pruned read; WARC and ``flat_dataset`` inputs would re-run
+            extraction to count, so they stay unsalted unless
+            ``hot_urls`` is passed.  On a run that starts with nothing
+            committed, hot urls are salted by time slice (SURVEY §4):
+            their rows spread over many partitions (no single melted
+            reduce task), each partition assembles its slice, and a tiny
+            merge phase concatenates the slices and runs
+            fit/monitor/rollup on the full series — results identical to
+            the unsalted plan (bitwise for rollups / segments / codes;
+            last-ulp float tolerance for fitted state, whose reductions
+            run over differently-shaped padded batches).  A run that
+            starts with committed partitions routes each hot url's rows
+            to its merge partition ``P + sorted_rank % M`` in the
+            exchange, as increments do, and its merge partitions that
+            are committed are skipped like any other.
+        hot_urls: explicit hot-url set (skips detection).  A resumed run
+            over a store whose run config records a hot set reuses it.
         reduce_num_cpus: logical CPUs each fused fit/monitor/rollup
             reduce task requests.  The reduce is memory-bandwidth-bound
             (large padded matrices + segment reductions), so >1 trades
@@ -539,6 +503,10 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
             in bench.py.  Results are identical at any value
             (scheduling only).
     """
+    if salt_threshold not in ("auto", None):
+        raise ValueError(
+            f"salt_threshold must be 'auto' or None, got "
+            f"{salt_threshold!r}; pass a fixed hot-url set as hot_urls=")
     os.makedirs(out_dir, exist_ok=True)
     manifest.check_partitioning(out_dir, num_partitions)
     run_id = run_id or uuid.uuid4().hex[:12]
@@ -585,43 +553,35 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
     # rebuilds (say after fsck repair uncommitted one)
     forgotten = prev.get("forgotten_urls", [])
     forgotten_arr = pa.array(forgotten, pa.string()) if forgotten else None
-    detect_ref = None
-    salt_detect_sec = None
-    if hot_urls is None and salt_threshold:
-        if salt_threshold == "auto":
-            # default-on heuristic — only where counting is a cheap
-            # pruned parquet read (warc/flat inputs would pay a full
-            # extraction pass just to count; opt in explicitly there)
-            if flat_dataset is None and not is_warc_input(input_path):
-                # OVERLAPPED detection: a plain ray task graph whose final
-                # ObjectRef feeds the exchange's split-side prep — the
-                # read/extract stream executes concurrently with
-                # detection, and only the split tasks (which need
-                # routing) wait on the tiny hot set.  ~0.6–0.8 s of
-                # formerly serial wall off the critical path.
-                detect_t0 = time.perf_counter()
-                detect_ref = _submit_detect_auto(input_path,
-                                                 num_partitions)
-                # both ends on the driver's clock: stamped when the ref
-                # resolves, not by a worker
-                detect_done = []
-                detect_ref.future().add_done_callback(
-                    lambda _: detect_done.append(time.perf_counter()))
-        else:
-            hot_urls = detect_hot_urls(
-                input_path, salt_threshold,
-                # warc inputs have no cheap url-column re-read: count
-                # from the extracted flat dataset instead
-                flat_dataset=(ds if flat_dataset is None
-                              and is_warc_input(input_path)
-                              else flat_dataset))
-    if detect_ref is None:
-        hot_urls = set(hot_urls or ())
-
     committed = manifest.committed_partitions(out_dir) if resume else set()
     skipped = sorted(committed)
-    committed_arr = pa.array(sorted(committed), pa.int32()) \
-        if committed else None
+    committed_arr = pa.array(skipped, pa.int32()) if committed else None
+    detect_ref = None
+    salt_detect_sec = None
+    if hot_urls is None and salt_threshold == "auto" \
+            and flat_dataset is None and not is_warc_input(input_path):
+        # OVERLAPPED detection (only where counting is a cheap pruned
+        # parquet read): a plain ray task graph whose final ObjectRef
+        # feeds the exchange's split-side prep — the read/extract stream
+        # executes concurrently with detection, and only the split tasks
+        # (which need routing) wait on the tiny hot set
+        detect_t0 = time.perf_counter()
+        detect_ref = _submit_detect_auto(input_path, num_partitions)
+        # both ends on the driver's clock: stamped when the ref
+        # resolves, not by a worker
+        detect_done = []
+        detect_ref.future().add_done_callback(
+            lambda _: detect_done.append(time.perf_counter()))
+    # a run that starts with committed partitions routes hot rows the
+    # way increments do (straight to their merge pids P + rank % M), so
+    # its hot set and merge-task count are needed before the exchange;
+    # only a run from nothing salts by time slice and merges afterwards
+    routed = bool(committed)
+    if detect_ref is None or routed:
+        hot_urls = sorted(ray.get(detect_ref) if detect_ref is not None
+                          else set(hot_urls or ()))
+    hot = detect_ref if detect_ref is not None and not routed else hot_urls
+    n_merge = _merge_tasks(hot_urls) if routed else 0
 
     processor_kwargs = dict(
         out_dir=out_dir, run_id=run_id, num_partitions=num_partitions,
@@ -629,9 +589,8 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
         high_water_us=high_water_us, fit_method=fit_method,
         screen_outliers=screen_outliers, monitor_params=monitor_params,
         fit_params=fit_params)
-    processor = PartitionProcessor(
-        hot_urls=detect_ref if detect_ref is not None else hot_urls,
-        fault_hook=fault_hook, **processor_kwargs)
+    processor = PartitionProcessor(hot_urls=None if routed else hot,
+                                   fault_hook=fault_hook, **processor_kwargs)
     def process_partition(group: pa.Table) -> pa.Table:
         return processor(group)
 
@@ -640,9 +599,11 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
     def prep(t: pa.Table, hot) -> pa.Table:
         # routing + resume filter fused into the split task (one
         # less object-store hop than separate map_batches stages);
-        # ``hot`` is the resolved detection result when overlapped
-        t = add_bucket_column(t, num_partitions, hot_urls=set(hot),
-                              slice_us=salt_slice_us)
+        # ``hot`` is the sorted hot set, resolved here when overlapped
+        t = add_bucket_column(t, num_partitions,
+                              merge_route=(hot, n_merge)) if routed else \
+            add_bucket_column(t, num_partitions, hot_urls=set(hot),
+                              slice_us=DEFAULT_SALT_SLICE_US)
         if committed_arr is not None:
             t = t.filter(pc.invert(pc.is_in(
                 t.column("pid"), value_set=committed_arr)))
@@ -652,25 +613,22 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
         return t
 
     tables = exchange_map_groups(
-        ds, num_partitions, process_partition,
+        ds, num_partitions + n_merge, process_partition,
         num_cpus_per_reduce=reduce_num_cpus,
-        prep_fn=prep,
-        prep_args=(detect_ref if detect_ref is not None
-                   else sorted(hot_urls),))
+        prep_fn=prep, prep_args=(hot,))
     rows = [row for t in tables for row in t.to_pylist()]
     if detect_ref is not None:
-        hot_urls = set(ray.get(detect_ref))
+        hot_urls = sorted(ray.get(detect_ref))
         # the callback may still be running when ray.get returns
         salt_detect_sec = round((detect_done or [time.perf_counter()])
                                 [0] - detect_t0, 4)
-
-    if hot_urls:
-        merge_committed = {p for p in committed if p >= num_partitions}
-        if not (resume and merge_committed):
-            merged = merge_hot_partitions(out_dir, hot_urls,
-                                          processor_kwargs,
-                                          num_partitions)
-            rows += [row for t in merged for row in t.to_pylist()]
+    if hot_urls and not routed:
+        merged = merge_hot_partitions(out_dir, hot_urls, processor_kwargs,
+                                      num_partitions)
+        rows += [row for t in merged for row in t.to_pylist()]
+    # the hot sub-series are read only by the merge phase of the run
+    # that wrote them: gone once the merge partitions commit
+    shutil.rmtree(os.path.join(out_dir, "hot_series"), ignore_errors=True)
 
     hw_cfg = high_water_us if high_water_us is not None else \
         max((int(r["max_ts_us"]) for r in rows), default=0)
@@ -692,10 +650,8 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
         # salting metadata: increments route a hot url's new rows to
         # merge pid P + sorted_rank % M (must match merge_hot_partitions'
         # by_task assignment above)
-        "hot_urls": sorted(hot_urls),
-        "num_merge_tasks": (max(1, min(DEFAULT_MERGE_TASKS,
-                                       len(hot_urls)))
-                            if hot_urls else 0),
+        "hot_urls": hot_urls,
+        "num_merge_tasks": _merge_tasks(hot_urls),
         "forgotten_urls": forgotten,
     })
     summary = {
@@ -715,11 +671,10 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
         "pp_task_seconds": round(float(sum(r["seconds"] for r in rows)), 2),
         "pp_max_seconds": round(float(max((r["seconds"] for r in rows),
                                           default=0.0)), 2),
-        # driver wall from submitting the overlapped auto-detection
-        # graph to its result resolving (None when detection was
-        # skipped, synchronous, or a set was passed in); NOT serial
-        # pipeline time — it runs concurrently with read/extract and
-        # only the split tasks wait on its result
+        # driver wall from submitting the auto-detection graph to its
+        # result resolving (None when no detection ran); NOT serial
+        # pipeline time — on a run from nothing it runs concurrently
+        # with read/extract and only the split tasks wait on its result
         "salt_detect_sec": salt_detect_sec,
     }
     return summary

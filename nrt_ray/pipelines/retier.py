@@ -234,21 +234,32 @@ def verify_store(out_dir: str, repair: bool = False) -> dict:
     time matches the file on disk (tier files: stored rows, retention
     anchors included); every segment decodes and serves ``n_points``
     points at the mark it was written at.  One Ray task per partition.
-    Returns ``{"partitions": N, "ok": M, "issues": [...]}.``
+    A pid with ``state``/``alerts``/``segments``/``rollup_*`` files but
+    no commit record (uncommitted, or written by a run that died before
+    committing it) is reported as ``pid N: files present but no commit
+    record``.  Returns ``{"partitions": N, "ok": M, "issues": [...]}``,
+    ``N`` and ``M`` counting committed partitions.
 
     ``repair=True`` additionally UNCOMMITS every partition with an
     issue (removes its manifest record): the next resumed
-    ``run_pipeline`` over the original input rebuilds exactly those
-    partitions — corruption recovery reuses the engine's normal
-    resume path, no special rebuild code.  The rebuild drops the run
-    config's ``forgotten_urls``, so a partition an interrupted
-    ``run_forget`` left half-written comes back without them; rerunning
-    the forget mends it too, without reading any input.
+    ``run_pipeline`` over the original input rebuilds exactly the
+    uncommitted partitions, hash and merge pids alike (a resumed run
+    routes hot urls' rows to their merge partitions) — corruption
+    recovery reuses the engine's normal resume path, no special rebuild
+    code.  The rebuild drops the run config's ``forgotten_urls``, so a
+    partition an interrupted ``run_forget`` left half-written comes back
+    without them; rerunning the forget mends it too, without reading
+    any input.
     """
     records = {r["partition_id"]: r for r in manifest.load_manifest(out_dir)
                if r.get("committed")}
     tables = ["state", "segments", "alerts"] + sorted(
         t for t in os.listdir(out_dir) if t.startswith("rollup_"))
+    on_disk = {int(d.split("=")[1]) for t in tables
+               if os.path.isdir(os.path.join(out_dir, t))
+               for d in os.listdir(os.path.join(out_dir, t))
+               if d.startswith("part=") and os.path.exists(
+                   os.path.join(out_dir, t, d, "part.parquet"))}
 
     def check(pid: int, rec: dict) -> list:
         if rec.get("state_checksum") == "":    # emptied by run_forget
@@ -272,7 +283,7 @@ def verify_store(out_dir: str, repair: bool = False) -> dict:
             if table in ("input", "series", "hot_rows_deferred",
                          "hot_series"):
                 # not persisted as a table, or (hot_series) an
-                # intermediate that run_forget scrubs in place
+                # intermediate its run deletes once the merges commit
                 continue
             p = os.path.join(manifest.partition_dir(out_dir, table, pid),
                              "part.parquet")
@@ -306,10 +317,12 @@ def verify_store(out_dir: str, repair: bool = False) -> dict:
     check_remote = ray.remote(num_cpus=1)(check)
     refs = [check_remote.remote(pid, rec)
             for pid, rec in sorted(records.items())]
-    issues = [i for chunk in ray.get(refs) for i in chunk]
+    issues = [i for chunk in ray.get(refs) for i in chunk] + [
+        f"pid {pid}: files present but no commit record"
+        for pid in sorted(on_disk - records.keys())]
     bad_pids = sorted({int(i.split(":")[0].split()[1]) for i in issues})
     out = {"partitions": len(records),
-           "ok": len(records) - len(bad_pids),
+           "ok": len(records.keys() - bad_pids),
            "issues": issues}
     if repair and bad_pids:
         out["uncommitted"] = manifest.uncommit_partitions(out_dir,

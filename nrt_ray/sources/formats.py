@@ -1,18 +1,21 @@
-"""Source-format interop: JSONL and CSV read/write for any engine table.
+"""Source-format interop: JSONL, CSV and Arrow IPC writers for any
+engine table (the CLI ``export`` command).
 
-Parquet is the engine's native format; these converters cover the two
-interchange formats real crawls arrive in.  Round-trip fidelity rules:
+Parquet is the engine's native format; these converters cover the
+interchange formats real crawls arrive in.  Fidelity rules for a reader
+(pyarrow's own JSON, CSV and IPC readers read the shards back):
 
 * timestamps serialize as INTEGER epoch microseconds (ISO strings are
   lossy across writers and timezone-ambiguous), restored by an explicit
-  schema cast on read;
+  cast on read;
 * binary columns are not representable in CSV/JSONL — callers drop or
   hex-encode them first (``html`` never travels through these paths);
 * floats round-trip bit-exactly through both formats (Arrow writes
-  shortest-repr doubles and reads them back to the same bits).
+  shortest-repr doubles and reads them back to the same bits);
+* IPC keeps every type as is.
 
-Both directions stream block-by-block (``write_json``/``read_json`` are
-Ray Data native); nothing is materialized on the driver.
+The writers stream block-by-block (``write_json``/``write_csv`` are Ray
+Data native); nothing is materialized on the driver.
 """
 
 from __future__ import annotations
@@ -34,18 +37,6 @@ def _encode_ts(batch: pa.Table, cols: list[str]) -> pa.Table:
     return batch
 
 
-def _decode_ts(batch: pa.Table, cols: list[str],
-               unit: str = "us") -> pa.Table:
-    for c in cols:
-        if c not in batch.column_names:
-            continue
-        i = batch.column_names.index(c)
-        batch = batch.set_column(
-            i, c, batch.column(c).cast(pa.int64())
-            .cast(pa.timestamp(unit)))
-    return batch
-
-
 def dataset_to_jsonl(ds: ray.data.Dataset, out_dir: str) -> list[str]:
     """Write a Dataset as JSONL shards (timestamps → epoch µs ints)."""
     cols = _ts_columns(ds.schema().base_schema)
@@ -54,24 +45,12 @@ def dataset_to_jsonl(ds: ray.data.Dataset, out_dir: str) -> list[str]:
     return cols
 
 
-def jsonl_to_dataset(path: str, ts_columns: list[str]) -> ray.data.Dataset:
-    """Read JSONL shards back, restoring timestamp columns."""
-    return ray.data.read_json(path).map_batches(
-        lambda b: _decode_ts(b, ts_columns), batch_format="pyarrow")
-
-
 def dataset_to_csv(ds: ray.data.Dataset, out_dir: str) -> list[str]:
     """Write a Dataset as CSV shards (timestamps → epoch µs ints)."""
     cols = _ts_columns(ds.schema().base_schema)
     ds.map_batches(lambda b: _encode_ts(b, cols),
                    batch_format="pyarrow").write_csv(out_dir)
     return cols
-
-
-def csv_to_dataset(path: str, ts_columns: list[str]) -> ray.data.Dataset:
-    """Read CSV shards back, restoring timestamp columns."""
-    return ray.data.read_csv(path).map_batches(
-        lambda b: _decode_ts(b, ts_columns), batch_format="pyarrow")
 
 
 def dataset_to_ipc(ds: ray.data.Dataset, out_dir: str) -> list[str]:
@@ -97,24 +76,3 @@ def dataset_to_ipc(ds: ray.data.Dataset, out_dir: str) -> list[str]:
     manifest = ds.map_batches(write_block, batch_format="pyarrow",
                               batch_size=None).to_pandas()
     return sorted(manifest["path"].tolist())
-
-
-def ipc_to_dataset(path) -> ray.data.Dataset:
-    """Read Arrow IPC shards back — type-exact, no casts."""
-    import os
-
-    paths = sorted(
-        os.path.join(path, f) for f in os.listdir(path)
-        if f.endswith(".arrow")) if isinstance(path, str) \
-        and os.path.isdir(path) else (
-        [path] if isinstance(path, str) else list(path))
-
-    def load(batch: pa.Table) -> pa.Table:
-        tables = []
-        for p in batch.column("path").to_pylist():
-            with pa.memory_map(p, "rb") as f:
-                tables.append(pa.ipc.open_file(f).read_all())
-        return pa.concat_tables(tables, promote_options="default")
-
-    return ray.data.from_items([{"path": p} for p in paths]) \
-        .map_batches(load, batch_format="pyarrow", batch_size=1)

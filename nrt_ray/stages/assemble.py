@@ -48,11 +48,12 @@ def add_bucket_column(batch: pa.Table, num_buckets: int,
     reduce task.  Each salt slice holds a contiguous time range; the merge
     phase re-concatenates them (see monitor_pipeline.merge_hot_partitions).
 
-    ``merge_route=(hot_sorted, M)``: the INCREMENT routing for a salted
-    run — rows of a hot url go straight to its committed merge partition
-    ``num_buckets + sorted_rank % M`` (where its checkpointed state
-    lives), everything else hashes as usual.  Mutually exclusive with
-    ``hot_urls`` salting (one-shot spreads + merges; increments append).
+    ``merge_route=(hot_sorted, M)``: the routing of increments and of a
+    resumed run on a salted store — rows of a hot url go straight to its
+    merge partition ``num_buckets + sorted_rank % M`` (where its
+    checkpointed state lives), everything else hashes as usual.
+    Mutually exclusive with ``hot_urls`` salting (a run from nothing
+    spreads + merges; increments append, resumes rebuild in place).
     """
     urls = batch.column("url").to_pandas().to_numpy(dtype=object)
     pid = bucket_of(urls, num_buckets)

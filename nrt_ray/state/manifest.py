@@ -173,11 +173,12 @@ def check_partitioning(out_dir: str, num_partitions: int) -> None:
 
 
 def uncommit_partitions(out_dir: str, pids) -> list[int]:
-    """Remove the commit records for ``pids`` so a resumed run rebuilds
-    them: used by backfill and by ``verify_store(repair=True)`` only.
-    Output tables stay on disk until the rebuild overwrites them — a
-    crash between uncommit and rebuild is safe: the partitions simply
-    rebuild on the next resume."""
+    """Remove the commit records for ``pids`` (hash or merge pids) so a
+    resumed ``run_pipeline`` rebuilds them: used by backfill and by
+    ``verify_store(repair=True)`` only.  Output tables stay on disk
+    until the rebuild overwrites them (``verify_store`` lists such pids
+    as files without a commit record) — a crash between uncommit and
+    rebuild is safe: the partitions simply rebuild on the next resume."""
     d = os.path.join(out_dir, MANIFEST_DIR)
     removed = []
     for pid in pids:

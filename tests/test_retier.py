@@ -255,3 +255,24 @@ def test_verify_store(ray_session, tmp_path):
     assert s["partitions_processed"] == 2 and s["partitions_skipped"] == 3
     rep = retier.verify_store(out)
     assert rep["ok"] == P and not rep["issues"]
+
+
+def test_verify_store_lists_uncommitted_partition(ray_session, tmp_path):
+    """A partition whose files are on disk without a commit record (an
+    uncommit, or a run that died before committing it) is an fsck issue
+    until a resumed run rebuilds it."""
+    d = str(tmp_path / "wt")
+    info = synthetic.generate_webtext(d, n_urls=20, seed=64)
+    out = str(tmp_path / "out")
+    kw = dict(tiers=(rollup.TierSpec("1d"),), **BASE)
+    mp.run_pipeline(info["webtext"], out, **kw)
+    assert manifest.uncommit_partitions(out, [3]) == [3]
+
+    rep = retier.verify_store(out)
+    assert rep["issues"] == ["pid 3: files present but no commit record"]
+    assert rep["partitions"] == P - 1 and rep["ok"] == P - 1
+
+    s = mp.run_pipeline(info["webtext"], out, **kw)
+    assert s["partitions_processed"] == 1
+    rep = retier.verify_store(out)
+    assert rep["partitions"] == P and rep["ok"] == P and not rep["issues"]

@@ -4,6 +4,8 @@ plan, and unskewed runs must not change at all."""
 
 from __future__ import annotations
 
+import os
+import shutil
 import time
 
 import numpy as np
@@ -17,6 +19,7 @@ from nrt_ray.sources import synthetic
 from nrt_ray.stages import rollup
 
 US = 1_000_000
+HOT_URL = "https://hot.example.com/live"
 
 TIERS = (rollup.TierSpec("1d"), rollup.TierSpec("1w"))
 
@@ -63,11 +66,14 @@ def test_salted_equals_unsalted(ray_session, skewed_webtext, tmp_path):
     common = dict(strategy="EWMA", monitor_params={"trend": False},
                   monitor_start="2021-01-01", num_partitions=6,
                   tiers=TIERS)
-    mp.run_pipeline(path, str(tmp_path / "plain"), **common)
+    mp.run_pipeline(path, str(tmp_path / "plain"), salt_threshold=None,
+                    **common)
     summary = mp.run_pipeline(path, str(tmp_path / "salted"),
-                              salt_threshold=1000, **common)
-    # the hot url was detected and deferred to the merge phase
+                              hot_urls={HOT_URL}, **common)
+    # the hot url was deferred to the merge phase, whose sub-series
+    # intermediates are gone once it committed
     assert summary["partitions_processed"] > common["num_partitions"] - 1
+    assert not os.path.exists(str(tmp_path / "salted" / "hot_series"))
 
     # state floats come from reductions over padded (T, K) batches whose K
     # differs between the plans → last-ulp tolerance; everything computed
@@ -115,11 +121,11 @@ def test_salting_kill_switch(ray_session, skewed_webtext, tmp_path):
     assert summary["partitions_processed"] <= 4
 
 
-def test_detect_hot_urls(ray_session, skewed_webtext):
-    path, hot_rows = skewed_webtext
-    hot = mp.detect_hot_urls(path, threshold=1000)
-    assert hot == {"https://hot.example.com/live"}
-    assert mp.detect_hot_urls(path, threshold=hot_rows + 1) == set()
+def test_salt_threshold_takes_auto_or_none(tmp_path):
+    """A numeric threshold is refused, pointing at ``hot_urls=``."""
+    with pytest.raises(ValueError, match="hot_urls="):
+        mp.run_pipeline(str(tmp_path / "none.parquet"),
+                        str(tmp_path / "o"), salt_threshold=1000)
 
 
 def test_legacy_salted_run_without_metadata_raises(ray_session,
@@ -135,8 +141,8 @@ def test_legacy_salted_run_without_metadata_raises(ray_session,
     out = str(tmp_path / "out")
     mp.run_pipeline(path, out, strategy="EWMA",
                     monitor_start="2021-01-01",
-                    monitor_params={"trend": False}, num_partitions=4,
-                    salt_threshold=hot_rows // 2)
+                    monitor_params={"trend": False}, num_partitions=4)
+    assert inc.read_run_config(out)["hot_urls"] == [HOT_URL]
     cfg = inc.read_run_config(out)
     cfg.pop("hot_urls", None)
     cfg.pop("num_merge_tasks", None)
@@ -167,11 +173,9 @@ def test_salted_increment_equals_salted_oneshot(ray_session,
     pq.write_table(t.filter(pa.array(ts <= cut)), early)
     pq.write_table(t.filter(pa.array(ts > cut)), late)
 
-    hot = mp.detect_hot_urls(early, threshold=1000)
-    assert hot == {"https://hot.example.com/live"}
     common = dict(strategy="EWMA", monitor_params={"trend": False},
                   monitor_start="2021-01-01", num_partitions=6,
-                  tiers=TIERS, hot_urls=hot)
+                  tiers=TIERS, hot_urls={HOT_URL})
 
     mp.run_pipeline(path, str(tmp_path / "full"), **common)
 
@@ -244,6 +248,7 @@ def test_auto_salting_default_path(ray_session, skewed_webtext, tmp_path):
     summary = mp.run_pipeline(path, str(tmp_path / "auto"), **common)
     wall = time.perf_counter() - t0
     assert summary["partitions_processed"] > common["num_partitions"] - 1
+    assert not os.path.exists(str(tmp_path / "auto" / "hot_series"))
     # overlapped detection is timed on the driver's clock alone
     assert 0 < summary["salt_detect_sec"] <= wall
     for name in ("state", "alerts", "rollup_1d", "rollup_1w", "segments"):
@@ -278,8 +283,6 @@ def test_auto_salting_default_path(ray_session, skewed_webtext, tmp_path):
 def test_auto_threshold_detection(ray_session, skewed_webtext):
     """Auto threshold finds the skewed url; an unskewed input (the base
     crawl, ~200 rows/url, under the 10k floor) yields an empty set."""
-    import os
-
     import ray
     path, hot_rows = skewed_webtext
     assert set(ray.get(mp._submit_detect_auto(path, 6))) \
@@ -295,9 +298,6 @@ def test_salted_forget_hot_and_cold(ray_session, skewed_webtext,
     — outputs equal a salted run over the filtered input at the same
     high-water mark.  The store is built from a copy of the input that
     is deleted before the forget, so the forget reads no input."""
-    import os
-    import shutil
-
     from nrt_ray.pipelines import incremental as inc
     from nrt_ray.pipelines import retier
 
@@ -317,6 +317,13 @@ def test_salted_forget_hot_and_cold(ray_session, skewed_webtext,
     mp.run_pipeline(copy, out, **common)
     os.remove(copy)
     hw = inc.read_run_config(out)["high_water_us"]
+    # a store written before runs deleted their hot sub-series still
+    # holds them: the forget removes the directory
+    assert not os.path.exists(os.path.join(out, "hot_series"))
+    leftover = os.path.join(out, "hot_series", "part=0")
+    os.makedirs(leftover)
+    pq.write_table(pa.table({"url": [hot_url]}),
+                   os.path.join(leftover, "part.parquet"))
 
     s = inc.run_forget(out, [hot_url, cold_url])
     assert s["urls_forgotten"] == 2
@@ -327,14 +334,7 @@ def test_salted_forget_hot_and_cold(ray_session, skewed_webtext,
         == len(s["affected_pids"])
     assert retier.verify_store(out)["issues"] == []
 
-    # right-to-be-forgotten reaches the one-shot hot_series
-    # intermediates too: no surviving file may still hold the hot url
-    import glob
-    assert s["hot_series_files_scrubbed"] >= 1
-    for f in glob.glob(os.path.join(out, "hot_series", "part=*",
-                                    "part.parquet")):
-        assert hot_url not in pq.read_table(
-            f, columns=["url"]).column("url").to_pylist(), f
+    assert not os.path.exists(os.path.join(out, "hot_series"))
 
     # reference: salted run over the filtered input, same hot set minus
     # nothing (forgotten urls just absent from the stream)
@@ -449,6 +449,49 @@ def test_salted_backfill_hot_late_rows(ray_session, skewed_webtext,
                         err_msg=f"{name}.{col}")
             else:
                 assert ca.to_pylist() == cb.to_pylist(), f"{name}.{col}"
+
+
+def test_resume_rebuilds_an_uncommitted_merge_partition(ray_session,
+                                                        skewed_webtext,
+                                                        tmp_path):
+    """A store salted with two hot urls (M = 2) loses merge pid P + 1
+    (commit record and files); a resumed run takes the hot set from the
+    run config, routes the hot rows straight to their merge pids as an
+    increment does, rebuilds only that pid, and every table equals a
+    fresh run's."""
+    from nrt_ray.pipelines import incremental as inc
+    from nrt_ray.pipelines import retier
+    from nrt_ray.state import manifest
+
+    path, _ = skewed_webtext
+    urls = sorted(set(pq.read_table(path, columns=["url"])
+                      .column("url").to_pylist()))
+    hot = {HOT_URL, next(u for u in urls if u != HOT_URL)}
+    P = 5
+    common = dict(strategy="EWMA", monitor_params={"trend": False},
+                  monitor_start="2021-01-01", num_partitions=P,
+                  tiers=TIERS)
+    fresh = str(tmp_path / "fresh")
+    mp.run_pipeline(path, fresh, hot_urls=hot, **common)
+    assert inc.read_run_config(fresh)["num_merge_tasks"] == 2
+    assert manifest.committed_partitions(fresh) == set(range(P + 2))
+
+    out = str(tmp_path / "out")
+    shutil.copytree(fresh, out)
+    tables = ["state", "alerts", "segments", "rollup_1d", "rollup_1w"]
+    assert manifest.uncommit_partitions(out, [P + 1]) == [P + 1]
+    for name in tables:
+        shutil.rmtree(manifest.partition_dir(out, name, P + 1))
+
+    s = mp.run_pipeline(path, out, **common)
+    assert s["partitions_processed"] == 1
+    assert s["partitions_skipped"] == P + 1
+    assert manifest.committed_partitions(out) == set(range(P + 2))
+    assert retier.verify_store(out)["issues"] == []
+    assert not os.path.exists(os.path.join(out, "hot_series"))
+    assert inc.read_run_config(out)["hot_urls"] == sorted(hot)
+    for name in tables:
+        assert _read_all(out, name).equals(_read_all(fresh, name)), name
 
 
 def test_salted_serving_point_reads(ray_session, skewed_webtext,
