@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 
@@ -126,7 +127,7 @@ def main(argv=None) -> int:
     rep.add_argument("--num-cpus", type=int, default=None)
 
     sts = sub.add_parser("stats", help="manifest summary: committed "
-                                       "partitions, row counts, metrics")
+                                       "partitions, rows, metrics, bytes")
     sts.add_argument("--out", required=True)
 
     rt = sub.add_parser("retier", help="add a rollup tier to a committed "
@@ -226,17 +227,24 @@ def main(argv=None) -> int:
         records = mf.load_manifest(args.out)
         rows = {}
         points = {"rollup_points": 0, "observed_buckets": 0}
+        sizes = {}
         for r in records:
             for k, v in (r.get("row_counts") or {}).items():
                 rows[k] = rows.get(k, 0) + int(v)
             for k in points:
                 points[k] += int((r.get("metrics") or {}).get(k, 0))
+            for table in os.listdir(args.out):
+                f = os.path.join(mf.partition_dir(
+                    args.out, table, r["partition_id"]), "part.parquet")
+                if os.path.exists(f):
+                    sizes[table] = sizes.get(table, 0) + os.path.getsize(f)
         print(json.dumps({
             "partitions_committed": len(records),
             "row_counts": rows,
             # served tier points (observed + gap-fill) and the observed
             # buckets among them; tier row_counts are stored rows
             **points,
+            "bytes": dict(sorted(sizes.items())),   # committed files
             "runs": sorted({r.get("run_id") for r in records}),
         }))
         return 0

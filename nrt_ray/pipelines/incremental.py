@@ -223,21 +223,9 @@ class PartitionWriter:
                 f"tier {tier.name}: a new bucket precedes its url's last "
                 "stored bucket (increments must be strictly newer than "
                 "the committed high-water mark)")
-        o = np.flatnonzero(same & (step == 0))    # stored row; o + 1 new
-        if len(o):
-            n = o + 1
-            cat["count"][n] += cat["count"][o]
-            cat["sum"][n] = cat["sum"][o] + cat["sum"][n]
-            cat["min"][n] = np.where(cat["min"][n] < cat["min"][o],
-                                     cat["min"][n], cat["min"][o])
-            cat["max"][n] = np.where(cat["max"][n] > cat["max"][o],
-                                     cat["max"][n], cat["max"][o])
-            cat["mean"][n] = cat["sum"][n] / cat["count"][n]
-            keep = np.ones(len(rank), bool)
-            keep[o] = False
-            cat = {k: v[keep] for k, v in cat.items()}
-            rank = rank[keep]
         cat["series_idx"] = rank
+        if (same & (step == 0)).any():     # a stored row, then a new one
+            cat = rollup.regroup(cat, tier.width_us)
         merged = rollup.trim_for_retention(cat, tier.width_us,
                                            tier.retention_us, hw)
         runs = rollup.served_runs(merged, tier, hw)
@@ -249,8 +237,7 @@ class PartitionWriter:
         if old is not None:
             changed |= (np.bincount(ranks[0], minlength=nu)
                         != np.bincount(merged["series_idx"], minlength=nu))
-        return (rollup.tag_tier(rollup.tier_table(merged, dictionary), tier,
-                                hw),
+        return (rollup.stored_tier_table(merged, dictionary, tier, hw),
                 dictionary.filter(pa.array(changed))
                 .to_numpy(zero_copy_only=False),
                 rollup.run_totals(merged["bucket_ts"], runs[0], runs[2]),

@@ -39,6 +39,7 @@ route hot urls to their committed merge partitions.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import time
@@ -58,6 +59,20 @@ from nrt_ray.sources.extract import ExtractSignal, timestamp_features
 from nrt_ray.stages import rollup
 from nrt_ray.stages.assemble import add_bucket_column, assemble_series
 from nrt_ray.state import manifest
+
+
+#: ``hot_series`` schema-metadata key: ``{hot url: its rows' fragments}``
+HOT_FRAGMENTS = b"nrt_ray.hot_fragments"
+
+
+def _url_fragments(group: pa.Table, urls: pa.Array) -> dict:
+    """``{url: fragment ids}`` of ``urls``' rows in ``group``."""
+    if "frag" not in group.column_names:
+        return {}
+    agg = group.filter(pc.is_in(group.column("url"), value_set=urls)) \
+        .group_by("url").aggregate([("frag", "distinct")])
+    return dict(zip(agg.column("url").to_pylist(),
+                    agg.column("frag_distinct").to_pylist()))
 
 
 class PartitionProcessor(PartitionWriter):
@@ -85,29 +100,30 @@ class PartitionProcessor(PartitionWriter):
                 else set()
             self._hot_ref = None
 
-    def __call__(self, group: pa.Table) -> pa.Table:
+    def __call__(self, group: pa.Table, input_frags=None) -> pa.Table:
+        """One partition; a merge task passes its ``input_frags``."""
         t0 = time.perf_counter()
         if self.hot_urls is None:
             self.hot_urls = set(ray.get(self._hot_ref))
         pid = int(group.column("pid")[0].as_py())
-        input_frags = []
-        if "frag" in group.column_names:
-            input_frags = sorted(
-                int(f) for f in
-                np.unique(group.column("frag")
-                          .to_numpy(zero_copy_only=False)))
+        if input_frags is None:
+            input_frags = np.unique(group.column("frag").to_numpy(
+                zero_copy_only=False)).tolist() \
+                if "frag" in group.column_names else []
         series = assemble_series(group)
         hot_rows, deferred = 0, {}
         if self.hot_urls:
-            hot_mask = pc.is_in(series.column("url"), value_set=pa.array(
-                sorted(self.hot_urls), pa.string()))
+            hot = pa.array(sorted(self.hot_urls), pa.string())
+            hot_mask = pc.is_in(series.column("url"), value_set=hot)
             if pc.any(hot_mask).as_py():
                 # salted sub-series: assembled (sorted+deduped) here, but
                 # fit/monitor/rollup happen in the merge phase which sees
-                # the url's full series — write the sub-series aside
+                # the url's full series — write the sub-series aside,
+                # each url's input fragments in its schema metadata
                 hot_series = series.filter(hot_mask)
                 hot_rows = int(pc.sum(hot_series.column("n")).as_py() or 0)
-                deferred = {"hot_series": hot_series}
+                deferred = {"hot_series": hot_series.replace_schema_metadata(
+                    {HOT_FRAGMENTS: json.dumps(_url_fragments(group, hot))})}
                 series = series.filter(pc.invert(hot_mask))
         ts_flat = series.column("ts").combine_chunks().flatten() \
             .cast(pa.int64()) if series.num_rows else None
@@ -393,12 +409,15 @@ def merge_hot_partitions(out_dir: str, hot_urls, processor_kwargs: dict,
         import pyarrow.parquet as pq
         from nrt_ray.stages.assemble import flatten_series
         want = pa.array(urls, pa.string())
-        parts = []
+        parts, frags = [], set()
         for f in files:
             t = pq.read_table(f)
             sub = t.filter(pc.is_in(t.column("url"), value_set=want))
             if sub.num_rows:
                 parts.append(flatten_series(sub))
+            by_url = json.loads((t.schema.metadata or {}).get(
+                HOT_FRAGMENTS, b"{}"))
+            frags.update(i for u in urls for i in by_url.get(u, ()))
         proc = PartitionProcessor(**processor_kwargs)
         if not parts:
             return None
@@ -406,7 +425,7 @@ def merge_hot_partitions(out_dir: str, hot_urls, processor_kwargs: dict,
         flat = flat.append_column(
             "pid", pa.array(np.full(flat.num_rows, merge_pid,
                                     dtype=np.int32)))
-        return proc(flat)
+        return proc(flat, sorted(frags))
 
     merge_remote = ray.remote(merge_one)
     refs = [merge_remote.remote(by_task[m], num_partitions + m)

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -63,65 +62,23 @@ from nrt_ray.state import manifest
 
 
 def compose_rolled(src: pa.Table, width_us: int,
-                   high_water_us: int | None) -> dict:
+                   high_water_us: int | None):
     """Compose a coarser ``rolled`` dict (rollup_flat layout) from a
-    persisted finer tier table.  Only served observations count: the
-    source's retention window, at ``high_water_us`` (the store's mark;
-    the file's own when None), drops its anchor and any older mark's
-    wider window, and so are the gap-filled rows (count==0) of a tier
-    file that still holds them."""
+    persisted finer tier table, read through :func:`rollup.table_rolled`;
+    returns it with the per-series urls.  Only served observations
+    count: the source's retention window, at ``high_water_us`` (the
+    store's mark; the file's own when None), drops its anchor and any
+    older mark's wider window, and so are the gap-filled rows (count==0)
+    of a tier file that still holds them."""
+    rolled, urls = rollup.table_rolled(src)
     meta = rollup.tier_meta(src, high_water_us)
-    if meta is not None and src.num_rows:
+    if meta is not None:
         tier, hw = meta
-        rows = rollup.apply_retention(
-            {"bucket_ts": src.column("bucket_ts").cast(pa.int64())
-             .to_numpy(zero_copy_only=False),
-             "row": np.arange(src.num_rows)},
-            tier.width_us, tier.retention_us, hw)["row"]
-        src = src.take(pa.array(rows))
-    if src.num_rows:
-        src = src.filter(pc.greater(src.column("count"), 0))
-    if src.num_rows == 0:
-        return {k: np.array([], dtype=d) for k, d in
-                (("series_idx", np.int64), ("bucket_ts", np.int64),
-                 ("count", np.int32), ("sum", np.float64),
-                 ("mean", np.float64), ("min", np.float64),
-                 ("max", np.float64), ("last", np.float64))}, np.array(
-                     [], dtype=object)
-    urls = src.column("url").to_pandas().to_numpy(dtype=object)
-    bts = src.column("bucket_ts").cast(pa.int64()) \
-        .to_numpy(zero_copy_only=False)
-    # canonical (url, bucket_ts) order — partition files are written in
-    # this order, but re-sort defensively (stable for ties impossible:
-    # (url, bucket_ts) is unique per tier)
-    order = np.lexsort((bts, urls))
-    if not np.array_equal(order, np.arange(len(order))):
-        urls, bts = urls[order], bts[order]
-        src = src.take(pa.array(order))
-    uurls, sidx = np.unique(urls, return_inverse=True)
-    bucket = (bts // width_us) * width_us
-    starts = np.flatnonzero(np.r_[True, (sidx[1:] != sidx[:-1])
-                                  | (bucket[1:] != bucket[:-1])])
-    ends = np.r_[starts[1:], len(bucket)]
-    cnt = src.column("count").to_numpy(zero_copy_only=False) \
-        .astype(np.int64)
-    sums = src.column("sum").to_numpy(zero_copy_only=False)
-    mins = src.column("min").to_numpy(zero_copy_only=False)
-    maxs = src.column("max").to_numpy(zero_copy_only=False)
-    last = src.column("last").to_numpy(zero_copy_only=False)
-    ccount = np.add.reduceat(cnt, starts).astype(np.int32)
-    csum = np.add.reduceat(sums, starts)
-    rolled = {
-        "series_idx": sidx[starts].astype(np.int64),
-        "bucket_ts": bucket[starts],
-        "count": ccount,
-        "sum": csum,
-        "mean": csum / ccount,
-        "min": np.minimum.reduceat(mins, starts),
-        "max": np.maximum.reduceat(maxs, starts),
-        "last": last[ends - 1],
-    }
-    return rolled, uurls
+        rolled = rollup.apply_retention(rolled, tier.width_us,
+                                        tier.retention_us, hw)
+    observed = rolled["count"] > 0
+    return rollup.regroup({k: v[observed] for k, v in rolled.items()},
+                          width_us), urls
 
 
 def retier_partition(out_dir: str, pid: int, new_tier: rollup.TierSpec,
@@ -134,16 +91,15 @@ def retier_partition(out_dir: str, pid: int, new_tier: rollup.TierSpec,
     src_path = os.path.join(manifest.partition_dir(
         out_dir, f"rollup_{source}", pid), "part.parquet")
     src = pq.read_table(src_path)
-    rolled, uurls = compose_rolled(src, new_tier.width_us, high_water_us)
+    rolled, urls = compose_rolled(src, new_tier.width_us, high_water_us)
     if high_water_us is None:
         high_water_us = int(rolled["bucket_ts"].max()) \
             if len(rolled["bucket_ts"]) else 0
     rolled = rollup.trim_for_retention(rolled, new_tier.width_us,
                                        new_tier.retention_us,
                                        high_water_us)
-    tier_tbl = rollup.tag_tier(
-        rollup.tier_table(rolled, pa.array(uurls, pa.string())),
-        new_tier, high_water_us)
+    tier_tbl = rollup.stored_tier_table(rolled, urls, new_tier,
+                                        high_water_us)
 
     seg_path = os.path.join(manifest.partition_dir(
         out_dir, "segments", pid), "part.parquet")
@@ -232,7 +188,9 @@ def verify_store(out_dir: str, repair: bool = False) -> dict:
     matches the record (one committed empty, checksum "", must have no
     file); every per-table row count recorded at commit
     time matches the file on disk (tier files: stored rows, retention
-    anchors included); every segment decodes and serves ``n_points``
+    anchors included); every tier file reads through
+    :func:`rollup.table_rolled` (no null it rejects); every segment
+    decodes and serves ``n_points``
     points at the mark it was written at.  One Ray task per partition.
     A pid with ``state``/``alerts``/``segments``/``rollup_*`` files but
     no commit record (uncommitted, or written by a run that died before
@@ -288,8 +246,13 @@ def verify_store(out_dir: str, repair: bool = False) -> dict:
             p = os.path.join(manifest.partition_dir(out_dir, table, pid),
                              "part.parquet")
             try:
-                got_rows = pq.read_metadata(p).num_rows
-            except OSError as e:
+                if table.startswith("rollup_"):
+                    t = pq.read_table(p)
+                    rollup.table_rolled(t)    # raises on a corrupt row
+                    got_rows = t.num_rows
+                else:
+                    got_rows = pq.read_metadata(p).num_rows
+            except (OSError, ValueError) as e:
                 issues.append(f"pid {pid}: {table} unreadable: {e}")
                 continue
             if got_rows != want_rows:

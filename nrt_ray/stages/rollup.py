@@ -17,9 +17,11 @@ implementation in ``tests/test_rollup.py``):
   before the dataset's high-water mark are dropped after being rolled
   into coarser tiers (:func:`window_start` holds the rule).
 * *Stored vs served*: a store persists only the observed buckets plus
-  each series' retention anchor (:func:`observed_tier_tables`); gap-fill
-  and retention run when a tier is read (:func:`serve_tier_table`), the
-  retention at the store's committed mark.
+  each series' retention anchor (:func:`observed_tier_tables`), each
+  once (:func:`stored_tier_table`, read back by :func:`table_rolled`);
+  gap-fill and retention run when a tier is read
+  (:func:`serve_tier_table`), the retention at the store's committed
+  mark.
   :func:`rollup_series_table` is the two halves composed — the served
   view, unchanged bit for bit.
 
@@ -62,33 +64,44 @@ def rollup_flat(series_idx: np.ndarray, ts_us: np.ndarray,
         value: ``(N,)`` float64 signal (NaN = masked).
 
     Returns:
-        dict of 1-D arrays: ``series_idx, bucket_ts, count, mean, min, max,
-        last`` — one row per non-empty (series, bucket).
+        dict of 1-D arrays: ``series_idx, bucket_ts, count, sum, mean,
+        min, max, last`` — one row per non-empty (series, bucket).
     """
     finite = np.isfinite(value)
-    sidx, ts_us, value = series_idx[finite], ts_us[finite], value[finite]
-    if len(ts_us) == 0:
-        return {k: np.array([], dtype=d) for k, d in
-                (("series_idx", np.int64), ("bucket_ts", np.int64),
-                 ("count", np.int32), ("sum", np.float64),
-                 ("mean", np.float64), ("min", np.float64),
-                 ("max", np.float64), ("last", np.float64))}
-    bucket = (ts_us // width_us) * width_us
+    v = value[finite]
+    # each observation is a one-observation row: regroup reduces them
+    return regroup({"series_idx": series_idx[finite].astype(np.int64),
+                    "bucket_ts": ts_us[finite],
+                    "count": np.ones(len(v), np.int32),
+                    "sum": v, "min": v, "max": v, "last": v}, width_us)
+
+
+def regroup(rolled: dict, width_us: int) -> dict:
+    """Merge the rows of ``rolled`` (series-contiguous, time-sorted) that
+    share a series and a ``width_us`` bucket: ``count`` and ``sum`` add
+    in row order, extrema reduce, ``last`` is the last row's, ``mean`` is
+    ``sum / count``.  Rows are raw observations, a finer tier's buckets
+    or an increment's boundary bucket."""
+    sidx = rolled["series_idx"]
+    bucket = (rolled["bucket_ts"] // width_us) * width_us
+    if not len(sidx):
+        return dict(rolled, bucket_ts=bucket,
+                    mean=rolled["sum"] / rolled["count"])
     # run boundaries: new series or new bucket (both monotone within series)
     starts = np.flatnonzero(np.r_[True, (sidx[1:] != sidx[:-1])
                                   | (bucket[1:] != bucket[:-1])])
     ends = np.r_[starts[1:], len(bucket)]
-    count = (ends - starts).astype(np.int32)
-    sums = np.add.reduceat(value, starts)
+    count = np.add.reduceat(rolled["count"], starts).astype(np.int32)
+    sums = np.add.reduceat(rolled["sum"], starts)
     return {
-        "series_idx": sidx[starts].astype(np.int64),
+        "series_idx": sidx[starts],
         "bucket_ts": bucket[starts],
         "count": count,
         "sum": sums,
         "mean": sums / count,
-        "min": np.minimum.reduceat(value, starts),
-        "max": np.maximum.reduceat(value, starts),
-        "last": value[ends - 1],
+        "min": np.minimum.reduceat(rolled["min"], starts),
+        "max": np.maximum.reduceat(rolled["max"], starts),
+        "last": rolled["last"][ends - 1],
     }
 
 
@@ -278,8 +291,9 @@ def tag_tier(table: pa.Table, tier: TierSpec,
 
 
 def tier_table(rolled: dict, urls) -> pa.Table:
-    """Arrow tier table from a ``rolled`` dict; ``urls[i]`` is series
-    ``i``'s url.  Rows without a ``gapfilled`` flag are observed."""
+    """A served view from a ``rolled`` dict; ``urls[i]`` is series
+    ``i``'s url.  Rows without a ``gapfilled`` flag are observed.  Stores
+    write :func:`stored_tier_table` instead."""
     gapfilled = rolled.get("gapfilled")
     if gapfilled is None:
         gapfilled = np.zeros(len(rolled["bucket_ts"]), bool)
@@ -297,9 +311,31 @@ def tier_table(rolled: dict, urls) -> pa.Table:
     })
 
 
+def stored_tier_table(rolled: dict, urls, tier: TierSpec,
+                      high_water_us: int | None) -> pa.Table:
+    """The stored layout of a tier's observed rows, tagged with ``tier``
+    at mark ``high_water_us``: ``url, bucket_ts, count, sum, min, max,
+    last``, ``min``/``max``/``last`` null exactly where ``count == 1``
+    (they equal ``sum`` there); no ``mean``, no ``gapfilled``."""
+    once = rolled["count"] == 1
+    return tag_tier(pa.table({
+        "url": urls.take(pa.array(rolled["series_idx"])),
+        "bucket_ts": pa.array(rolled["bucket_ts"],
+                              pa.int64()).cast(pa.timestamp("us")),
+        "count": pa.array(rolled["count"], pa.int32()),
+        "sum": pa.array(rolled["sum"], pa.float64()),
+        **{k: pa.array(rolled[k], pa.float64(), mask=once)
+           for k in ("min", "max", "last")},
+    }), tier, high_water_us)
+
+
 def table_rolled(table: pa.Table):
-    """Inverse of :func:`tier_table` for a (url, bucket_ts)-sorted tier
-    table: ``(rolled dict, per-series url array)``."""
+    """``(rolled dict, per-series url array)`` of a (url, bucket_ts)-sorted
+    tier table: stored (:func:`stored_tier_table`, or the earlier layout
+    with ``mean`` and ``gapfilled``) or served.  Null ``min``/``max``/
+    ``last`` are filled from ``sum``, ``mean`` is ``sum / count`` unless
+    stored.  A stored row with a null ``count`` or ``sum``, or a null
+    extremum or ``last`` where ``count != 1``, raises ValueError."""
     urls = table.column("url").combine_chunks()
     n = len(urls)
     first = np.ones(n, bool)
@@ -310,9 +346,22 @@ def table_rolled(table: pa.Table):
               "bucket_ts": np.asarray(table.column("bucket_ts")
                                       .cast(pa.int64())
                                       .to_numpy(zero_copy_only=False))}
+    meta = tier_meta(table)
     for k in ("count", "sum", "mean", "min", "max", "last"):
-        if k in table.column_names:
-            rolled[k] = table.column(k).to_numpy(zero_copy_only=False)
+        if k not in table.column_names:
+            continue
+        col = table.column(k)
+        bad = col.null_count
+        if bad and k in ("min", "max", "last"):
+            bad = pc.any(pc.and_(pc.is_null(col), pc.not_equal(
+                table.column("count"), 1))).as_py()
+            col = pc.coalesce(col, table.column("sum"))
+        if bad and meta is not None:
+            raise ValueError(f"tier {meta[0].name}: a stored row holds a "
+                             f"null {k!r}")
+        rolled[k] = col.to_numpy(zero_copy_only=False)
+    if "mean" not in rolled:
+        rolled["mean"] = rolled["sum"] / rolled["count"]
     return rolled, urls.filter(pa.array(first))
 
 
@@ -395,7 +444,7 @@ def observed_tier_tables(series: pa.Table, tiers=DEFAULT_TIERS,
     observed buckets plus each series' retention anchor — what the store
     persists.  Each table carries its tier and high-water mark as schema
     metadata; :func:`serve_tier_table` derives the gap-fill from them."""
-    return {tier.name: tag_tier(tier_table(rolled, urls), tier, hw)
+    return {tier.name: stored_tier_table(rolled, urls, tier, hw)
             for tier, rolled, urls, hw in
             observed_rolled(series, tiers, high_water_us)}
 

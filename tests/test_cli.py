@@ -168,6 +168,12 @@ def test_cli_retier_fsck(tmp_path):
     sm = json.loads(stat.stdout.strip().splitlines()[-1])
     # served tier points (observed + fill) and the observed among them
     assert 0 < sm["observed_buckets"] < sm["rollup_points"]
+    # bytes: each table's committed partition files, summed
+    assert sm["bytes"] == {t: sum(
+        os.path.getsize(os.path.join(d, "out", t, f"part={pid}",
+                                     "part.parquet")) for pid in range(3))
+        for t in ("alerts", "rollup_1d", "rollup_1h", "rollup_1w", "segments",
+                  "state")}
 
     s = _run(["retier", "--out", "out", "--tier", "4w",
               "--width-s", str(4 * 7 * 86400), "--source", "1w"], d)

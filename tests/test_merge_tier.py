@@ -3,10 +3,13 @@ replaced, bit for bit, on the merged tables and the changed urls."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
 
 from nrt_ray.pipelines import incremental as inc
@@ -43,6 +46,15 @@ def _retention_advance(proc, table, tier):
             urls.filter(pa.array(moved)).to_numpy(zero_copy_only=False))
 
 
+def _frame(table: pa.Table) -> pd.DataFrame:
+    """A tier table's rows as pandas, read through ``table_rolled``."""
+    rolled, urls = rollup.table_rolled(table)
+    return pd.DataFrame(dict(
+        url=urls.take(pa.array(rolled["series_idx"])).to_pandas(),
+        **{k: rolled[k] for k in ("bucket_ts", "count", "sum", "min",
+                                  "max", "last")}))
+
+
 def pandas_merge_tier(proc, old, series, tier):
     """The former merge: touched urls regrouped with pandas, untouched
     urls advanced by a retention trim, then one full re-sort.  (Its
@@ -69,10 +81,9 @@ def pandas_merge_tier(proc, old, series, tier):
         series, tiers=[rollup.TierSpec(tier.name, tier.width_us)],
         high_water_us=proc.new_hw)[tier.name]
     if old is None or old.num_rows == 0:
-        merged = new.to_pandas()
+        merged = _frame(new)
     else:
-        merged = pd.concat([old.to_pandas(), new.to_pandas()],
-                           ignore_index=True)
+        merged = pd.concat([_frame(old), _frame(new)], ignore_index=True)
         g = merged.groupby(["url", "bucket_ts"], sort=True)
         merged = pd.DataFrame({
             "count": g["count"].sum().astype(np.int32),
@@ -81,8 +92,8 @@ def pandas_merge_tier(proc, old, series, tier):
             "max": g["max"].max(),
             "last": g["last"].last(),
         }).reset_index()
-        merged["mean"] = merged["sum"] / merged["count"]
         merged = merged.sort_values(["url", "bucket_ts"])
+    merged["mean"] = merged["sum"] / merged["count"]
     urls = merged["url"].to_numpy(dtype=object)
     first = np.r_[True, urls[1:] != urls[:-1]] if len(urls) else \
         np.array([], bool)
@@ -98,11 +109,14 @@ def pandas_merge_tier(proc, old, series, tier):
     }
     rolled = rollup.trim_for_retention(rolled, tier.width_us,
                                        tier.retention_us, proc.new_hw)
-    rebuilt = rollup.tier_table(rolled, pa.array(urls[first], pa.string()))
+    rebuilt = rollup.stored_tier_table(
+        rolled, pa.array(urls[first], pa.string()), tier, proc.new_hw)
     if passthrough is not None and passthrough.num_rows:
-        rebuilt = pa.concat_tables(
-            [passthrough.select(rebuilt.column_names), rebuilt],
-            promote_options="default")
+        # untouched rows in the stored layout (a legacy file's have none)
+        passthrough = rollup.stored_tier_table(
+            *rollup.table_rolled(passthrough), tier, proc.new_hw)
+        rebuilt = pa.concat_tables([passthrough, rebuilt],
+                                   promote_options="default")
         rebuilt = rebuilt.take(pc.sort_indices(rebuilt, sort_keys=[
             ("url", "ascending"), ("bucket_ts", "ascending")]))
     return rollup.tag_tier(rebuilt, tier, proc.new_hw), changed
@@ -221,3 +235,59 @@ def test_append_merge_rejects_out_of_order_bucket(cases, tier):
                            np.array([0.4]))})
     with pytest.raises(ValueError, match="precedes"):
         proc._merge_tier(_stored(old_rows, tier), early, tier, NEW_HW)
+
+
+STORED_COLUMNS = ["url", "bucket_ts", "count", "sum", "min", "max", "last"]
+
+
+@pytest.mark.parametrize("tier", rollup.DEFAULT_TIERS,
+                         ids=[t.name for t in rollup.DEFAULT_TIERS])
+def test_stored_layout_round_trips_bit_for_bit(cases, tier, tmp_path):
+    """A stored tier holds each bucket once — ``min``/``max``/``last``
+    null exactly where ``count == 1``, no ``mean`` or ``gapfilled`` —
+    and ``table_rolled`` of its Parquet file gives back the rollup_flat
+    arrays it was written from, bit for bit: a fresh tier and one an
+    increment merged a boundary bucket into."""
+    from nrt_ray.state import manifest
+    proc = inc.IncrementProcessor("unused", "t", CONFIG, NEW_HW)
+    old_rows, new_rows = cases["partition"]
+    (_, fresh, urls, _), = rollup.observed_rolled(_series(old_rows),
+                                                  [tier], OLD_HW)
+    old = _stored(old_rows, tier)
+    merged_tbl, _, _, (merged, dictionary, _) = proc._merge_tier(
+        old, _series(new_rows), tier, NEW_HW)
+    seen = set()                        # single- and multi-observation
+    for i, (stored, want, wurls) in enumerate(
+            ((old, fresh, urls), (merged_tbl, merged, dictionary))):
+        assert stored.column_names == STORED_COLUMNS
+        single = want["count"] == 1
+        seen |= set(single.tolist())
+        for k in ("min", "max", "last"):
+            np.testing.assert_array_equal(
+                stored.column(k).is_null().to_numpy(zero_copy_only=False),
+                single, err_msg=k)
+        manifest.write_partition_table(str(tmp_path), "rollup", i, stored)
+        got, gurls = rollup.table_rolled(pq.read_table(
+            os.path.join(manifest.partition_dir(str(tmp_path), "rollup", i),
+                         "part.parquet")))
+        assert gurls.take(pa.array(got["series_idx"])).to_pylist() \
+            == wurls.take(pa.array(want["series_idx"])).to_pylist()
+        for k in ("bucket_ts", "count", "sum", "mean", "min", "max",
+                  "last"):
+            assert got[k].dtype == want[k].dtype, k
+            np.testing.assert_array_equal(
+                got[k].view(np.uint64) if got[k].dtype == np.float64
+                else got[k], want[k].view(np.uint64)
+                if want[k].dtype == np.float64 else want[k], err_msg=k)
+    # both kinds of bucket, the merged boundary bucket and (1h) a
+    # retention anchor are there
+    assert seen == {True, False}
+    w = tier.width_us
+    a = merged_tbl.filter(pc.equal(merged_tbl.column("url"), "a"))
+    boundary = a.filter(pc.equal(a.column("bucket_ts").cast(pa.int64()),
+                                 OLD_HW // w * w))
+    assert boundary.column("count")[0].as_py() >= 2
+    start = rollup.window_start(w, tier.retention_us, NEW_HW)
+    assert (start is None) == (tier.retention_us is None)
+    if start is not None:
+        assert (merged["bucket_ts"] < start).any()

@@ -39,7 +39,8 @@ def _read_tier(out: str, tier: str) -> pa.Table:
         p = os.path.join(manifest.partition_dir(out, f"rollup_{tier}",
                                                 pid), "part.parquet")
         if os.path.exists(p):
-            parts.append(pq.read_table(p))
+            parts.append(rollup.tier_table(
+                *rollup.table_rolled(pq.read_table(p))))
     return _sorted(pa.concat_tables(parts, promote_options="default"))
 
 
@@ -202,6 +203,57 @@ def test_retier_resume_and_increment(ray_session, tmp_path):
     _assert_tier_equal(_read_tier(out, "1w"), _read_tier(ref, "1w"))
 
 
+def test_earlier_tier_layout_reads_the_same(ray_session, tmp_path):
+    """Tier files in the earlier layout (``mean`` and ``gapfilled``
+    stored, no nulls) need no migration: such a store takes an increment
+    and a retier and then serves the same views and segments as a store
+    in the current layout."""
+    import shutil
+
+    d = str(tmp_path / "wt")
+    info = synthetic.generate_webtext(d, n_urls=30, seed=65)
+    t = pq.read_table(info["webtext"])
+    ts = t.column("warc_ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
+    cut = int(np.quantile(ts, 0.8))
+    base_p = str(tmp_path / "base.parquet")
+    newer_p = str(tmp_path / "newer.parquet")
+    pq.write_table(t.filter(pa.array(ts <= cut)), base_p)
+    # newer rows of a few urls: some partitions keep their files as is
+    newer = t.filter(pa.array(ts > cut))
+    few = pa.array(sorted(set(newer.column("url").to_pylist()))[:3])
+    pq.write_table(newer.filter(pc.is_in(newer.column("url"),
+                                         value_set=few)), newer_p)
+    tiers = (rollup.TierSpec("1h", retention_us=30 * 86400 * US,
+                             max_gap=24), rollup.TierSpec("1d"),
+             rollup.TierSpec("1w"))
+    new = str(tmp_path / "new")
+    mp.run_pipeline(base_p, new, tiers=tiers, **BASE)
+    old = str(tmp_path / "old")
+    shutil.copytree(new, old)
+    for tier in tiers:
+        for pid in range(P):
+            f = os.path.join(manifest.partition_dir(
+                old, f"rollup_{tier.name}", pid), "part.parquet")
+            stored = pq.read_table(f)
+            earlier = rollup.tier_table(*rollup.table_rolled(stored)) \
+                .replace_schema_metadata(stored.schema.metadata)
+            assert "mean" in earlier.column_names
+            assert not earlier.column("min").null_count
+            pq.write_table(earlier, f)
+    for out in (new, old):
+        inc.run_increment(out, mp.ingest_webtext(newer_p))
+        retier.run_retier(out, rollup.TierSpec(
+            "4w", width_us=28 * 86400 * US), source="1d")
+        assert retier.verify_store(out)["issues"] == []
+    # some partition kept its earlier-layout tier files to the end
+    assert any("mean" in pq.read_schema(os.path.join(manifest.partition_dir(
+        old, "rollup_1d", pid), "part.parquet")).names for pid in range(P))
+    for table in ("rollup_1h", "rollup_1d", "rollup_1w", "rollup_4w",
+                  "segments"):
+        assert mp.read_output_table(old, table).equals(
+            mp.read_output_table(new, table)), table
+
+
 def test_retier_validation(ray_session, tmp_path):
     d = str(tmp_path / "wt")
     info = synthetic.generate_webtext(d, n_urls=10, seed=63)
@@ -255,6 +307,48 @@ def test_verify_store(ray_session, tmp_path):
     assert s["partitions_processed"] == 2 and s["partitions_skipped"] == 3
     rep = retier.verify_store(out)
     assert rep["ok"] == P and not rep["issues"]
+
+
+def test_null_extremum_in_multi_observation_bucket_fails_loudly(
+        ray_session, tmp_path):
+    """A stored tier row with ``count != 1`` must hold its own
+    ``min``/``max``/``last``: a null there is corruption, which fsck
+    lists and an increment refuses instead of filling it from ``sum``."""
+    d = str(tmp_path / "wt")
+    info = synthetic.generate_webtext(d, n_urls=20, seed=64)
+    out = str(tmp_path / "out")
+    # 4-week buckets: the weekly crawls put several observations in each
+    mp.run_pipeline(info["webtext"], out, tiers=(rollup.TierSpec(
+        "4w", width_us=28 * 86400 * US),), **BASE)
+    pid = 0
+    p = os.path.join(manifest.partition_dir(out, "rollup_4w", pid),
+                     "part.parquet")
+    tbl = pq.read_table(p)
+    row = int(np.flatnonzero(tbl.column("count").to_numpy() >= 2)[0])
+    mins = tbl.column("min").to_pylist()
+    mins[row] = None
+    pq.write_table(tbl.set_column(tbl.column_names.index("min"), "min",
+                                  pa.array(mins, pa.float64())), p)
+
+    rep = retier.verify_store(out)
+    assert rep["ok"] == P - 1
+    assert rep["issues"] == [
+        f"pid {pid}: rollup_4w unreadable: tier 4w: a stored row holds a "
+        "null 'min'"]
+
+    # one newer row of the corrupt row's url: the increment loads that
+    # partition's tier and raises
+    url = tbl.column("url")[row].as_py()
+    t = pq.read_table(info["webtext"])
+    t = t.filter(pc.equal(t.column("url"), url)).slice(0, 1)
+    hw = inc.read_run_config(out)["high_water_us"]
+    newer = str(tmp_path / "newer.parquet")
+    pq.write_table(t.set_column(
+        t.column_names.index("warc_ts"), "warc_ts",
+        pa.array([hw + 3600 * US], pa.int64()).cast(
+            t.schema.field("warc_ts").type)), newer)
+    with pytest.raises(ValueError, match="tier 4w: a stored row holds"):
+        inc.run_increment(out, mp.ingest_webtext(newer))
 
 
 def test_verify_store_lists_uncommitted_partition(ray_session, tmp_path):

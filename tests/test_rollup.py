@@ -235,9 +235,9 @@ def test_fill_on_read_matches_rollup_series_table(tmp_path, tier,
     want = rollup.rollup_series_table(series, tiers=[tier])[tier.name]
     stored = rollup.observed_tier_tables(series, tiers=[tier])[tier.name]
     assert stored.num_rows < want.num_rows            # fills not stored
-    assert not pa.compute.any(pa.compute.equal(
-        stored.column("count"), 0)).as_py()
-    assert not pa.compute.any(stored.column("gapfilled")).as_py()
+    rolled, _ = rollup.table_rolled(stored)
+    assert (rolled["count"] > 0).all()                # no fill row stored
+    assert "gapfilled" not in stored.column_names
     gf = want.column("gapfilled").to_numpy(zero_copy_only=False)
     assert rollup.served_counts(stored) == (want.num_rows, int((~gf).sum()))
 
@@ -286,7 +286,8 @@ def test_fill_on_read_cases_are_present():
     """The fixture really exercises the boundary cases it names."""
     series = _fill_on_read_series()
     h = rollup.DEFAULT_TIERS[0]
-    stored = rollup.observed_tier_tables(series, tiers=[h])["1h"]
+    stored = rollup.tier_table(*rollup.table_rolled(
+        rollup.observed_tier_tables(series, tiers=[h])["1h"]))
     served = rollup.rollup_series_table(series, tiers=[h])["1h"]
     hw = 400 * DAY
     lo = hw - h.retention_us - h.width_us
@@ -306,3 +307,33 @@ def test_fill_on_read_cases_are_present():
     # a has an unfilled gap longer than max_gap inside the window
     a = [b for b, _ in by[(id(served), "a")]]
     assert max(np.diff(a)) > (h.max_gap + 1) * h.width_us
+
+
+def test_table_rolled_rejects_nulls_the_layout_does_not_allow():
+    """A null ``min``/``max``/``last`` stands for ``sum`` only where
+    ``count == 1``; any other null in a stored tier raises, naming the
+    tier.  A served view (no tier metadata) holds nulls in its fills."""
+    tier = rollup.TierSpec("1d")
+    rolled = {"series_idx": np.array([0, 0, 1]),
+              "bucket_ts": np.array([0, 3 * DAY, 0]),
+              "count": np.array([1, 2, 1], np.int32),
+              "sum": np.array([0.5, 1.5, -2.0]),
+              "min": np.array([0.5, 0.25, -2.0]),
+              "max": np.array([0.5, 1.25, -2.0]),
+              "last": np.array([0.5, 1.25, -2.0])}
+    stored = rollup.stored_tier_table(rolled, pa.array(["a", "b"]), tier, 0)
+    assert stored.column("min").to_pylist() == [None, 0.25, None]
+    got, _ = rollup.table_rolled(stored)
+    assert got["min"].tolist() == [0.5, 0.25, -2.0]
+    assert got["mean"].tolist() == [0.5, 0.75, -2.0]
+    for col, row in (("count", 0), ("sum", 2), ("min", 1), ("last", 1)):
+        vals = stored.column(col).to_pylist()
+        vals[row] = None
+        bad = stored.set_column(stored.column_names.index(col), col,
+                                pa.array(vals, stored.column(col).type))
+        with pytest.raises(ValueError, match=f"tier 1d: .* null '{col}'"):
+            rollup.table_rolled(bad)
+    served = rollup.serve_tier_table(stored)
+    assert served.column("sum").null_count == 2       # the two fills
+    assert rollup.table_rolled(served)[0]["count"].tolist() == \
+        [1, 0, 0, 2, 1]

@@ -494,6 +494,59 @@ def test_resume_rebuilds_an_uncommitted_merge_partition(ray_session,
         assert _read_all(out, name).equals(_read_all(fresh, name)), name
 
 
+def test_merge_partitions_record_their_hot_rows_fragments(
+        ray_session, skewed_webtext, tmp_path):
+    """A fresh salted run's merge pid records the input fragments its hot
+    urls' rows came from, the list a resumed rebuild of that pid records:
+    over three input files, the hourly hot url's rows sit in the first
+    two and the second hot url's in the first and third."""
+    from nrt_ray.pipelines import incremental as inc
+    from nrt_ray.state import manifest
+
+    path, _ = skewed_webtext
+    t = pq.read_table(path)
+    t = t.take(pc.sort_indices(t, sort_keys=[("warc_ts", "ascending")]))
+    other = next(u for u in sorted(set(t.column("url").to_pylist()))
+                 if u != HOT_URL)
+    half = t.num_rows // 2
+    late = t.slice(half)
+    is_other = pc.equal(late.column("url"), other)
+    d = tmp_path / "input"
+    d.mkdir()
+    for i, part in enumerate((t.slice(0, half),
+                              late.filter(pc.invert(is_other)),
+                              late.filter(is_other))):
+        pq.write_table(part, str(d / f"part{i}.parquet"))
+    P = 5
+    common = dict(strategy="EWMA", monitor_params={"trend": False},
+                  monitor_start="2021-01-01", num_partitions=P,
+                  tiers=TIERS)
+    fresh = str(tmp_path / "fresh")
+    mp.run_pipeline(str(d), fresh, hot_urls={HOT_URL, other}, **common)
+    cfg = inc.read_run_config(fresh)
+    frag = {os.path.basename(f): int(i)
+            for i, f in cfg["fragments"].items()}
+    files_of = {HOT_URL: ("part0.parquet", "part1.parquet"),
+                other: ("part0.parquet", "part2.parquet")}
+    M = cfg["num_merge_tasks"]
+    want = {P + r % M: sorted(frag[f] for f in files_of[u])
+            for r, u in enumerate(cfg["hot_urls"])}
+    assert M == 2 and want[P] != want[P + 1]
+
+    def recorded(out):
+        return {r["partition_id"]: r["input_fragments"]
+                for r in manifest.load_manifest(out)
+                if r["partition_id"] >= P}
+
+    assert recorded(fresh) == want
+    out = str(tmp_path / "out")
+    shutil.copytree(fresh, out)
+    manifest.uncommit_partitions(out, list(want))
+    s = mp.run_pipeline(str(d), out, **common)
+    assert s["partitions_processed"] == M
+    assert recorded(out) == want
+
+
 def test_salted_serving_point_reads(ray_session, skewed_webtext,
                                     tmp_path):
     """lookup_url / read_url_range on a salted store: a hot url serves
