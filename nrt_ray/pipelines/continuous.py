@@ -21,9 +21,8 @@ partitions through the normal atomic manifest commit, so a crash between
 checkpoints loses at most the un-flushed micro-batches — the same
 replay-from-manifest contract as the discrete mode (re-ingest anything
 newer than the committed high-water mark).  Segments only reach disk at
-a checkpoint, so they are encoded there, once per dirty partition: the
-urls changed by any batch since the last checkpoint, onto the segments
-it wrote.
+a checkpoint, so they are encoded there, once per dirty partition, from
+all of its tiers.  A partition is loaded when a batch first touches it.
 
 Scale notes: partition→actor assignment is static (``pid % pool``), so a
 partition's state never moves between nodes; micro-batch routing ships
@@ -36,7 +35,6 @@ which leads the committed one between checkpoints.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 import ray
@@ -58,36 +56,16 @@ class PartitionMonitorActor:
         self.proc = inc.IncrementProcessor(out_dir, run_id="continuous",
                                            config=config,
                                            new_high_water_us=0)
-        # pid -> artifacts; "segments" are the last checkpointed
+        # pid -> artifacts (``load_partition``'s shape)
         self.cache: dict[int, dict] = {}
-        # dirty pid -> (its newest artifacts, "changed" holding every url
-        # changed since the last checkpoint; the mark they were built at)
+        # dirty pid -> (its newest artifacts, the mark they were built at)
         self.pending: dict[int, tuple[dict, int]] = {}
-        self._warm: dict = {}              # pid -> Future (prefetch)
 
     def _artifacts(self, pid: int) -> dict:
         if pid not in self.cache:
-            fut = self._warm.pop(pid, None)
             # first contact with an uncheckpointed pid: empty artifacts
-            self.cache[pid] = fut.result() if fut is not None \
-                else self.proc.load_partition(pid)
+            self.cache[pid] = self.proc.load_partition(pid)
         return self.cache[pid]
-
-    def prefetch(self, pids: list[int]) -> int:
-        """Warm the checkpoint cache for this actor's partitions.
-
-        Called fire-and-forget at pool construction: loads run on a
-        small thread pool (parquet decode releases the GIL) so batch-0
-        ``apply`` calls — which execute after this task returns —
-        overlap with the remaining loads instead of paying each
-        checkpoint read + allocator first-touch inline."""
-        import concurrent.futures as cf
-        ex = cf.ThreadPoolExecutor(max_workers=4)
-        for pid in pids:
-            if pid not in self.cache and pid not in self._warm:
-                self._warm[pid] = ex.submit(self.proc.load_partition, pid)
-        ex.shutdown(wait=False)
-        return len(pids)
 
     def apply(self, pid: int, new_hw_us: int, *tables) -> dict | None:
         """Apply one micro-batch's slice for ``pid``; returns summary, or
@@ -102,13 +80,8 @@ class PartitionMonitorActor:
         art = self.proc.update_partition(pa.concat_tables(parts),
                                          self._artifacts(pid))
         # cache the new artifacts for the next micro-batch (what
-        # load_partition would return; segments stay the checkpointed)
-        self.cache[pid] = {"state": art["state"], "tiers": art["tiers"],
-                           "segments": art["segments"]}
-        if pid in self.pending:
-            before = self.pending[pid][0]["changed"]
-            art["changed"] = {name: np.union1d(before.get(name, ()), urls)
-                              for name, urls in art["changed"].items()}
+        # load_partition would return)
+        self.cache[pid] = {"state": art["state"], "tiers": art["tiers"]}
         self.pending[pid] = art, new_hw_us
         return {"pid": pid, "input_rows": art["input_rows"],
                 "rollup_points": art["rollup_points"],
@@ -123,7 +96,6 @@ class PartitionMonitorActor:
         for pid in sorted(self.pending):
             art, self.proc.new_hw = self.pending.pop(pid)
             checksum = self.proc.persist_partition(pid, art)
-            self.cache[pid]["segments"] = art["segments"]
             out.append({"pid": pid, "state_checksum": checksum})
         return out
 
@@ -167,12 +139,6 @@ class ContinuousMonitor:
         self.pool = max(1, min(pool, self.P_total))
         self.actors = [PartitionMonitorActor.remote(out_dir, self.config)
                        for _ in range(self.pool)]
-        # fire-and-forget checkpoint warm-up: each actor loads its own
-        # partitions' state in parallel with whatever the caller does
-        # before the first ingest (batch-0 applies queue behind it)
-        for i, a in enumerate(self.actors):
-            a.prefetch.remote([p for p in range(self.P_total)
-                               if p % self.pool == i])
         self.batches_applied = 0
 
     # -- ingestion ------------------------------------------------------

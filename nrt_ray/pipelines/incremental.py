@@ -24,7 +24,8 @@ report back):
   gap-fill is derived on read, so the gap between a series' previous
   last bucket and its first new bucket fills with the same linear
   semantics as a one-shot run,
-* only the partitions the batch's rows touch are loaded and rewritten.
+* only the partitions the batch's rows touch are loaded and rewritten,
+  each with all of its segments encoded from its tiers.
   Readers apply the retention window at the store's committed mark, so
   a partition without new rows keeps the stored rows, segments and
   commit record of the older mark it was last written at, and still
@@ -95,7 +96,7 @@ def run_settings(config: dict) -> dict:
 
 #: a partition with nothing stored, in ``load_partition``'s shape: a
 #: fresh partition is an update onto it
-NOTHING = {"state": None, "tiers": {}, "segments": None}
+NOTHING = {"state": None, "tiers": {}}
 
 
 class PartitionWriter:
@@ -181,9 +182,9 @@ class PartitionWriter:
     def _merge_tier(self, old: pa.Table | None, series: pa.Table,
                     tier: rollup.TierSpec, hw: int):
         """Append one tier's new observed buckets to its stored rows at
-        mark ``hw``; returns ``(merged_table, changed_urls, (served
-        points, observed buckets), rolled)``, the counts over the merged
-        table and ``rolled`` the arrays its segments encode from
+        mark ``hw``; returns ``(merged_table, (served points, observed
+        buckets), rolled)``, the counts over the merged table and
+        ``rolled`` the arrays its segments encode from
         (``segments_from_rollups``' ``rolled``).
 
         Strictly-forward contract: every new row is newer than the
@@ -193,53 +194,43 @@ class PartitionWriter:
         new, ``mean = sum / count``).  One stable url sort appends them
         to every url's stored rows, touched or not; a new bucket before
         its url's last stored bucket raises.  Retention is re-trimmed
-        at the new mark (each url keeps its anchor).  ``changed_urls``
-        (touched ∪ urls whose stored rows the trim moved) tells the
-        segment stage which (url, tier) payloads to re-encode; the rest
-        are reused byte-identical, and readers cut their served span at
-        the store's mark.  ``old=None`` builds the tier fresh.
+        at the new mark (each url keeps its anchor).  ``old=None``
+        builds the tier fresh: assembled series are url-sorted and
+        unique, so their rows are taken as they are.
         """
-        (_, new, urls, _), = rollup.observed_rolled(
+        (_, cat, dictionary, _), = rollup.observed_rolled(
             series, [rollup.TierSpec(tier.name, tier.width_us)], hw)
-        # (rolled dict, per-series urls), stored rows first
-        rolled = [] if old is None else [rollup.table_rolled(old)]
-        rolled.append((new, urls.combine_chunks()))
-        keys = ("bucket_ts", "count", "sum", "mean", "min", "max", "last")
-        # one sorted url dictionary; each row keyed by its url's rank
-        dictionary = pc.unique(pa.chunked_array(
-            [u for _, u in rolled], pa.string()))
-        dictionary = dictionary.take(pc.sort_indices(dictionary))
-        ranks = [pc.index_in(u, value_set=dictionary).to_numpy()[
-            r["series_idx"]] for r, u in rolled]
-        rank = np.concatenate(ranks)
-        order = np.argsort(rank, kind="stable")
-        rank = rank[order]
-        cat = {k: np.concatenate([r[k] for r, _ in rolled])[order]
-               for k in keys}
-        same = rank[1:] == rank[:-1]
-        step = np.diff(cat["bucket_ts"])
-        if (same & (step < 0)).any():
-            raise ValueError(
-                f"tier {tier.name}: a new bucket precedes its url's last "
-                "stored bucket (increments must be strictly newer than "
-                "the committed high-water mark)")
-        cat["series_idx"] = rank
-        if (same & (step == 0)).any():     # a stored row, then a new one
-            cat = rollup.regroup(cat, tier.width_us)
+        dictionary = dictionary.combine_chunks()
+        if old is not None:
+            # (rolled dict, per-series urls), stored rows first
+            rolled = [rollup.table_rolled(old), (cat, dictionary)]
+            keys = ("bucket_ts", "count", "sum", "mean", "min", "max",
+                    "last")
+            # one sorted url dictionary; each row keyed by its url's rank
+            dictionary = pc.unique(pa.chunked_array(
+                [u for _, u in rolled], pa.string()))
+            dictionary = dictionary.take(pc.sort_indices(dictionary))
+            rank = np.concatenate([pc.index_in(u, value_set=dictionary)
+                                   .to_numpy()[r["series_idx"]]
+                                   for r, u in rolled])
+            order = np.argsort(rank, kind="stable")
+            rank = rank[order]
+            cat = {k: np.concatenate([r[k] for r, _ in rolled])[order]
+                   for k in keys}
+            same = rank[1:] == rank[:-1]
+            step = np.diff(cat["bucket_ts"])
+            if (same & (step < 0)).any():
+                raise ValueError(
+                    f"tier {tier.name}: a new bucket precedes its url's "
+                    "last stored bucket (increments must be strictly "
+                    "newer than the committed high-water mark)")
+            cat["series_idx"] = rank
+            if (same & (step == 0)).any():  # a stored row, then a new one
+                cat = rollup.regroup(cat, tier.width_us)
         merged = rollup.trim_for_retention(cat, tier.width_us,
                                            tier.retention_us, hw)
         runs = rollup.served_runs(merged, tier, hw)
-        # changed: touched, or stored rows trimmed
-        nu = len(dictionary)
-        changed = np.zeros(nu, bool)
-        changed[pc.index_in(series.column("url"),
-                            value_set=dictionary).to_numpy()] = True
-        if old is not None:
-            changed |= (np.bincount(ranks[0], minlength=nu)
-                        != np.bincount(merged["series_idx"], minlength=nu))
         return (rollup.stored_tier_table(merged, dictionary, tier, hw),
-                dictionary.filter(pa.array(changed))
-                .to_numpy(zero_copy_only=False),
                 rollup.run_totals(merged["bucket_ts"], runs[0], runs[2]),
                 (merged, dictionary, runs))
 
@@ -261,40 +252,27 @@ class PartitionWriter:
         merged = {tier.name: self._merge_tier(old["tiers"].get(tier.name),
                                               series, tier, hw)
                   for tier in self.tiers}
-        return self._artifacts(old, state, merged, input_rows,
-                               series.num_rows)
-
-    def _artifacts(self, old: dict, state: pa.Table, merged: dict,
-                   input_rows: int, series_rows: int) -> dict:
-        """New artifacts from merged tiers (``{name: (table, changed
-        urls, counts, rolled)}``): the tier tables, each tier's changed
-        urls and the arrays its segments encode from, ``old``'s
-        segments (the last persisted; :meth:`persist_partition` encodes
-        the changed urls onto them), alerts from the state."""
+        # the tier tables, the arrays each tier's segments encode from,
+        # alerts from the state
         alerts = state.filter(pc.equal(state.column("status"), 3)) \
             .select([c for c in ("url", "strategy", "detection_date",
                                  "process", "boundary")
                      if c in state.column_names])
         return {"state": state,
                 "tiers": {name: m[0] for name, m in merged.items()},
-                "changed": {name: m[1] for name, m in merged.items()},
-                "rolled": {name: m[3] for name, m in merged.items()},
-                "segments": old.get("segments"), "alerts": alerts,
-                "rollup_points": sum(m[2][0] for m in merged.values()),
-                "observed_buckets": sum(m[2][1] for m in merged.values()),
-                "input_rows": input_rows, "series_rows": series_rows}
+                "rolled": {name: m[2] for name, m in merged.items()},
+                "alerts": alerts,
+                "rollup_points": sum(m[1][0] for m in merged.values()),
+                "observed_buckets": sum(m[1][1] for m in merged.values()),
+                "input_rows": input_rows, "series_rows": series.num_rows}
 
     def persist_partition(self, pid: int, art: dict, tables=None,
                           **record) -> str:
         """Commit ``art`` (and any extra ``tables``) through
         :func:`manifest.persist_partition`; ``record`` adds lineage
-        fields.  The segments are encoded here, once per commit: the
-        changed urls' chunks are re-encoded onto ``art["segments"]``
-        (the last persisted segments), which then holds the committed
-        table.  Returns the state checksum."""
-        art["segments"] = compress.segments_from_rollups(
-            art["tiers"], changed_urls=art["changed"],
-            old_segments=art["segments"], rolled=art["rolled"])
+        fields.  The segments are encoded here, once per commit, from
+        all of the partition's tiers in config order: a function of the
+        committed tier tables alone.  Returns the state checksum."""
         record["row_counts"] = dict(record.get("row_counts") or {},
                                     input=art["input_rows"],
                                     series=art["series_rows"])
@@ -302,7 +280,9 @@ class PartitionWriter:
             self.out_dir, self.run_id, pid,
             {"state": art["state"],
              **{f"rollup_{name}": t for name, t in art["tiers"].items()},
-             "segments": art["segments"], "alerts": art["alerts"],
+             "segments": compress.segments_from_rollups(
+                 art["tiers"], rolled=art["rolled"]),
+             "alerts": art["alerts"],
              **(tables or {})},
             dict(record, num_partitions=self.num_partitions,
                  strategy=self.stage.strategy, high_water_us=self.new_hw),
@@ -341,13 +321,7 @@ class IncrementProcessor(PartitionWriter):
                 pq.read_table(p, use_threads=False), tier,
                 self.config["high_water_us"]) if os.path.exists(p) \
                 else None
-        segp = os.path.join(manifest.partition_dir(
-            self.out_dir, "segments", pid), "part.parquet")
-        old_segments = pq.read_table(segp, use_threads=False) \
-            if os.path.exists(segp) \
-            else None
-        return {"state": old_state, "tiers": old_tiers,
-                "segments": old_segments}
+        return {"state": old_state, "tiers": old_tiers}
 
     def update_partition(self, group: pa.Table, old: dict) -> dict:
         """:meth:`update_series` of one partition's new flat rows."""
@@ -595,8 +569,7 @@ def run_forget(out_dir: str, urls, run_id: str = "forget") -> dict:
     }
 
 
-def run_backfill(out_dir: str, input_path, run_id: str = "backfill",
-                 reduce_num_cpus: float = 1.0) -> dict:
+def run_backfill(out_dir: str, input_path, run_id: str = "backfill") -> dict:
     """Fold the dead-lettered LATE rows into the committed output by
     rebuilding only the partitions that own them — the repair path for
     the strictly-forward increment contract (``run_increment`` routes
@@ -653,7 +626,7 @@ def run_backfill(out_dir: str, input_path, run_id: str = "backfill",
     manifest.uncommit_partitions(out_dir, pids)
     summary = mp.run_pipeline(
         input_path, out_dir, **run_settings(config),
-        resume=True, run_id=run_id, reduce_num_cpus=reduce_num_cpus)
+        resume=True, run_id=run_id)
 
     # archive the applied dead-letter files (audit, never re-applied)
     applied = os.path.join(out_dir, "dead_letter_applied", run_id)

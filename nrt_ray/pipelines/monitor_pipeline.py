@@ -477,7 +477,6 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
                  salt_threshold: str | None = "auto",
                  hot_urls=None,
                  reduce_num_cpus: float = 1.0,
-                 fragment_lineage: bool = True,
                  fault_hook=None) -> dict:
     """Run the flagship pipeline; returns a summary dict (tiny).
 
@@ -543,7 +542,6 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
     else:
         effective_screen = screen_outliers
     frag_paths = [] if (flat_dataset is not None
-                        or not fragment_lineage
                         or is_warc_input(input_path)) else \
         input_files(input_path)
     frag_ids = {p: i for i, p in enumerate(frag_paths)}

@@ -108,11 +108,10 @@ def retier_partition(out_dir: str, pid: int, new_tier: rollup.TierSpec,
     segs = segs.filter(pc.invert(pc.equal(segs.column("tier"),
                                           new_tier.name)))
     new_segs = compress.segments_from_rollups({new_tier.name: tier_tbl})
+    # after the existing rows: the full encode's order once the run
+    # config lists the new tier last
     merged = pa.concat_tables([segs, new_segs],
                               promote_options="default")
-    merged = merged.take(pc.sort_indices(merged, sort_keys=[
-        ("tier", "ascending"), ("url", "ascending"),
-        ("seg_start", "ascending")]))
     served, observed = rollup.served_counts(tier_tbl)
     metrics = record.get("metrics") or {}
     manifest.persist_partition(

@@ -26,15 +26,16 @@ stream, so payloads written with ANY block size decode correctly — the
 compile-time :data:`BLOCK` is only the encoder's default.  The previous
 "dod+xor" (v1) format had no block field (the decoder assumed the
 compile-time constant), which made a BLOCK change an on-disk format
-break; v1 payloads are therefore refused by ``decode_segments_table``
-and transparently re-encoded (not byte-reused) by the incremental path
-in :func:`segments_from_rollups`.  v3 keeps the v2 payload layout but
+break; v1 payloads are therefore refused by ``decode_segments_table``.
+A partition's segments are encoded from its tier tables alone
+(:func:`segments_from_rollups`), so any rewrite of the partition
+replaces its legacy payloads.  v3 keeps the v2 payload layout but
 changes what the points are: a segment holds its tier's STORED rows
 (observed buckets, plus the retention anchor), and each segment row
 carries what its linear gap-fill needs (``width_us``, ``max_gap``, and
 the served span ``seg_start``..``seg_end``), so a row still decodes on
 its own.  v2 payloads held the served points fills included, so they
-are refused and re-encoded like v1.
+are refused and replaced like v1.
 
 Round-trip is exact (bit-for-bit) for any int64/float64 input including
 NaN payloads; exhaustively tested in tests/test_compress.py.
@@ -296,8 +297,7 @@ def decode_xor(buf: bytes) -> np.ndarray:
 
 
 def segments_from_rollups(tier_tables: dict, max_points: int = 4096,
-                          changed_urls: dict | None = None,
-                          old_segments=None, rolled: dict | None = None):
+                          rolled: dict | None = None):
     """Build the compressed segment table from rolled-up tier tables.
 
     One segment per (url, tier) chunk of at most ``max_points`` stored
@@ -319,14 +319,11 @@ def segments_from_rollups(tier_tables: dict, max_points: int = 4096,
     its served span.  A table without tier metadata is a served view,
     encoded point for point.
 
-    Incremental reuse (O(touched) increments): when ``changed_urls``
-    maps each tier name to the urls whose served rows changed this
-    increment and ``old_segments`` is the previous commit's segment
-    table, payloads for UNCHANGED (url, tier) pairs are carried over
-    byte-identical instead of re-encoded — the codecs are deterministic,
-    so re-encoding identical points would produce identical bytes.  The
-    table is then sorted by (tier, url, seg_start); a full encode keeps
-    the tier tables' order.
+    A partition's segments are this function of its committed tier
+    tables, in the tiers' order: every writer re-encodes them whole
+    when it rewrites the partition.  Each url's chunks encode on their
+    own, so dropping a url's rows from the result equals encoding the
+    tiers without it.
 
     ``rolled`` maps a tier name to the arrays its segments encode from,
     ``(rolled dict, per-series urls, served runs)``
@@ -339,81 +336,23 @@ def segments_from_rollups(tier_tables: dict, max_points: int = 4096,
         pyarrow.Table (url, tier, seg_start, seg_end, n_points, width_us,
         max_gap, codec, payload_ts, payload_value)
     """
-    incremental = changed_urls is not None and old_segments is not None \
-        and old_segments.num_rows > 0
-    reused = []
-    if incremental:
-        # payloads from other codec versions must NOT be carried over
-        # byte-identical: treat their urls as changed so they are
-        # re-encoded in the current format below
-        legacy = old_segments.filter(pc.not_equal(
-            old_segments.column("codec"), CODEC))
-        if legacy.num_rows:
-            orphan = set(legacy.column("tier").to_pylist()) \
-                - set(tier_tables)
-            if orphan:
-                raise ValueError(
-                    f"old segments hold {CODEC!r}-incompatible rows for "
-                    f"tier(s) {sorted(orphan)} that have no tier table to "
-                    "re-encode them from")
-            changed_urls = dict(changed_urls)
-            for tier_name in tier_tables:
-                lt = legacy.filter(pc.equal(legacy.column("tier"),
-                                            tier_name))
-                if lt.num_rows:
-                    changed_urls[tier_name] = sorted(
-                        set(map(str, changed_urls.get(tier_name, ())))
-                        | set(lt.column("url").to_pylist()))
-            old_segments = old_segments.filter(pc.equal(
-                old_segments.column("codec"), CODEC))
-        for tier_name in tier_tables:
-            ch = _url_array(changed_urls.get(tier_name, ()))
-            tier_old = old_segments.filter(
-                pc.equal(old_segments.column("tier"), tier_name))
-            # hash-based membership — np.isin on object strings is
-            # O(rows × changed) and dominated incremental applies
-            tier_old = tier_old.filter(pc.invert(pc.is_in(
-                tier_old.column("url"), value_set=ch)))
-            if tier_old.num_rows:
-                reused.append(tier_old)
-    parts = [_encode_tier(tier_name, table, max_points,
-                          (rolled or {}).get(tier_name),
-                          _url_array(changed_urls.get(tier_name, ()))
-                          if incremental else None)
-             for tier_name, table in tier_tables.items() if table.num_rows]
-    out = pa.concat_tables([SEGMENT_SCHEMA.empty_table()] + reused + parts)
-    if incremental:
-        # sorted whether or not anything was reused, so the bytes do not
-        # depend on how many commits the changes were spread over
-        out = out.take(pc.sort_indices(out, sort_keys=[
-            ("tier", "ascending"), ("url", "ascending"),
-            ("seg_start", "ascending")]))
-    return out
-
-
-def _url_array(urls) -> pa.Array:
-    return pa.array(np.asarray(urls, dtype=object), pa.string(),
-                    from_pandas=True)
+    return pa.concat_tables([SEGMENT_SCHEMA.empty_table()] + [
+        _encode_tier(tier_name, table, max_points,
+                     (rolled or {}).get(tier_name))
+        for tier_name, table in tier_tables.items() if table.num_rows])
 
 
 def _encode_tier(tier_name: str, table: pa.Table, max_points: int,
-                 rolled=None, only: pa.Array | None = None):
+                 rolled=None):
     """Segments of one non-empty tier table (see
-    :func:`segments_from_rollups`); of its urls in ``only`` when given."""
+    :func:`segments_from_rollups`)."""
     tier, hw = rollup.tier_meta(table) or (
         rollup.TierSpec(tier_name, gapfill=False), None)
     if rolled is None:
         r, urls = rollup.table_rolled(table)
         rolled = r, urls, rollup.served_runs(r, tier, hw)
-    r, urls, runs = rolled
-    cols = (r["bucket_ts"], r["mean"], r["series_idx"]) + tuple(runs)
-    if only is not None:
-        rows = pc.is_in(urls, value_set=only).to_numpy(
-            zero_copy_only=False)[r["series_idx"]]
-        if not rows.any():
-            return SEGMENT_SCHEMA.empty_table()
-        cols = tuple(c[rows] for c in cols)
-    ts, mean, sidx, first, last, count = cols
+    r, urls, (first, last, count) = rolled
+    ts, mean, sidx = r["bucket_ts"], r["mean"], r["series_idx"]
     # chunk starts cs / ends ce: <= max_points stored rows per url run
     u0 = np.flatnonzero(np.r_[True, sidx[1:] != sidx[:-1]])
     u1 = np.r_[u0[1:], len(sidx)]

@@ -86,9 +86,11 @@ def test_block_size_header_only_difference():
                                   compress.decode_dod(e1024))
 
 
-def test_legacy_codec_refused_and_migrated():
-    """v1 'dod+xor' rows: decode_segments_table refuses them loudly and
-    segments_from_rollups re-encodes (never byte-reuses) their urls."""
+def test_legacy_codec_refused():
+    """v1 'dod+xor' rows: decode_segments_table refuses them loudly.  A
+    rewrite of their partition replaces them, since it encodes its
+    segments from the tiers alone
+    (``test_incremental::test_legacy_codec_store_migrates_on_increment``)."""
     tier = pa.table({
         "url": pa.array(["a"] * 4 + ["b"] * 4, pa.string()),
         "bucket_ts": pa.array(list(range(0, 4 * US * 3600, US * 3600)) * 2,
@@ -97,21 +99,12 @@ def test_legacy_codec_refused_and_migrated():
     })
     seg = compress.segments_from_rollups({"1h": tier})
     assert set(seg.column("codec").to_pylist()) == {compress.CODEC}
-    # forge a v1 store: same rows, legacy codec tag + headerless payload
+    # forge a v1 store: same rows under the legacy codec tag
     legacy = seg.set_column(
         seg.column_names.index("codec"), "codec",
         pa.array(["dod+xor"] * seg.num_rows, pa.string()))
     with pytest.raises(ValueError, match="dod\\+xor"):
         compress.decode_segments_table(legacy, tier="1h")
-    # incremental over the legacy store, nothing changed: both urls must
-    # be RE-ENCODED in v2 (byte-reuse of v1 payloads would decode wrong)
-    out = compress.segments_from_rollups(
-        {"1h": tier}, changed_urls={"1h": []}, old_segments=legacy)
-    assert set(out.column("codec").to_pylist()) == {compress.CODEC}
-    dec = compress.decode_segments_table(out, tier="1h")
-    assert dec.num_rows == 8
-    assert sorted(dec.column("mean").to_pylist()) == sorted(
-        [1.0, 2.0, 3.0, 4.0] * 2)
 
 
 def test_compression_ratio_regular_series():
@@ -272,27 +265,6 @@ def test_v1_payloads_refused_structurally():
             compress.decode_dod(_v1(compress.encode_dod(ts, block=128)))
         with pytest.raises(ValueError):
             compress.decode_xor(_v1(compress.encode_xor(vals, block=128)))
-
-
-def test_legacy_rows_for_missing_tier_raise():
-    """Old segments holding legacy rows for a tier without a tier table
-    to re-encode them from are refused, not silently dropped."""
-    tier = pa.table({
-        "url": pa.array(["a"] * 3, pa.string()),
-        "bucket_ts": pa.array([0, 86400 * US, 2 * 86400 * US],
-                              pa.int64()).cast(pa.timestamp("us")),
-        "mean": pa.array([1.0, 2.0, 3.0], pa.float64()),
-    })
-    seg = compress.segments_from_rollups({"1d": tier})
-    legacy = seg.set_column(seg.column_names.index("codec"), "codec",
-                            pa.array(["dod+xor2"] * seg.num_rows))
-    with pytest.raises(ValueError, match="1d"):
-        compress.segments_from_rollups({"1w": tier}, changed_urls={"1w": []},
-                                       old_segments=legacy)
-    out = compress.segments_from_rollups({"1d": tier},
-                                         changed_urls={"1d": []},
-                                         old_segments=legacy)
-    assert set(out.column("codec").to_pylist()) == {compress.CODEC}
 
 
 # -- oracle: the per-segment encoders the partition-wide one replaced ------

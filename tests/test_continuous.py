@@ -211,11 +211,10 @@ def test_continuous_encodes_segments_at_checkpoint(ray_session,
                                                    chunked_webtext,
                                                    tmp_path):
     """Segments are encoded at a checkpoint, once per dirty partition,
-    for every url changed since the last one: batch 1 touches only url
-    A, batch 2 only the other urls (its newer rows advance the 1h
-    window), so A's 1d/1w segments change in batch 1 alone.  The
-    checkpointed segment files equal the discrete run's byte for byte,
-    and a checkpoint with nothing pending encodes nothing."""
+    from all of its tiers: batch 1 touches only url A, batch 2 only the
+    other urls (its newer rows advance the 1h window).  The checkpointed
+    segment files equal the discrete run's byte for byte, and a
+    checkpoint with nothing pending encodes nothing."""
     d = chunked_webtext
     t = pq.read_table(str(d / "webtext.parquet"))
     c0, c1 = (pa.scalar(int(c.astype(np.int64)), pa.int64())

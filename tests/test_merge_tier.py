@@ -1,5 +1,5 @@
 """The increment tier merge (append-only) ≡ the pandas regroup it
-replaced, bit for bit, on the merged tables and the changed urls."""
+replaced, bit for bit, on the merged tables."""
 
 from __future__ import annotations
 
@@ -28,22 +28,16 @@ CONFIG = {"tiers": [t.to_dict() for t in rollup.DEFAULT_TIERS],
 
 def _retention_advance(proc, table, tier):
     if tier.retention_us is None or not table.num_rows:
-        return rollup.tag_tier(table, tier, proc.new_hw), \
-            np.array([], dtype=object)
+        return rollup.tag_tier(table, tier, proc.new_hw)
     rolled, urls = rollup.table_rolled(table)
-    sidx = rolled["series_idx"]
-    keys = {"series_idx": sidx, "bucket_ts": rolled["bucket_ts"],
-            "row": np.arange(len(sidx))}
+    keys = {"series_idx": rolled["series_idx"],
+            "bucket_ts": rolled["bucket_ts"],
+            "row": np.arange(len(rolled["series_idx"]))}
     kept = rollup.trim_for_retention(keys, tier.width_us,
                                      tier.retention_us, proc.new_hw)
-    n = len(urls)
-    # changed: the urls whose stored rows the trim moved
-    moved = (np.bincount(sidx, minlength=n)
-             != np.bincount(kept["series_idx"], minlength=n))
     if len(kept["row"]) < table.num_rows:
         table = table.take(pa.array(kept["row"]))
-    return (rollup.tag_tier(table, tier, proc.new_hw),
-            urls.filter(pa.array(moved)).to_numpy(zero_copy_only=False))
+    return rollup.tag_tier(table, tier, proc.new_hw)
 
 
 def _frame(table: pa.Table) -> pd.DataFrame:
@@ -69,14 +63,10 @@ def pandas_merge_tier(proc, old, series, tier):
                                             from_pandas=True))
         untouched = old.filter(pc.invert(tmask))
         old = old.filter(tmask)
-        changed_untouched = np.array([], dtype=object)
         if untouched.num_rows:
-            passthrough, changed_untouched = \
-                _retention_advance(proc, untouched, tier)
-        changed = np.union1d(touched, changed_untouched)
+            passthrough = _retention_advance(proc, untouched, tier)
     else:
         old = None
-        changed = touched
     new = rollup.observed_tier_tables(
         series, tiers=[rollup.TierSpec(tier.name, tier.width_us)],
         high_water_us=proc.new_hw)[tier.name]
@@ -119,7 +109,7 @@ def pandas_merge_tier(proc, old, series, tier):
                                    promote_options="default")
         rebuilt = rebuilt.take(pc.sort_indices(rebuilt, sort_keys=[
             ("url", "ascending"), ("bucket_ts", "ascending")]))
-    return rollup.tag_tier(rebuilt, tier, proc.new_hw), changed
+    return rollup.tag_tier(rebuilt, tier, proc.new_hw)
 
 
 def _series(rows: dict) -> pa.Table:
@@ -146,8 +136,7 @@ def cases():
     # a: touched, its last stored observation at the old mark, the new
     #    one 10 minutes later — one boundary bucket in every tier
     # b: brand new;  c: untouched, its 1h anchor's fills cross the
-    #    moving window start (served count moves, stored rows do not:
-    #    not re-encoded, readers cut its span at the store's mark);
+    #    moving window start (served count moves, stored rows do not);
     # d: untouched, rows trimmed by the 1h window;  e: untouched, quiet
     old = {"a": _obs(rng, T0 + 80 * DAY + hours[::3], OLD_HW),
            "c": _obs(rng, T0 + 10 * DAY + np.arange(4) * HOUR,
@@ -171,8 +160,7 @@ def _stored(rows: dict, tier) -> pa.Table:
         tier.name]
 
 
-def _assert_bits_equal(got, exp):
-    (gt, gc), (et, ec) = got, exp
+def _assert_bits_equal(gt, et):
     assert gt.schema.equals(et.schema, check_metadata=True)
     assert gt.num_rows == et.num_rows
     for name in gt.column_names:
@@ -183,7 +171,6 @@ def _assert_bits_equal(got, exp):
             np.testing.assert_array_equal(a, b, err_msg=name)
         else:
             assert a.to_pylist() == b.to_pylist(), name
-    assert list(gc) == list(ec)
 
 
 @pytest.mark.parametrize("tier", rollup.DEFAULT_TIERS,
@@ -206,14 +193,10 @@ def test_append_merge_equals_pandas_merge(cases, tier, case):
     got = proc._merge_tier(old, series, tier, NEW_HW)
     exp = pandas_merge_tier(proc, old, series, tier)
     # the served/observed counts it returns are the merged table's
-    assert got[2] == rollup.served_counts(got[0])
-    got = got[:2]
-    _assert_bits_equal(got, exp)
+    assert got[1] == rollup.served_counts(got[0])
+    _assert_bits_equal(got[0], exp)
     if case == "partition":
         # the cases the fixture plants are really there
-        changed = set(got[1])
-        assert {"a", "b"} <= changed and not {"c", "e"} & changed
-        assert ("d" in changed) == (tier.retention_us is not None)
         urls = got[0].column("url").to_numpy(zero_copy_only=False)
         stored_a = old.filter(pc.equal(old.column("url"), "a"))
         merged_a = got[0].filter(pc.equal(got[0].column("url"), "a"))
@@ -254,7 +237,7 @@ def test_stored_layout_round_trips_bit_for_bit(cases, tier, tmp_path):
     (_, fresh, urls, _), = rollup.observed_rolled(_series(old_rows),
                                                   [tier], OLD_HW)
     old = _stored(old_rows, tier)
-    merged_tbl, _, _, (merged, dictionary, _) = proc._merge_tier(
+    merged_tbl, _, (merged, dictionary, _) = proc._merge_tier(
         old, _series(new_rows), tier, NEW_HW)
     seen = set()                        # single- and multi-observation
     for i, (stored, want, wurls) in enumerate(
