@@ -168,8 +168,8 @@ def main(argv=None) -> int:
                           "(overrides --tier; needs both bounds)")
     dec.add_argument("--t0", default=None,
                      help="ISO start (inclusive): prune segments by "
-                          "metadata at the parquet scan, never decoding "
-                          "out-of-range payloads")
+                          "metadata, never decoding out-of-range "
+                          "payloads")
     dec.add_argument("--t1", default=None,
                      help="ISO end (exclusive)")
     dec.add_argument("--dest", required=True,
@@ -227,17 +227,13 @@ def main(argv=None) -> int:
         records = mf.load_manifest(args.out)
         rows = {}
         points = {"rollup_points": 0, "observed_buckets": 0}
-        sizes = {}
         for r in records:
             for k, v in (r.get("row_counts") or {}).items():
                 rows[k] = rows.get(k, 0) + int(v)
             for k in points:
                 points[k] += int((r.get("metrics") or {}).get(k, 0))
-            for table in os.listdir(args.out):
-                f = os.path.join(mf.partition_dir(
-                    args.out, table, r["partition_id"]), "part.parquet")
-                if os.path.exists(f):
-                    sizes[table] = sizes.get(table, 0) + os.path.getsize(f)
+        sizes = {t: sum(map(os.path.getsize, files)) for t in rows
+                 if (files := mf.committed_files(args.out, t))}
         print(json.dumps({
             "partitions_committed": len(records),
             "row_counts": rows,
@@ -383,25 +379,16 @@ def main(argv=None) -> int:
                 }))
         elif args.cmd == "decode":
             import numpy as np
-            import pyarrow.compute as pc_
             import ray.data
+            from nrt_ray.pipelines.incremental import read_run_config
+            from nrt_ray.pipelines.monitor_pipeline import window_starts
             from nrt_ray.stages.compress import decode_segments_table
+            from nrt_ray.state import manifest as mf
             t0_us = (int(np.datetime64(args.t0, "us").astype(np.int64))
                      if args.t0 else None)
             t1_us = (int(np.datetime64(args.t1, "us").astype(np.int64))
                      if args.t1 else None)
-            # push the range predicate into the scan: parquet row-group
-            # min/max statistics on seg_start/seg_end drop whole row
-            # groups before any payload bytes leave storage
-            flt = None
-            if t0_us is not None:
-                flt = pc_.field("seg_end") >= np.datetime64(args.t0, "us")
-            if t1_us is not None:
-                f1 = pc_.field("seg_start") < np.datetime64(args.t1, "us")
-                flt = f1 if flt is None else (flt & f1)
             tier = args.tier
-            from nrt_ray.pipelines.incremental import read_run_config
-            from nrt_ray.pipelines.monitor_pipeline import window_starts
             cfg = read_run_config(args.out)
             window = window_starts(cfg)
             if args.max_points is not None:
@@ -414,11 +401,10 @@ def main(argv=None) -> int:
                                    args.max_points,
                                    now_us=int(cfg["high_water_us"])
                                    ).name
-            if tier is not None:
-                ft = pc_.field("tier") == tier
-                flt = ft if flt is None else (flt & ft)
+            # the decode drops other tiers' and out-of-range segments by
+            # their metadata before any payload decodes
             ds = ray.data.read_parquet(
-                f"{args.out}/segments", filter=flt).map_batches(
+                mf.committed_files(args.out, "segments")).map_batches(
                 lambda t: decode_segments_table(t, tier=tier, t0_us=t0_us,
                                                 t1_us=t1_us, window=window),
                 batch_format="pyarrow")

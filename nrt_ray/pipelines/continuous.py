@@ -106,7 +106,9 @@ class ContinuousMonitor:
     A micro-batch updates only the partitions its rows route to; a
     partition without rows is neither touched nor flushed, and serves
     the newer window anyway, because readers apply retention at the
-    mark the checkpoint commits.
+    mark the checkpoint commits.  Like ``run_increment``, it refuses a
+    store with uncommitted partition files
+    (:func:`incremental.increment_target`).
 
     Usage::
 
@@ -119,15 +121,8 @@ class ContinuousMonitor:
 
     def __init__(self, out_dir: str, pool: int | None = None):
         self.out_dir = out_dir
-        self.config = inc.read_run_config(out_dir)
-        self.P = int(self.config["num_partitions"])
-        # salted runs: hot urls' state lives in merge pids P..P+M-1;
-        # route their new rows there (raises for legacy salted runs
-        # whose config predates hot-url persistence)
-        hot_sorted, m_tasks, P_total = inc.salted_layout(out_dir,
-                                                         self.config)
-        self._merge_route = (hot_sorted, m_tasks) if m_tasks else None
-        self.P_total = P_total
+        self.config, self.P, self._merge_route, self.P_total = \
+            inc.increment_target(out_dir)
         self.high_water_us = int(self.config["high_water_us"])
         if pool is None:
             # one actor per core by default: actors are the unit of both

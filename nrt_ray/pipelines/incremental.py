@@ -40,10 +40,10 @@ everywhere except boundary-bucket sums/means (1e-12 rel).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
-import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -302,26 +302,15 @@ class IncrementProcessor(PartitionWriter):
         self.config = config
 
     def load_partition(self, pid: int) -> dict:
-        """Read a partition's checkpointed artifacts (None where absent).
-
-        ``use_threads=False``: many loaders run concurrently (one per
-        actor / reduce task), so each small per-partition file decoding
-        on pyarrow's GLOBAL thread pool (sized to ALL cores, per
-        process) oversubscribes the node ~25× and serializes everyone;
-        single-threaded decode of a few-MB file is the scalable shape."""
-        state_path = os.path.join(manifest.partition_dir(
-            self.out_dir, "state", pid), "part.parquet")
-        old_state = pq.read_table(state_path, use_threads=False) \
-            if os.path.exists(state_path) else None
-        old_tiers = {}
-        for tier in self.tiers:
-            p = os.path.join(manifest.partition_dir(
-                self.out_dir, f"rollup_{tier.name}", pid), "part.parquet")
-            old_tiers[tier.name] = _stored_rows(
-                pq.read_table(p, use_threads=False), tier,
-                self.config["high_water_us"]) if os.path.exists(p) \
-                else None
-        return {"state": old_state, "tiers": old_tiers}
+        """Read a partition's committed artifacts (None where absent,
+        and for a pid without a commit record)."""
+        names = {f"rollup_{t.name}": t for t in self.tiers}
+        got = manifest.read_partition(self.out_dir, pid, ["state", *names])
+        return {"state": got["state"],
+                "tiers": {t.name: None if got[name] is None else
+                          _stored_rows(got[name], t,
+                                       self.config["high_water_us"])
+                          for name, t in names.items()}}
 
     def update_partition(self, group: pa.Table, old: dict) -> dict:
         """:meth:`update_series` of one partition's new flat rows."""
@@ -375,18 +364,45 @@ def salted_layout(out_dir: str, config: dict):
     return list(hot), m_tasks, P + m_tasks
 
 
+def owning_pids(out_dir: str, config: dict, urls) -> list[int]:
+    """The partition holding each url's committed outputs: its hash
+    pid, or a salted hot url's merge pid ``P + sorted_rank % M``."""
+    P = int(config["num_partitions"])
+    hot_sorted, m_tasks, _ = salted_layout(out_dir, config)
+    rank = {u: i for i, u in enumerate(hot_sorted)}
+    return [P + rank[u] % m_tasks if u in rank else int(pid) for u, pid
+            in zip(urls, bucket_of(np.asarray(urls, dtype=object), P))]
+
+
+def increment_target(out_dir: str):
+    """The store a batch of either increment mode applies to: ``(run
+    config, P, merge route, P_total)``, hot urls routed to their merge
+    partitions (:func:`salted_layout`).  Raises for a store with
+    uncommitted partition files: readers skip them, so an increment
+    would refit their urls from nothing."""
+    config = read_run_config(out_dir)
+    if pids := manifest.uncommitted_pids(out_dir):
+        raise RuntimeError(
+            f"partitions {pids} have files but no commit record: rebuild "
+            "them with a resumed run_pipeline before applying increments")
+    hot_sorted, m_tasks, P_total = salted_layout(out_dir, config)
+    return (config, int(config["num_partitions"]),
+            (hot_sorted, m_tasks) if m_tasks else None, P_total)
+
+
 def _hw_scalar(high_water_us: int) -> pa.Scalar:
     return pa.scalar(high_water_us, pa.int64()).cast(pa.timestamp("us"))
 
 
 @ray.remote
-def _split_source(source, recipe, high_water_us: int, path: str,
+def _split_source(source, recipe, high_water_us: int, dl_dir: str,
                   num_partitions: int, merge_route, p_total: int):
     """One micro-batch source (a file read by ``recipe``, or a block if
-    ``recipe`` is None): its rows at or before the mark go to ``path``
-    (tmp + rename; the hidden tmp name does not end in ``.parquet``),
-    its new rows are routed (:func:`route_new`) and sliced by partition.
-    Returns ``((late rows, max(newest warc_ts, mark)), *sub-tables)``."""
+    ``recipe`` is None): its late rows go to a ``dl_dir`` file named by
+    their Arrow IPC digest, so a replay overwrites it (tmp + rename; the
+    tmp name does not end in ``.parquet``); its new rows are routed
+    (:func:`route_new`) and sliced by partition.  Returns ``((late
+    rows, max(newest warc_ts, mark)), *sub-tables)``."""
     block = source if recipe is None else recipe.read(source)
     parts = _split_block(block, p_total, 1, route_new, high_water_us,
                          num_partitions, merge_route)
@@ -396,11 +412,14 @@ def _split_source(source, recipe, high_water_us: int, path: str,
     ts = block.column("warc_ts")
     late = block.filter(pc.less_equal(ts, _hw_scalar(high_water_us)))
     if late.num_rows:
-        d, name = os.path.split(path)
-        os.makedirs(d, exist_ok=True)
-        tmp = os.path.join(d, f".{name}.tmp")
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_stream(sink, late.schema) as w:
+            w.write_table(late)
+        name = hashlib.sha256(sink.getvalue()).hexdigest()[:32]
+        os.makedirs(dl_dir, exist_ok=True)
+        tmp = os.path.join(dl_dir, f".{name}-{os.getpid()}.tmp")
         pq.write_table(late, tmp)
-        os.replace(tmp, path)
+        os.replace(tmp, os.path.join(dl_dir, f"{name}.parquet"))
     newest = pc.max(ts).cast(pa.timestamp("us")).cast(pa.int64()).as_py()
     return ((late.num_rows, max(newest, high_water_us)), *parts)
 
@@ -408,23 +427,22 @@ def _split_source(source, recipe, high_water_us: int, path: str,
 def split_batch(flat_dataset, high_water_us: int, out_dir: str,
                 num_partitions: int, merge_route, p_total: int):
     """The split hop both increment modes share: one plain task per
-    source (:func:`_split_source`), dead-lettering to
-    ``dead_letter/{batch}-{source}.parquet``.  The sources of a Dataset
-    carrying ``ingest_webtext``'s ``scan_recipe`` are its input files,
-    read in the tasks, so no Ray Data executor starts; any other Dataset
-    runs once and its blocks are the sources.  The driver gets only the
-    late counts and newest ``warc_ts``.  Returns ``(per-source lists of
-    p_total sub-table refs, late rows, new high-water mark)``."""
+    source (:func:`_split_source`), dead-lettering each source's late
+    rows to one ``dead_letter/`` file named by their content.  The
+    sources of a Dataset carrying ``ingest_webtext``'s ``scan_recipe``
+    are its input files, read in the tasks, so no Ray Data executor
+    starts; any other Dataset runs once and its blocks are the
+    sources.  The driver gets only the late counts and newest
+    ``warc_ts``.  Returns ``(per-source lists of p_total sub-table
+    refs, late rows, new high-water mark)``."""
     recipe = getattr(flat_dataset, "scan_recipe", None)
     sources = recipe.files if recipe is not None \
         else _iter_block_refs(flat_dataset)
-    dl_dir = os.path.join(out_dir, "dead_letter")
-    batch = uuid.uuid4().hex[:12]
     split = _split_source.options(num_returns=p_total + 1)
     outs = [split.remote(src, recipe, high_water_us,
-                         os.path.join(dl_dir, f"{batch}-{b:05d}.parquet"),
+                         os.path.join(out_dir, "dead_letter"),
                          num_partitions, merge_route, p_total)
-            for b, src in enumerate(sources)]
+            for src in sources]
     stats = ray.get([o[0] for o in outs])
     return ([o[1:] for o in outs], sum(n for n, _ in stats),
             max((m for _, m in stats), default=high_water_us))
@@ -453,6 +471,8 @@ def run_increment(out_dir: str, flat_dataset, run_id: str = "incr") -> dict:
     loaded, updated and rewritten, any other is neither loaded nor
     written.  The new mark is committed last; readers apply retention
     at it, so the partitions left as they were serve the new window too.
+    A store with uncommitted partition files is refused
+    (:func:`increment_target`).
 
     Args:
         out_dir: output directory of a previous ``run_pipeline`` call that
@@ -463,13 +483,11 @@ def run_increment(out_dir: str, flat_dataset, run_id: str = "incr") -> dict:
     Returns:
         summary dict incl. late-row count (dead-lettered).
     """
-    config = read_run_config(out_dir)
-    P = config["num_partitions"]
-    hot_sorted, m_tasks, P_total = salted_layout(out_dir, config)
+    config, P, merge_route, P_total = increment_target(out_dir)
     # strictly-forward contract: rows at or before the mark are late
     parts, late_rows, new_hw = split_batch(
-        flat_dataset, config["high_water_us"], out_dir, P,
-        (hot_sorted, m_tasks) if m_tasks else None, P_total)
+        flat_dataset, config["high_water_us"], out_dir, P, merge_route,
+        P_total)
     proc = IncrementProcessor(out_dir, run_id, config, new_hw)
     rows = [r for r in ray.get([_increment_partition.remote(
         proc, None, *[s[pid] for s in parts]) for pid in range(P_total)])
@@ -496,14 +514,11 @@ def _forget_partition(out_dir: str, run_id: str, tables, pid: int,
     counts every filtered table's rows — so a rerun also commits a
     partition whose files a crashed forget wrote but did not commit."""
     drop = pa.array(urls, pa.string())
-    kept = {}
-    for name in tables:
-        path = os.path.join(manifest.partition_dir(out_dir, name, pid),
-                            "part.parquet")
-        if os.path.exists(path):
-            t = pq.read_table(path, use_threads=False)
-            kept[name] = t.filter(pc.invert(
-                pc.is_in(t.column("url"), value_set=drop)))
+    kept = {name: t.filter(pc.invert(pc.is_in(t.column("url"),
+                                              value_set=drop)))
+            for name, t in manifest.read_partition(out_dir, pid,
+                                                   tables).items()
+            if t is not None}
     counts = record.get("row_counts") or {}
     if all(counts.get(name) == t.num_rows for name, t in kept.items()):
         return None
@@ -541,22 +556,15 @@ def run_forget(out_dir: str, urls, run_id: str = "forget") -> dict:
     the append-only ``dead_letter`` audit log is exempt.
     """
     config = read_run_config(out_dir)
-    P = int(config["num_partitions"])
-    hot_sorted, m_tasks, _ = salted_layout(out_dir, config)
-    hot_rank = {u: i for i, u in enumerate(hot_sorted)}
     urls = sorted(set(urls))
+    records = {r["partition_id"]: r for r in manifest.load_manifest(out_dir)
+               if r.get("committed")}
+    pids = sorted(set(owning_pids(out_dir, config, urls)) & records.keys())
     forgotten = sorted(set(config.get("forgotten_urls", ())) | set(urls))
     if forgotten != config.get("forgotten_urls"):
         config["forgotten_urls"] = forgotten
         write_run_config(out_dir, config)
     shutil.rmtree(os.path.join(out_dir, "hot_series"), ignore_errors=True)
-    cold = [u for u in urls if u not in hot_rank]
-    records = {r["partition_id"]: r for r in manifest.load_manifest(out_dir)
-               if r.get("committed")}
-    pids = sorted(({P + hot_rank[u] % m_tasks for u in urls
-                    if u in hot_rank}
-                   | set(bucket_of(cold, P).tolist()))
-                  & records.keys())
     tables = ["state", "alerts", "segments"] \
         + [f"rollup_{t['name']}" for t in config["tiers"]]
     done = ray.get([_forget_partition.remote(

@@ -14,8 +14,6 @@ one giant file.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -118,10 +116,7 @@ def build_inverted_index(sf_dir: str, out_dir: str,
 
 def read_index(out_dir: str):
     """The written index as a Dataset (one block per partition file)."""
-    paths = [os.path.join(manifest.partition_dir(out_dir, "index", pid),
-                          "part.parquet")
-             for pid in sorted(manifest.committed_partitions(out_dir))]
-    return ray.data.read_parquet(paths)
+    return ray.data.read_parquet(manifest.committed_files(out_dir, "index"))
 
 
 _INDEX_CACHE: dict = {}

@@ -388,30 +388,29 @@ def _merge_tasks(hot_urls) -> int:
 def merge_hot_partitions(out_dir: str, hot_urls, processor_kwargs: dict,
                          num_partitions: int) -> list:
     """Second (tiny) phase for salted hot urls: each merge task reads the
-    hot sub-series its urls left behind in every partition, concatenates
+    hot sub-series its urls left in every committed partition, concatenates
     them by time (flatten → re-assemble), and runs the SAME fused
     processor, committing under merge pids ``P .. P+M−1``
     (``run_pipeline`` then deletes the ``hot_series`` files).  The heavy
     shuffle/assembly work already happened in parallel; only the
     algorithm-inherent sequential monitor recursion runs per url here."""
-    import glob
-
     hot_urls = sorted(hot_urls)
     M = _merge_tasks(hot_urls)
     by_task: list[list[str]] = [[] for _ in range(M)]
     for i, u in enumerate(hot_urls):
         by_task[i % M].append(u)
 
-    files = sorted(glob.glob(os.path.join(out_dir, "hot_series",
-                                          "part=*", "part.parquet")))
+    pids = sorted(manifest.committed_partitions(out_dir))
 
     def merge_one(urls: list[str], merge_pid: int) -> pa.Table:
-        import pyarrow.parquet as pq
         from nrt_ray.stages.assemble import flatten_series
         want = pa.array(urls, pa.string())
         parts, frags = [], set()
-        for f in files:
-            t = pq.read_table(f)
+        for pid in pids:
+            t = manifest.read_partition(out_dir, pid,
+                                        ["hot_series"])["hot_series"]
+            if t is None:
+                continue
             sub = t.filter(pc.is_in(t.column("url"), value_set=want))
             if sub.num_rows:
                 parts.append(flatten_series(sub))
@@ -715,8 +714,10 @@ def top_recent_breaks(out_dir: str, k: int = 100):
     """Report: the k most recently confirmed breaks across all partitions
     (the engine's analog of the reference's GeoTIFF report layers
     mask/detection_date/process) — a global sort + limit over the small
-    alerts table."""
-    alerts = ray.data.read_parquet(os.path.join(out_dir, "alerts"))
+    alerts table (committed partitions only)."""
+    files = manifest.committed_files(out_dir, "alerts")
+    alerts = ray.data.read_parquet(files) if files else \
+        ray.data.from_items([])
     if alerts.count() == 0:
         return alerts
     return alerts.sort(["detection_date", "url"],
@@ -734,19 +735,13 @@ def window_starts(config: dict) -> dict:
 
 def read_output_table(out_dir: str, table: str):
     """Read a pipeline output table back as one pyarrow Table (test/report
-    helper; partitions are concatenated in pid order).  ``rollup_*``
+    helper; committed partitions concatenated in pid order).  ``rollup_*``
     tables come back as served: the stored observed buckets gap-filled
     and retention-trimmed on read at the store's committed mark, or each
     file's own without a run config (:func:`rollup.serve_tier_table`)."""
-    import pyarrow.parquet as pq
-    base = os.path.join(out_dir, table)
-    parts = []
-    if os.path.isdir(base):
-        for d in sorted(os.listdir(base),
-                        key=lambda s: int(s.split("=")[1])):
-            f = os.path.join(base, d, "part.parquet")
-            if os.path.exists(f):
-                parts.append(pq.read_table(f))
+    parts = [t for pid in sorted(manifest.committed_partitions(out_dir))
+             if (t := manifest.read_partition(out_dir, pid, [table])[table])
+             is not None]
     if table.startswith("rollup_"):
         hw = read_run_config(out_dir)["high_water_us"] if os.path.exists(
             os.path.join(out_dir, manifest.MANIFEST_DIR, "run.json")) \
@@ -762,13 +757,8 @@ def _serving_pid(out_dir: str, config: dict, url: str) -> int:
     partition — or, on a salted run, a HOT url's merge partition
     ``P + sorted_rank % M`` from the persisted layout (the same routing
     the increment / continuous / forget paths use)."""
-    from nrt_ray.pipelines.incremental import salted_layout
-    from nrt_ray.stages.assemble import bucket_of
-    P = int(config["num_partitions"])
-    hot_sorted, m_tasks, _ = salted_layout(out_dir, config)
-    if m_tasks and url in hot_sorted:
-        return P + hot_sorted.index(url) % m_tasks
-    return int(bucket_of(np.asarray([url], dtype=object), P)[0])
+    from nrt_ray.pipelines.incremental import owning_pids
+    return owning_pids(out_dir, config, [url])[0]
 
 
 def lookup_url(out_dir: str, url: str) -> dict:
@@ -783,32 +773,22 @@ def lookup_url(out_dir: str, url: str) -> dict:
     Salted runs serve too: a hot url reads its merge partition (the
     persisted ``P + sorted_rank % M`` routing), everything else its
     hash partition."""
-    import pyarrow.parquet as pq
-
     from nrt_ray.pipelines.incremental import read_run_config
     from nrt_ray.stages.compress import decode_segments_table
-    from nrt_ray.state import manifest as mf
 
     config = read_run_config(out_dir)
     pid = _serving_pid(out_dir, config, url)
     out = {"url": url, "pid": pid, "state": None, "alerts": 0,
            "tiers": {}}
-
-    def _part(table: str):
-        f = os.path.join(mf.partition_dir(out_dir, table, pid),
-                         "part.parquet")
-        return pq.read_table(f) if os.path.exists(f) else None
-
-    st = _part("state")
+    st, al, seg = manifest.read_partition(
+        out_dir, pid, ["state", "alerts", "segments"]).values()
     if st is not None:
         hit = st.filter(pc.equal(st.column("url"), url))
         if hit.num_rows:
             out["state"] = hit.to_pylist()[0]
-    al = _part("alerts")
     if al is not None:
         out["alerts"] = int(
             al.filter(pc.equal(al.column("url"), url)).num_rows)
-    seg = _part("segments")
     if seg is not None:
         mine = seg.filter(pc.equal(seg.column("url"), url))
         if mine.num_rows:
@@ -842,25 +822,20 @@ def read_url_range(out_dir: str, url: str, t0_us: int, t1_us: int,
     series at the store's committed mark.  Still O(1) files read at any
     P or corpus size; on salted runs a hot url reads its merge partition
     (persisted routing)."""
-    import pyarrow.parquet as pq
-
     from nrt_ray.pipelines.incremental import read_run_config
     from nrt_ray.stages.compress import decode_segments_table
     from nrt_ray.stages.rollup import TierSpec, choose_tier
-    from nrt_ray.state import manifest as mf
 
     config = read_run_config(out_dir)
     tiers = [TierSpec(**t) for t in config["tiers"]]
     tier = choose_tier(tiers, t0_us, t1_us, max_points,
                        now_us=int(config["high_water_us"]))
     pid = _serving_pid(out_dir, config, url)
-    f = os.path.join(mf.partition_dir(out_dir, "segments", pid),
-                     "part.parquet")
     out = {"url": url, "pid": pid, "tier": tier.name, "points": 0,
            "bucket_ts_us": [], "mean": []}
-    if not os.path.exists(f):
+    seg = manifest.read_partition(out_dir, pid, ["segments"])["segments"]
+    if seg is None:
         return out
-    seg = pq.read_table(f)
     mine = seg.filter(pc.and_(
         pc.equal(seg.column("url"), url),
         pc.equal(seg.column("tier"), tier.name)))

@@ -49,11 +49,8 @@ needs (a 90-day 1h tier cannot back a full-history 1w tier).
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 import ray
 
@@ -88,10 +85,10 @@ def retier_partition(out_dir: str, pid: int, new_tier: rollup.TierSpec,
     source tier and commit them over its lineage ``record`` (new row
     counts, the new tier's points added to ``metrics``, the tier added
     to ``tiers_added``); returns the new tier's served points."""
-    src_path = os.path.join(manifest.partition_dir(
-        out_dir, f"rollup_{source}", pid), "part.parquet")
-    src = pq.read_table(src_path)
-    rolled, urls = compose_rolled(src, new_tier.width_us, high_water_us)
+    got = manifest.read_partition(out_dir, pid,
+                                  [f"rollup_{source}", "segments"])
+    rolled, urls = compose_rolled(got[f"rollup_{source}"],
+                                  new_tier.width_us, high_water_us)
     if high_water_us is None:
         high_water_us = int(rolled["bucket_ts"].max()) \
             if len(rolled["bucket_ts"]) else 0
@@ -101,9 +98,7 @@ def retier_partition(out_dir: str, pid: int, new_tier: rollup.TierSpec,
     tier_tbl = rollup.stored_tier_table(rolled, urls, new_tier,
                                         high_water_us)
 
-    seg_path = os.path.join(manifest.partition_dir(
-        out_dir, "segments", pid), "part.parquet")
-    segs = pq.read_table(seg_path)
+    segs = got["segments"]
     # idempotence: drop any earlier rows of this tier before appending
     segs = segs.filter(pc.invert(pc.equal(segs.column("tier"),
                                           new_tier.name)))
@@ -183,19 +178,19 @@ def verify_store(out_dir: str, repair: bool = False) -> dict:
     """Manifest fsck: re-derive every committed partition's invariants
     from its files and compare against the lineage records.
 
-    Checks per partition: state file present + ``state_checksum``
-    matches the record (one committed empty, checksum "", must have no
-    file); every per-table row count recorded at commit
-    time matches the file on disk (tier files: stored rows, retention
-    anchors included); every tier file reads through
-    :func:`rollup.table_rolled` (no null it rejects); every segment
-    decodes and serves ``n_points``
-    points at the mark it was written at.  One Ray task per partition.
-    A pid with ``state``/``alerts``/``segments``/``rollup_*`` files but
-    no commit record (uncommitted, or written by a run that died before
-    committing it) is reported as ``pid N: files present but no commit
-    record``.  Returns ``{"partitions": N, "ok": M, "issues": [...]}``,
-    ``N`` and ``M`` counting committed partitions.
+    Checks per partition: ``state_checksum`` matches the record (one
+    committed empty, checksum "", must have no file); every per-table
+    row count recorded at commit time matches the file on disk (tier
+    files: stored rows, retention anchors included); every tier file
+    reads through :func:`rollup.table_rolled` (no null it rejects);
+    every segment decodes and serves ``n_points`` points at the mark it
+    was written at.  One Ray task per partition.  A record whose
+    ``high_water_us`` is ahead of ``run.json``'s (a driver that died
+    between the partition commits and the run config) is an issue, and
+    so is a pid in :func:`manifest.uncommitted_pids` (``pid N: files
+    present but no commit record``).  Returns ``{"partitions": N,
+    "ok": M, "issues": [...]}``, ``N`` and ``M`` counting committed
+    partitions.
 
     ``repair=True`` additionally UNCOMMITS every partition with an
     issue (removes its manifest record): the next resumed
@@ -208,80 +203,77 @@ def verify_store(out_dir: str, repair: bool = False) -> dict:
     without them; rerunning the forget mends it too, without reading
     any input.
     """
+    from nrt_ray.pipelines.incremental import read_run_config
+
     records = {r["partition_id"]: r for r in manifest.load_manifest(out_dir)
                if r.get("committed")}
-    tables = ["state", "segments", "alerts"] + sorted(
-        t for t in os.listdir(out_dir) if t.startswith("rollup_"))
-    on_disk = {int(d.split("=")[1]) for t in tables
-               if os.path.isdir(os.path.join(out_dir, t))
-               for d in os.listdir(os.path.join(out_dir, t))
-               if d.startswith("part=") and os.path.exists(
-                   os.path.join(out_dir, t, d, "part.parquet"))}
+    try:
+        config = read_run_config(out_dir)
+    except FileNotFoundError:
+        config = {"tiers": []}
+    tables = ["state", "segments", "alerts"] + [
+        f"rollup_{t['name']}" for t in config["tiers"]]
 
     def check(pid: int, rec: dict) -> list:
+        def read(name: str):
+            """The committed file (None if absent), or the error."""
+            try:
+                t = manifest.read_partition(out_dir, pid, [name])[name]
+                if t is not None and name.startswith("rollup_"):
+                    rollup.table_rolled(t)    # raises on a corrupt row
+                return t
+            except (OSError, ValueError) as e:
+                return e
+
         if rec.get("state_checksum") == "":    # emptied by run_forget
             return [f"pid {pid}: empty partition has a {t} file"
-                    for t in tables if os.path.exists(os.path.join(
-                        manifest.partition_dir(out_dir, t, pid),
-                        "part.parquet"))]
+                    for t in tables if read(t) is not None]
+        # the recorded row counts of persisted tables (hot_series is an
+        # intermediate its run deletes once the merges commit)
+        counts = {k: v for k, v in (rec.get("row_counts") or {}).items()
+                  if k not in ("input", "series", "hot_rows_deferred",
+                               "hot_series")}
+        got = {name: read(name) for name in {"state", "segments", *counts}}
         issues = []
-        st_path = os.path.join(manifest.partition_dir(out_dir, "state",
-                                                      pid), "part.parquet")
-        try:
-            state = pq.read_table(st_path)
-            got = manifest.state_checksum(state)
-            want = rec.get("state_checksum")
-            if want and got != want:
-                issues.append(f"pid {pid}: state checksum mismatch "
-                              f"({got[:12]} != {want[:12]})")
-        except OSError as e:
-            issues.append(f"pid {pid}: state unreadable: {e}")
-        for table, want_rows in (rec.get("row_counts") or {}).items():
-            if table in ("input", "series", "hot_rows_deferred",
-                         "hot_series"):
-                # not persisted as a table, or (hot_series) an
-                # intermediate its run deletes once the merges commit
-                continue
-            p = os.path.join(manifest.partition_dir(out_dir, table, pid),
-                             "part.parquet")
-            try:
-                if table.startswith("rollup_"):
-                    t = pq.read_table(p)
-                    rollup.table_rolled(t)    # raises on a corrupt row
-                    got_rows = t.num_rows
-                else:
-                    got_rows = pq.read_metadata(p).num_rows
-            except (OSError, ValueError) as e:
-                issues.append(f"pid {pid}: {table} unreadable: {e}")
-                continue
-            if got_rows != want_rows:
-                issues.append(f"pid {pid}: {table} rows {got_rows} != "
+        state, want = got["state"], rec.get("state_checksum")
+        if isinstance(state, pa.Table) and want and \
+                (have := manifest.state_checksum(state)) != want:
+            issues.append(f"pid {pid}: state checksum mismatch "
+                          f"({have[:12]} != {want[:12]})")
+        # a missing or unreadable state is listed by its row count
+        for name, want_rows in counts.items():
+            t = got[name]
+            if not isinstance(t, pa.Table):
+                issues.append(f"pid {pid}: {name} unreadable: "
+                              f"{t or 'no file'}")
+            elif t.num_rows != want_rows:
+                issues.append(f"pid {pid}: {name} rows {t.num_rows} != "
                               f"recorded {want_rows}")
-        seg_path = os.path.join(manifest.partition_dir(out_dir, "segments",
-                                                       pid), "part.parquet")
-        try:
-            segs = pq.read_table(seg_path)
-            for i in range(segs.num_rows):
-                n = segs.column("n_points")[i].as_py()
-                try:
-                    got = compress.decode_segments_table(
-                        segs.slice(i, 1)).num_rows
-                except ValueError as e:
-                    got = e
-                if got != n:
-                    issues.append(f"pid {pid}: segment {i} decodes "
-                                  f"{got} points, metadata {n}")
-                    break
-        except OSError:
-            pass  # absence already reported via row_counts when recorded
+        segs = got["segments"]       # absent or unreadable: listed above
+        for i in range(segs.num_rows if isinstance(segs, pa.Table) else 0):
+            n = segs.column("n_points")[i].as_py()
+            try:
+                points = compress.decode_segments_table(
+                    segs.slice(i, 1)).num_rows
+            except ValueError as e:
+                points = e
+            if points != n:
+                issues.append(f"pid {pid}: segment {i} decodes "
+                              f"{points} points, metadata {n}")
+                break
         return issues
 
     check_remote = ray.remote(num_cpus=1)(check)
     refs = [check_remote.remote(pid, rec)
             for pid, rec in sorted(records.items())]
+    hw = config.get("high_water_us")
     issues = [i for chunk in ray.get(refs) for i in chunk] + [
+        f"pid {pid}: committed mark {r['high_water_us']} is ahead of "
+        f"run.json's {hw}" for pid, r in sorted(records.items())
+        if hw is not None and r.get("high_water_us") is not None
+        and r["high_water_us"] > hw] + [
         f"pid {pid}: files present but no commit record"
-        for pid in sorted(on_disk - records.keys())]
+        for pid in manifest.uncommitted_pids(out_dir)]
     bad_pids = sorted({int(i.split(":")[0].split()[1]) for i in issues})
     out = {"partitions": len(records),
            "ok": len(records.keys() - bad_pids),

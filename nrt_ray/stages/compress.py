@@ -410,11 +410,8 @@ def decode_segments_table(segments, tier: str | None = None,
 
     ``t0_us``/``t1_us`` restrict the read to points in [t0, t1):
     segments whose (seg_start, seg_end) metadata falls outside the
-    range are dropped WITHOUT decoding their payloads (callers should
-    additionally push the same predicate into the parquet scan so
-    non-overlapping row groups never leave storage — see the ``decode``
-    CLI subcommand), and decoded points of straddling segments are
-    filtered to the range.
+    range are dropped WITHOUT decoding their payloads, and decoded
+    points of straddling segments are filtered to the range.
     """
     if tier is not None:
         segments = segments.filter(pc.equal(segments.column("tier"),

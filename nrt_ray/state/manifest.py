@@ -22,6 +22,11 @@ half-written temp files are ignored by readers and overwritten).  Every
 writer — flagship reduce, hot-url merge, increment, continuous
 checkpoint, retier, forget and backfill — commits through
 :func:`persist_partition`, so every record carries the same keys.
+
+Readers see committed partitions only, through three functions here,
+the only code that knows the layout: :func:`read_partition` (one pid's
+tables), :func:`committed_files` (for Ray Data scans and byte counts)
+and :func:`uncommitted_pids` (files without a commit record).
 """
 
 from __future__ import annotations
@@ -41,6 +46,14 @@ def partition_dir(out_dir: str, table: str, pid: int) -> str:
     return os.path.join(out_dir, table, f"part={pid}")
 
 
+def _file(out_dir: str, table: str, pid: int) -> str:
+    return os.path.join(partition_dir(out_dir, table, pid), "part.parquet")
+
+
+def _record_path(out_dir: str, pid: int) -> str:
+    return os.path.join(out_dir, MANIFEST_DIR, f"partition-{pid:05d}.json")
+
+
 def write_partition_table(out_dir: str, table: str, pid: int,
                           data: pa.Table) -> str:
     """Atomically write one partition of one logical table.
@@ -54,7 +67,7 @@ def write_partition_table(out_dir: str, table: str, pid: int,
     finds their shared exponent bytes), timestamps DELTA_BINARY_PACKED."""
     d = partition_dir(out_dir, table, pid)
     os.makedirs(d, exist_ok=True)
-    final = os.path.join(d, "part.parquet")
+    final = _file(out_dir, table, pid)
     tmp = os.path.join(d, f".tmp-{os.getpid()}-part.parquet")
     encodings = {f.name: "BYTE_STREAM_SPLIT"
                  if pa.types.is_float64(f.type) else "DELTA_BINARY_PACKED"
@@ -95,7 +108,7 @@ def commit_partition(out_dir: str, run_id: str, pid: int,
     os.makedirs(d, exist_ok=True)
     record = dict(record, run_id=run_id, partition_id=pid,
                   committed=True, committed_at=time.time())
-    final = os.path.join(d, f"partition-{pid:05d}.json")
+    final = _record_path(out_dir, pid)
     tmp = os.path.join(d, f".tmp-{os.getpid()}-{pid:05d}.json")
     with open(tmp, "w") as f:
         json.dump(record, f, sort_keys=True)
@@ -132,8 +145,7 @@ def persist_partition(out_dir: str, run_id: str, pid: int, tables: dict,
         fault_hook(pid)
     for name, table in tables.items():
         if table is None:
-            path = os.path.join(partition_dir(out_dir, name, pid),
-                                "part.parquet")
+            path = _file(out_dir, name, pid)
             if os.path.exists(path):
                 os.remove(path)
             record["row_counts"].pop(name, None)
@@ -179,15 +191,49 @@ def check_partitioning(out_dir: str, num_partitions: int) -> None:
 def uncommit_partitions(out_dir: str, pids) -> list[int]:
     """Remove the commit records for ``pids`` (hash or merge pids) so a
     resumed ``run_pipeline`` rebuilds them: used by backfill and by
-    ``verify_store(repair=True)`` only.  Output tables stay on disk
-    until the rebuild overwrites them (``verify_store`` lists such pids
-    as files without a commit record) — a crash between uncommit and
-    rebuild is safe: the partitions simply rebuild on the next resume."""
-    d = os.path.join(out_dir, MANIFEST_DIR)
+    ``verify_store(repair=True)`` only.  Output tables stay on disk,
+    unread, until the rebuild overwrites them (:func:`uncommitted_pids`
+    lists such pids) — a crash between uncommit and rebuild is safe:
+    the partitions simply rebuild on the next resume."""
     removed = []
     for pid in pids:
-        p = os.path.join(d, f"partition-{pid:05d}.json")
+        p = _record_path(out_dir, pid)
         if os.path.exists(p):
             os.remove(p)
             removed.append(int(pid))
     return removed
+
+
+def read_partition(out_dir: str, pid: int, tables) -> dict:
+    """``{table: Table | None}`` of partition ``pid``: all None unless
+    its commit record is in place.  The one read mode: single-threaded
+    (many readers run at once, and pyarrow's process-wide thread pool
+    costs several times the CPU on a small file), file closed after."""
+    out = dict.fromkeys(tables)
+    if os.path.exists(_record_path(out_dir, pid)):      # committed
+        for table in out:
+            if os.path.exists(path := _file(out_dir, table, pid)):
+                with pq.ParquetFile(path) as f:
+                    out[table] = f.read(use_threads=False)
+    return out
+
+
+def committed_files(out_dir: str, table: str) -> list[str]:
+    """Paths of ``table``'s files of committed partitions, in pid order
+    (Ray Data scans, byte counts)."""
+    return [f for f in (_file(out_dir, table, pid)
+                        for pid in sorted(committed_partitions(out_dir)))
+            if os.path.exists(f)]
+
+
+def uncommitted_pids(out_dir: str) -> list[int]:
+    """Pids with table files but no commit record (a run that died
+    before committing them, or :func:`uncommit_partitions`); a resumed
+    ``run_pipeline`` rebuilds them."""
+    on_disk = {int(p[len("part="):]) for table in os.listdir(out_dir)
+               if table != MANIFEST_DIR
+               and os.path.isdir(os.path.join(out_dir, table))
+               for p in os.listdir(os.path.join(out_dir, table))
+               if p.startswith("part=") and os.path.exists(
+                   os.path.join(out_dir, table, p, "part.parquet"))}
+    return sorted(on_disk - committed_partitions(out_dir))

@@ -243,6 +243,7 @@ def test_fill_on_read_matches_rollup_series_table(tmp_path, tier,
 
     manifest.write_partition_table(str(tmp_path), f"rollup_{tier.name}", 0,
                                    stored)
+    manifest.commit_partition(str(tmp_path), "test", 0, {})  # served
     view = read_output_table(str(tmp_path), f"rollup_{tier.name}")
     assert view.equals(want)
 
