@@ -232,8 +232,12 @@ def main(argv=None) -> int:
                 rows[k] = rows.get(k, 0) + int(v)
             for k in points:
                 points[k] += int((r.get("metrics") or {}).get(k, 0))
-        sizes = {t: sum(map(os.path.getsize, files)) for t in rows
-                 if (files := mf.committed_files(args.out, t))}
+        # tier tables share each partition's one rollup file: its bytes
+        # are the rollup table's, their rows stay per tier
+        sizes = {t: sum(map(os.path.getsize, files))
+                 for t in [*rows, mf.ROLLUP]
+                 if not t.startswith(mf.TIER_PREFIX)
+                 and (files := mf.committed_files(args.out, t))}
         print(json.dumps({
             "partitions_committed": len(records),
             "row_counts": rows,

@@ -308,8 +308,8 @@ class IncrementProcessor(PartitionWriter):
         got = manifest.read_partition(self.out_dir, pid, ["state", *names])
         return {"state": got["state"],
                 "tiers": {t.name: None if got[name] is None else
-                          _stored_rows(got[name], t,
-                                       self.config["high_water_us"])
+                          rollup.stored_rows(got[name], t,
+                                             self.config["high_water_us"])
                           for name, t in names.items()}}
 
     def update_partition(self, group: pa.Table, old: dict) -> dict:
@@ -327,17 +327,6 @@ class IncrementProcessor(PartitionWriter):
         return {"pid": pid, "input_rows": art["input_rows"],
                 "rollup_points": art["rollup_points"],
                 "state_checksum": self.persist_partition(pid, art)}
-
-
-def _stored_rows(table: pa.Table, tier: rollup.TierSpec,
-                 high_water_us: int) -> pa.Table:
-    """A loaded tier file as stored rows.  Files written before stores
-    kept observed buckets only hold the served view: their gap-filled
-    rows are dropped and the tier metadata attached."""
-    if rollup.tier_meta(table) is not None:
-        return table
-    observed = table.filter(pc.invert(table.column("gapfilled")))
-    return rollup.tag_tier(observed, tier, high_water_us)
 
 
 def salted_layout(out_dir: str, config: dict):
@@ -504,21 +493,29 @@ def run_increment(out_dir: str, flat_dataset, run_id: str = "incr") -> dict:
 
 
 @ray.remote
-def _forget_partition(out_dir: str, run_id: str, tables, pid: int,
+def _forget_partition(out_dir: str, run_id: str, config: dict, pid: int,
                       record: dict, urls) -> str | None:
-    """Drop ``urls``' rows from partition ``pid``'s committed ``tables``
-    (schema metadata kept, segments not re-encoded) and commit once over
-    its lineage ``record`` at the same mark, tier points recounted; a
-    partition left without rows is committed empty.  Returns "emptied",
+    """Drop ``urls``' rows from partition ``pid``'s committed tables
+    (state, alerts, segments and the run ``config``'s tiers, in the
+    stored layout, :func:`rollup.stored_rows`; schema metadata kept,
+    segments not re-encoded) and commit once over its lineage
+    ``record`` at the same mark, tier points recounted; a partition
+    left without rows is committed empty.  Returns "emptied",
     "rewritten", or None (nothing written) when the record already
     counts every filtered table's rows — so a rerun also commits a
     partition whose files a crashed forget wrote but did not commit."""
+    tiers = {f"rollup_{t['name']}": rollup.TierSpec(**t)
+             for t in config["tiers"]}
+    tables = ["state", "alerts", "segments", *tiers]
     drop = pa.array(urls, pa.string())
     kept = {name: t.filter(pc.invert(pc.is_in(t.column("url"),
                                               value_set=drop)))
             for name, t in manifest.read_partition(out_dir, pid,
                                                    tables).items()
             if t is not None}
+    kept.update({name: rollup.stored_rows(t, tiers[name],
+                                          config["high_water_us"])
+                 for name, t in kept.items() if name in tiers})
     counts = record.get("row_counts") or {}
     if all(counts.get(name) == t.num_rows for name, t in kept.items()):
         return None
@@ -565,10 +562,8 @@ def run_forget(out_dir: str, urls, run_id: str = "forget") -> dict:
         config["forgotten_urls"] = forgotten
         write_run_config(out_dir, config)
     shutil.rmtree(os.path.join(out_dir, "hot_series"), ignore_errors=True)
-    tables = ["state", "alerts", "segments"] \
-        + [f"rollup_{t['name']}" for t in config["tiers"]]
     done = ray.get([_forget_partition.remote(
-        out_dir, run_id, tables, pid, records[pid], urls) for pid in pids])
+        out_dir, run_id, config, pid, records[pid], urls) for pid in pids])
     return {
         "urls_forgotten": len(urls),
         "affected_pids": pids,

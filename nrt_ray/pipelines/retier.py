@@ -50,7 +50,6 @@ needs (a 90-day 1h tier cannot back a full-history 1w tier).
 from __future__ import annotations
 
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 
@@ -79,39 +78,35 @@ def compose_rolled(src: pa.Table, width_us: int,
 
 
 def retier_partition(out_dir: str, pid: int, new_tier: rollup.TierSpec,
-                     source: str, high_water_us: int | None, run_id: str,
-                     record: dict) -> int:
-    """Build one partition's new-tier rows + segments from its persisted
-    source tier and commit them over its lineage ``record`` (new row
-    counts, the new tier's points added to ``metrics``, the tier added
-    to ``tiers_added``); returns the new tier's served points."""
+                     source: str, tiers, high_water_us: int | None,
+                     run_id: str, record: dict) -> int:
+    """Build one partition's new-tier rows from its persisted source
+    tier and commit them with its ``tiers`` (the run config's, in
+    order; earlier layouts converted, :func:`rollup.stored_rows`) over
+    its lineage ``record`` (new row counts, the new tier's points added
+    to ``metrics``, the tier added to ``tiers_added``), its segments
+    encoded whole from all of them, the new tier last; returns the new
+    tier's served points."""
     got = manifest.read_partition(out_dir, pid,
-                                  [f"rollup_{source}", "segments"])
-    rolled, urls = compose_rolled(got[f"rollup_{source}"],
-                                  new_tier.width_us, high_water_us)
+                                  [f"rollup_{t.name}" for t in tiers])
+    stored = {t.name: rollup.stored_rows(got[f"rollup_{t.name}"], t,
+                                         high_water_us) for t in tiers}
+    rolled, urls = compose_rolled(stored[source], new_tier.width_us,
+                                  high_water_us)
     if high_water_us is None:
         high_water_us = int(rolled["bucket_ts"].max()) \
             if len(rolled["bucket_ts"]) else 0
     rolled = rollup.trim_for_retention(rolled, new_tier.width_us,
                                        new_tier.retention_us,
                                        high_water_us)
-    tier_tbl = rollup.stored_tier_table(rolled, urls, new_tier,
-                                        high_water_us)
-
-    segs = got["segments"]
-    # idempotence: drop any earlier rows of this tier before appending
-    segs = segs.filter(pc.invert(pc.equal(segs.column("tier"),
-                                          new_tier.name)))
-    new_segs = compress.segments_from_rollups({new_tier.name: tier_tbl})
-    # after the existing rows: the full encode's order once the run
-    # config lists the new tier last
-    merged = pa.concat_tables([segs, new_segs],
-                              promote_options="default")
-    served, observed = rollup.served_counts(tier_tbl)
+    stored[new_tier.name] = rollup.stored_tier_table(
+        rolled, urls, new_tier, high_water_us)
+    served, observed = rollup.served_counts(stored[new_tier.name])
     metrics = record.get("metrics") or {}
     manifest.persist_partition(
         out_dir, run_id, pid,
-        {f"rollup_{new_tier.name}": tier_tbl, "segments": merged},
+        {**{f"rollup_{name}": t for name, t in stored.items()},
+         "segments": compress.segments_from_rollups(stored)},
         dict(record, tiers_added=sorted(
             set(record.get("tiers_added", [])) | {new_tier.name})),
         (metrics.get("rollup_points", 0) + served,
@@ -153,8 +148,9 @@ def run_retier(out_dir: str, new_tier, source: str,
     run_id = run_id or uuid.uuid4().hex[:12]
     high_water_us = cfg.get("high_water_us")
 
+    # a partition committed empty (run_forget) gets no tier files
     records = {r["partition_id"]: r for r in manifest.load_manifest(out_dir)
-               if r.get("committed")}
+               if r.get("committed") and r.get("state_checksum") != ""}
     todo = [pid for pid, r in sorted(records.items())
             if new_tier.name not in r.get("tiers_added", [])]
     skipped = len(records) - len(todo)
@@ -162,8 +158,9 @@ def run_retier(out_dir: str, new_tier, source: str,
     spec_dict = new_tier.to_dict()
     retier_remote = ray.remote(num_cpus=1)(retier_partition)
     points = sum(ray.get([retier_remote.remote(
-        out_dir, pid, rollup.TierSpec(**spec_dict), source, high_water_us,
-        run_id, records[pid]) for pid in todo]))
+        out_dir, pid, rollup.TierSpec(**spec_dict), source,
+        list(tiers.values()), high_water_us, run_id, records[pid])
+        for pid in todo]))
 
     # config updated LAST: increments start maintaining the tier only
     # once every partition holds it
@@ -181,10 +178,13 @@ def verify_store(out_dir: str, repair: bool = False) -> dict:
     Checks per partition: ``state_checksum`` matches the record (one
     committed empty, checksum "", must have no file); every per-table
     row count recorded at commit time matches the file on disk (tier
-    files: stored rows, retention anchors included); every tier file
-    reads through :func:`rollup.table_rolled` (no null it rejects);
-    every segment decodes and serves ``n_points`` points at the mark it
-    was written at.  One Ray task per partition.  A record whose
+    tables, read through the ``rollup`` file: stored rows, retention
+    anchors included); every tier table reads through
+    :func:`rollup.table_rolled` (no null it rejects); the ``rollup``
+    file holds every run-config tier, and no ``rollup_{tier}`` file of
+    the earlier layout sits beside it; every segment decodes and serves
+    ``n_points`` points at the mark it was written at.  One Ray task
+    per partition.  A record whose
     ``high_water_us`` is ahead of ``run.json``'s (a driver that died
     between the partition commits and the run config) is an issue, and
     so is a pid in :func:`manifest.uncommitted_pids` (``pid N: files
@@ -211,30 +211,49 @@ def verify_store(out_dir: str, repair: bool = False) -> dict:
         config = read_run_config(out_dir)
     except FileNotFoundError:
         config = {"tiers": []}
-    tables = ["state", "segments", "alerts"] + [
-        f"rollup_{t['name']}" for t in config["tiers"]]
+    tiers = [f"rollup_{t['name']}" for t in config["tiers"]]
+    tables = ["state", "segments", "alerts", *tiers]
 
     def check(pid: int, rec: dict) -> list:
-        def read(name: str):
-            """The committed file (None if absent), or the error."""
-            try:
-                t = manifest.read_partition(out_dir, pid, [name])[name]
-                if t is not None and name.startswith("rollup_"):
-                    rollup.table_rolled(t)    # raises on a corrupt row
-                return t
-            except (OSError, ValueError) as e:
-                return e
+        def read(names) -> dict:
+            """The committed tables (None if absent): each other table
+            on its own, the tiers together; the error for one that does
+            not read."""
+            joint = [n for n in names if n.startswith("rollup_")]
+            got = {}
+            for group in [[n] for n in names if n not in joint] + [joint]:
+                try:
+                    got.update(manifest.read_partition(out_dir, pid, group))
+                except (OSError, ValueError, KeyError) as e:
+                    got.update(dict.fromkeys(group, e))
+            for name in joint:
+                try:
+                    if isinstance(got[name], pa.Table):
+                        rollup.table_rolled(got[name])  # a corrupt row
+                except ValueError as e:
+                    got[name] = e
+            return got
 
         if rec.get("state_checksum") == "":    # emptied by run_forget
             return [f"pid {pid}: empty partition has a {t} file"
-                    for t in tables if read(t) is not None]
+                    for t, v in read(tables).items() if v is not None]
         # the recorded row counts of persisted tables (hot_series is an
         # intermediate its run deletes once the merges commit)
         counts = {k: v for k, v in (rec.get("row_counts") or {}).items()
                   if k not in ("input", "series", "hot_rows_deferred",
                                "hot_series")}
-        got = {name: read(name) for name in {"state", "segments", *counts}}
+        got = read(sorted({"state", "segments", *counts}))
         issues = []
+        try:
+            held, legacy = manifest.rollup_layout(out_dir, pid)
+        except (OSError, ValueError, KeyError):
+            held, legacy = None, []     # listed as unreadable tiers
+        if held is not None:
+            issues += [f"pid {pid}: rollup file lacks tier {t}"
+                       for t in tiers if t not in held]
+            if legacy:
+                issues.append(f"pid {pid}: rollup file and earlier-layout "
+                              f"tier files {legacy}")
         state, want = got["state"], rec.get("state_checksum")
         if isinstance(state, pa.Table) and want and \
                 (have := manifest.state_checksum(state)) != want:

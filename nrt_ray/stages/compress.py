@@ -48,6 +48,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from nrt_ray.stages import rollup
+from nrt_ray.util import url_major_order
 
 #: default values per fixed-width block.  1024 (vs the classic 128)
 #: trades a few % of compression (one wide outlier widens more
@@ -320,10 +321,13 @@ def segments_from_rollups(tier_tables: dict, max_points: int = 4096,
     encoded point for point.
 
     A partition's segments are this function of its committed tier
-    tables, in the tiers' order: every writer re-encodes them whole
-    when it rewrites the partition.  Each url's chunks encode on their
-    own, so dropping a url's rows from the result equals encoding the
-    tiers without it.
+    tables: every writer re-encodes them whole when it rewrites the
+    partition.  Rows are url-major, sorted by (url, tier in the order of
+    ``tier_tables``, seg_start): a url's tiers sit side by side, where
+    the file's LZ4 finds the payloads the tiers share (a url observed
+    once a week has byte-identical 1d and 1w payloads).  Each url's
+    chunks encode on their own, so dropping a url's rows from the result
+    equals encoding the tiers without it.
 
     ``rolled`` maps a tier name to the arrays its segments encode from,
     ``(rolled dict, per-series urls, served runs)``
@@ -336,10 +340,13 @@ def segments_from_rollups(tier_tables: dict, max_points: int = 4096,
         pyarrow.Table (url, tier, seg_start, seg_end, n_points, width_us,
         max_gap, codec, payload_ts, payload_value)
     """
-    return pa.concat_tables([SEGMENT_SCHEMA.empty_table()] + [
+    segs = pa.concat_tables([SEGMENT_SCHEMA.empty_table()] + [
         _encode_tier(tier_name, table, max_points,
                      (rolled or {}).get(tier_name))
         for tier_name, table in tier_tables.items() if table.num_rows])
+    # one encode per tier, each (url, seg_start)-sorted; a stable url
+    # sort keeps the tiers' order within a url
+    return segs.take(url_major_order(segs.column("url")))
 
 
 def _encode_tier(tier_name: str, table: pa.Table, max_points: int,

@@ -265,7 +265,7 @@ DEFAULT_TIERS = (
 
 #: schema-metadata key of a stored tier table: its TierSpec plus the
 #: high-water mark its retention was trimmed at — everything
-#: :func:`serve_tier_table` needs, so a tier file serves on its own
+#: :func:`serve_tier_table` needs, so a tier table serves on its own
 TIER_META = b"nrt_ray.tier"
 
 
@@ -288,6 +288,24 @@ def tag_tier(table: pa.Table, tier: TierSpec,
     """Attach the tier metadata :func:`tier_meta` reads back."""
     return table.replace_schema_metadata({TIER_META: json.dumps(
         dict(tier.to_dict(), high_water_us=high_water_us))})
+
+
+def stored_rows(table: pa.Table, tier: TierSpec,
+                high_water_us: int | None) -> pa.Table:
+    """A loaded tier table in the stored layout
+    (:func:`stored_tier_table`), the one every writer persists.  Tables
+    of earlier layouts are converted: a served view without tier
+    metadata (its gap-filled rows dropped, tagged with ``tier`` at
+    ``high_water_us``), and a table that stores ``mean`` and
+    ``gapfilled``."""
+    meta = tier_meta(table)
+    if meta is None:
+        table = table.filter(pc.invert(table.column("gapfilled")))
+        meta = tier, high_water_us
+    elif "mean" not in table.column_names:
+        return table
+    rolled, urls = table_rolled(table)
+    return stored_tier_table(rolled, urls, *meta)
 
 
 def tier_table(rolled: dict, urls) -> pa.Table:

@@ -7,7 +7,10 @@ that with:
 
 * output layout ``{out_dir}/{table}/part={pid}/part.parquet`` — one file
   per hash partition per logical table, written to a temp name and renamed
-  (atomic on POSIX);
+  (atomic on POSIX).  The tier tables ``rollup_{tier}`` share one
+  ``rollup`` file per partition, url-major (:func:`persist_partition`);
+  a partition written before that keeps its ``rollup_{tier}`` files
+  until it is rewritten;
 * a manifest directory with one JSON lineage record per committed
   partition: run id, partition id, partitioning config (num_partitions —
   pinned so state and future ingests stay co-partitioned), input row count,
@@ -23,10 +26,11 @@ writer — flagship reduce, hot-url merge, increment, continuous
 checkpoint, retier, forget and backfill — commits through
 :func:`persist_partition`, so every record carries the same keys.
 
-Readers see committed partitions only, through three functions here,
-the only code that knows the layout: :func:`read_partition` (one pid's
-tables), :func:`committed_files` (for Ray Data scans and byte counts)
-and :func:`uncommitted_pids` (files without a commit record).
+Readers see committed partitions only, through functions here, the
+only code that knows the layout: :func:`read_partition` (one pid's
+tables), :func:`committed_files` (for Ray Data scans and byte counts),
+:func:`uncommitted_pids` (files without a commit record) and
+:func:`rollup_layout` (fsck of the tier files).
 """
 
 from __future__ import annotations
@@ -36,10 +40,21 @@ import json
 import os
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from nrt_ray.util import url_major_order
+
 MANIFEST_DIR = "manifest"
+
+#: the file table of a partition's tier tables, and their name prefix:
+#: tables ``rollup_{tier}`` are the rows of ``rollup`` with that ``tier``
+ROLLUP = "rollup"
+TIER_PREFIX = "rollup_"
+#: ``rollup`` schema-metadata key: the tier tables it holds, in order;
+#: each one's own metadata is kept under keys ``b"rollup_{tier}:" + key``
+TIERS_KEY = b"nrt_ray.tiers"
 
 
 def partition_dir(out_dir: str, table: str, pid: int) -> str:
@@ -61,7 +76,8 @@ def write_partition_table(out_dir: str, table: str, pid: int,
     Write options are tuned for the hot path (these writes sit inside
     every reduce task): dictionary encoding OFF — it cost more write
     time than it saved bytes, and lz4 compresses the repeated url
-    strings as well — and row-group statistics OFF because a partition
+    strings as well — except for Arrow dictionary columns (the
+    ``rollup`` file's ``tier``), and row-group statistics OFF because a partition
     file is a single row group, so min/max stats can never prune
     anything on read.  float64 columns are BYTE_STREAM_SPLIT (lz4 then
     finds their shared exponent bytes), timestamps DELTA_BINARY_PACKED."""
@@ -73,10 +89,69 @@ def write_partition_table(out_dir: str, table: str, pid: int,
                  if pa.types.is_float64(f.type) else "DELTA_BINARY_PACKED"
                  for f in data.schema if pa.types.is_float64(f.type)
                  or pa.types.is_timestamp(f.type)}
-    pq.write_table(data, tmp, compression="lz4", use_dictionary=False,
-                   write_statistics=False, column_encoding=encodings)
+    pq.write_table(data, tmp, compression="lz4", write_statistics=False,
+                   use_dictionary=[f.name for f in data.schema
+                                   if pa.types.is_dictionary(f.type)],
+                   column_encoding=encodings)
     os.replace(tmp, final)
     return final
+
+
+def _tier_file(tiers: dict) -> pa.Table | None:
+    """The ``rollup`` table of a partition's tier tables (``{rollup_{t}:
+    table or None}``, in tier order; None without a table): their rows
+    with a ``tier`` column after ``url``, url-major — sorted by (url,
+    tier, bucket_ts), since each tier table is (url, bucket_ts)-sorted —
+    so a url's tiers sit side by side for LZ4.  Its schema metadata
+    lists the tiers and keeps each one's own metadata."""
+    tiers = {name: t for name, t in tiers.items() if t is not None}
+    if not tiers:
+        return None
+    meta = {TIERS_KEY: json.dumps(list(tiers)).encode()}
+    for name, t in tiers.items():
+        meta.update({name.encode() + b":" + k: v
+                     for k, v in (t.schema.metadata or {}).items()})
+    table = pa.concat_tables([t.replace_schema_metadata(None)
+                              for t in tiers.values()])
+    tier = pa.DictionaryArray.from_arrays(
+        np.repeat(np.arange(len(tiers), dtype=np.int8),
+                  [t.num_rows for t in tiers.values()]),
+        [name[len(TIER_PREFIX):] for name in tiers])
+    table = table.add_column(1, "tier", tier)
+    return table.take(url_major_order(table.column("url"))) \
+        .replace_schema_metadata(meta)
+
+
+def _split_tiers(table: pa.Table, names) -> dict:
+    """``{name: tier table or None}`` of a ``rollup`` table: the rows of
+    each requested tier, (url, bucket_ts)-sorted, with its own schema
+    metadata back; None for a tier the file does not hold."""
+    meta = table.schema.metadata
+    held = json.loads(meta[TIERS_KEY])
+    tier = table.column("tier").combine_chunks()
+    codes = tier.indices.to_numpy(zero_copy_only=False)
+    code = {t: k for k, t in enumerate(tier.dictionary.to_pylist())}
+    rows = table.drop_columns(["tier"]).replace_schema_metadata(None)
+    out = {}
+    for name in names:
+        if name not in held:
+            out[name] = None
+            continue
+        prefix = name.encode() + b":"
+        out[name] = rows.filter(pa.array(
+            codes == code.get(name[len(TIER_PREFIX):], -1))) \
+            .replace_schema_metadata(
+                {k[len(prefix):]: v for k, v in meta.items()
+                 if k.startswith(prefix)} or None)
+    return out
+
+
+def _legacy_tier_files(out_dir: str, pid: int) -> dict:
+    """``{rollup_{tier}: path}`` of ``pid``'s files of the tier layout
+    before the ``rollup`` file."""
+    return {name: f for name in sorted(os.listdir(out_dir))
+            if name.startswith(TIER_PREFIX)
+            and os.path.exists(f := _file(out_dir, name, pid))}
 
 
 def state_checksum(state: pa.Table) -> str:
@@ -124,7 +199,11 @@ def persist_partition(out_dir: str, run_id: str, pid: int, tables: dict,
     """The one way a partition's files change: ``state`` first, then
     ``fault_hook(pid)``, then every other table of ``tables`` (a table
     mapped to None has its file deleted), then the lineage record,
-    committed last.
+    committed last.  The tier tables ``rollup_{tier}`` of ``tables``
+    (all of the partition's, in tier order) are written as one
+    ``rollup`` file (:func:`_tier_file`; deleted when all map to None),
+    and the partition's ``rollup_{tier}`` files of the earlier layout
+    are deleted after it.
 
     The record gains each written table's row count (merged into its
     ``row_counts``), the state checksum when ``tables`` has a ``state``
@@ -143,16 +222,25 @@ def persist_partition(out_dir: str, run_id: str, pid: int, tables: dict,
         write_partition_table(out_dir, "state", pid, state)
     if fault_hook is not None:
         fault_hook(pid)
-    for name, table in tables.items():
+    tiers = {n: t for n, t in tables.items() if n.startswith(TIER_PREFIX)}
+    files = {n: t for n, t in tables.items() if n not in tiers}
+    if tiers:
+        files[ROLLUP] = _tier_file(tiers)
+    for name, table in files.items():
         if table is None:
             path = _file(out_dir, name, pid)
             if os.path.exists(path):
                 os.remove(path)
-            record["row_counts"].pop(name, None)
-            continue
-        if name != "state":
+        elif name != "state":
             write_partition_table(out_dir, name, pid, table)
-        record["row_counts"][name] = table.num_rows
+    if tiers:
+        for path in _legacy_tier_files(out_dir, pid).values():
+            os.remove(path)
+    for name, table in tables.items():
+        if table is None:
+            record["row_counts"].pop(name, None)
+        else:
+            record["row_counts"][name] = table.num_rows
     if "state" in tables:
         record["state_checksum"] = "" if state is None \
             else state_checksum(state)
@@ -204,26 +292,56 @@ def uncommit_partitions(out_dir: str, pids) -> list[int]:
     return removed
 
 
+def _read(path: str) -> pa.Table:
+    with pq.ParquetFile(path) as f:
+        return f.read(use_threads=False)
+
+
 def read_partition(out_dir: str, pid: int, tables) -> dict:
     """``{table: Table | None}`` of partition ``pid``: all None unless
-    its commit record is in place.  The one read mode: single-threaded
-    (many readers run at once, and pyarrow's process-wide thread pool
-    costs several times the CPU on a small file), file closed after."""
+    its commit record is in place.  Tier tables ``rollup_{tier}`` come
+    from the partition's ``rollup`` file, split back into per-tier
+    tables with their own metadata (:func:`_split_tiers`); a partition
+    without one serves them from its ``rollup_{tier}`` files of the
+    earlier layout.  The one read mode: single-threaded (many readers
+    run at once, and pyarrow's process-wide thread pool costs several
+    times the CPU on a small file), file closed after."""
     out = dict.fromkeys(tables)
-    if os.path.exists(_record_path(out_dir, pid)):      # committed
-        for table in out:
-            if os.path.exists(path := _file(out_dir, table, pid)):
-                with pq.ParquetFile(path) as f:
-                    out[table] = f.read(use_threads=False)
+    if not os.path.exists(_record_path(out_dir, pid)):  # uncommitted
+        return out
+    tiers = [t for t in out if t.startswith(TIER_PREFIX)]
+    if tiers and os.path.exists(path := _file(out_dir, ROLLUP, pid)):
+        out.update(_split_tiers(_read(path), tiers))
+    else:
+        tiers = []                  # the earlier layout: a file per tier
+    for table in out:
+        if table not in tiers and \
+                os.path.exists(path := _file(out_dir, table, pid)):
+            out[table] = _read(path)
     return out
 
 
 def committed_files(out_dir: str, table: str) -> list[str]:
     """Paths of ``table``'s files of committed partitions, in pid order
-    (Ray Data scans, byte counts)."""
-    return [f for f in (_file(out_dir, table, pid)
-                        for pid in sorted(committed_partitions(out_dir)))
-            if os.path.exists(f)]
+    (Ray Data scans, byte counts).  For ``rollup``, a partition of the
+    earlier tier layout lists its ``rollup_{tier}`` files instead."""
+    files = []
+    for pid in sorted(committed_partitions(out_dir)):
+        if os.path.exists(f := _file(out_dir, table, pid)):
+            files.append(f)
+        elif table == ROLLUP:
+            files += _legacy_tier_files(out_dir, pid).values()
+    return files
+
+
+def rollup_layout(out_dir: str, pid: int):
+    """``(tier tables, legacy tier tables)`` of partition ``pid``'s
+    files: the ``rollup_{tier}`` tables its ``rollup`` file holds (None
+    without one), and those with a file of the earlier layout."""
+    path = _file(out_dir, ROLLUP, pid)
+    held = json.loads(pq.read_schema(path).metadata[TIERS_KEY]) \
+        if os.path.exists(path) else None
+    return held, list(_legacy_tier_files(out_dir, pid))
 
 
 def uncommitted_pids(out_dir: str) -> list[int]:

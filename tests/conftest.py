@@ -124,3 +124,40 @@ def stability_ccdc():
     dates = np.linspace(1, 365, a_len)
     expected = np.array([True, False, False, True])
     return X, y, dates, expected
+
+
+@pytest.fixture(scope="session")
+def earlier_tier_layout():
+    """``rewrite(out, convert=None)``: rewrite a committed store into the
+    tier layout before the ``rollup`` file — per partition, one
+    ``rollup_{tier}`` file per run-config tier (each table passed
+    through ``convert`` when given) and tier-major segments, sorted by
+    (tier, url, seg_start) — and delete its ``rollup`` files."""
+    import os
+
+    import pyarrow as pa
+
+    from nrt_ray.pipelines.incremental import read_run_config
+    from nrt_ray.state import manifest
+
+    def rewrite(out: str, convert=None) -> None:
+        tiers = [t["name"] for t in read_run_config(out)["tiers"]]
+        rank = {t: i for i, t in enumerate(tiers)}
+        for pid in sorted(manifest.committed_partitions(out)):
+            got = manifest.read_partition(
+                out, pid, ["segments", *(f"rollup_{t}" for t in tiers)])
+            seg = got.pop("segments")
+            if seg is None:                # committed empty
+                continue
+            for name, t in got.items():
+                manifest.write_partition_table(
+                    out, name, pid, convert(t) if convert else t)
+            tier_rank = np.array([rank[t] for t in
+                                  seg.column("tier").to_pylist()])
+            manifest.write_partition_table(out, "segments", pid, seg.take(
+                pa.array(np.argsort(tier_rank, kind="stable"))))
+            os.remove(os.path.join(manifest.partition_dir(out, "rollup",
+                                                          pid),
+                                   "part.parquet"))
+
+    return rewrite

@@ -13,9 +13,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+#: the checkout these tests run from: the CLI subprocesses import it
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def _run(args, cwd):
-    env = dict(os.environ, PYTHONPATH="/root/repo")
+    env = dict(os.environ, PYTHONPATH=ROOT)
     out = subprocess.run(
         [sys.executable, "-m", "nrt_ray.cli"] + args + ["--num-cpus", "4"],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
@@ -28,7 +31,7 @@ def test_cli_run_stream_increment_report(tmp_path):
     gen = subprocess.run(
         [sys.executable, "-m", "nrt_ray.cli", "generate",
          "--out", "wt", "--urls", "60"],
-        cwd=d, env=dict(os.environ, PYTHONPATH="/root/repo"),
+        cwd=d, env=dict(os.environ, PYTHONPATH=ROOT),
         capture_output=True, text=True, timeout=300)
     assert gen.returncode == 0, gen.stderr[-2000:]
     info = json.loads(gen.stdout.strip().splitlines()[-1])
@@ -70,7 +73,7 @@ def test_cli_run_stream_increment_report(tmp_path):
     # stats: manifest summary (no Ray session — returns immediately)
     stat = subprocess.run(
         [sys.executable, "-m", "nrt_ray.cli", "stats", "--out", "out"],
-        cwd=d, env=dict(os.environ, PYTHONPATH="/root/repo"),
+        cwd=d, env=dict(os.environ, PYTHONPATH=ROOT),
         capture_output=True, text=True, timeout=60)
     assert stat.returncode == 0, stat.stderr[-2000:]
     sm = json.loads(stat.stdout.strip().splitlines()[-1])
@@ -82,7 +85,7 @@ def test_cli_run_stream_increment_report(tmp_path):
     rep = subprocess.run(
         [sys.executable, "-m", "nrt_ray.cli", "report", "--out", "out",
          "--k", "3", "--num-cpus", "4"],
-        cwd=d, env=dict(os.environ, PYTHONPATH="/root/repo"),
+        cwd=d, env=dict(os.environ, PYTHONPATH=ROOT),
         capture_output=True, text=True, timeout=300)
     assert rep.returncode == 0, rep.stderr[-2000:]
     lines = [ln for ln in rep.stdout.strip().splitlines()
@@ -96,7 +99,7 @@ def test_cli_decode_range_matches_filtered_full(tmp_path):
     gen = subprocess.run(
         [sys.executable, "-m", "nrt_ray.cli", "generate",
          "--out", "wt", "--urls", "40"],
-        cwd=d, env=dict(os.environ, PYTHONPATH="/root/repo"),
+        cwd=d, env=dict(os.environ, PYTHONPATH=ROOT),
         capture_output=True, text=True, timeout=300)
     assert gen.returncode == 0, gen.stderr[-2000:]
     _run(["run", "--input", "wt/webtext.parquet", "--out", "out",
@@ -128,7 +131,7 @@ def test_cli_decode_range_matches_filtered_full(tmp_path):
 
 def test_cli_query_subcommand(tmp_path):
     d = str(tmp_path)
-    env = dict(os.environ, PYTHONPATH="/root/repo")
+    env = dict(os.environ, PYTHONPATH=ROOT)
     ls = subprocess.run(
         [sys.executable, "-m", "nrt_ray.cli", "query", "--list"],
         cwd=d, env=env, capture_output=True, text=True, timeout=120)
@@ -155,25 +158,26 @@ def test_cli_retier_fsck(tmp_path):
     gen = subprocess.run(
         [sys.executable, "-m", "nrt_ray.cli", "generate",
          "--out", "wt", "--urls", "20", "--seed", "9"],
-        cwd=d, env=dict(os.environ, PYTHONPATH="/root/repo"),
+        cwd=d, env=dict(os.environ, PYTHONPATH=ROOT),
         capture_output=True, text=True, timeout=300)
     assert gen.returncode == 0, gen.stderr[-2000:]
     _run(["run", "--input", "wt/webtext.parquet", "--out", "out",
           "--strategy", "CUSUM", "--partitions", "3"], d)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     stat = subprocess.run(
         [sys.executable, "-m", "nrt_ray.cli", "stats", "--out", "out"],
-        cwd=d, env=dict(os.environ, PYTHONPATH=root),
+        cwd=d, env=dict(os.environ, PYTHONPATH=ROOT),
         capture_output=True, text=True, timeout=60)
     sm = json.loads(stat.stdout.strip().splitlines()[-1])
     # served tier points (observed + fill) and the observed among them
     assert 0 < sm["observed_buckets"] < sm["rollup_points"]
-    # bytes: each table's committed partition files, summed
+    # bytes: each table's committed partition files, summed; the tiers
+    # share one rollup file per partition and keep their rows per tier
     assert sm["bytes"] == {t: sum(
         os.path.getsize(os.path.join(d, "out", t, f"part={pid}",
                                      "part.parquet")) for pid in range(3))
-        for t in ("alerts", "rollup_1d", "rollup_1h", "rollup_1w", "segments",
-                  "state")}
+        for t in ("alerts", "rollup", "segments", "state")}
+    assert all(sm["row_counts"][f"rollup_{t}"] > 0
+               for t in ("1h", "1d", "1w"))
 
     s = _run(["retier", "--out", "out", "--tier", "4w",
               "--width-s", str(4 * 7 * 86400), "--source", "1w"], d)
@@ -195,11 +199,10 @@ def test_cli_forget_reads_no_input_then_fsck(tmp_path):
     import shutil
 
     d = str(tmp_path)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     gen = subprocess.run(
         [sys.executable, "-m", "nrt_ray.cli", "generate",
          "--out", "wt", "--urls", "20", "--seed", "9"],
-        cwd=d, env=dict(os.environ, PYTHONPATH=root),
+        cwd=d, env=dict(os.environ, PYTHONPATH=ROOT),
         capture_output=True, text=True, timeout=300)
     assert gen.returncode == 0, gen.stderr[-2000:]
     _run(["run", "--input", "wt/webtext.parquet", "--out", "out",
@@ -214,7 +217,7 @@ def test_cli_forget_reads_no_input_then_fsck(tmp_path):
     s = _run(["forget", "--out", "out", "--urls"] + urls, d)
     assert s["urls_forgotten"] == 2
     assert s["partitions_rewritten"] + s["partitions_emptied"] >= 1
-    for table in ("state", "alerts", "segments", "rollup_1w", "rollup_4w"):
+    for table in ("state", "alerts", "segments", "rollup"):  # 4w included
         left = pq.read_table(os.path.join(d, "out", table),
                              columns=["url"]).column("url").to_pylist()
         assert not set(left) & set(urls), table

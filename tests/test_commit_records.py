@@ -75,10 +75,13 @@ def test_every_writer_records_points_and_row_counts(ray_session, tmp_path,
     shutil.copytree(store, broken)
     pid = next(r["partition_id"] for r in manifest.load_manifest(broken)
                if r.get("increment"))
-    f = os.path.join(manifest.partition_dir(broken, "rollup_1d", pid),
+    f = os.path.join(manifest.partition_dir(broken, "rollup", pid),
                      "part.parquet")
-    tier = pq.read_table(f)
-    pq.write_table(tier.slice(0, tier.num_rows - 1), f)
+    tiers = pq.read_table(f)
+    last_1d = int(np.flatnonzero(pc.equal(tiers.column("tier"), "1d")
+                                 .to_numpy(zero_copy_only=False))[-1])
+    pq.write_table(tiers.filter(pa.array(
+        np.arange(tiers.num_rows) != last_1d)), f)
     issues = retier.verify_store(broken)["issues"]
     assert issues and all(i.startswith(f"pid {pid}:") for i in issues)
     assert any("rollup_1d rows" in i for i in issues)
@@ -103,9 +106,8 @@ def test_every_writer_records_points_and_row_counts(ray_session, tmp_path,
             manifest.partition_dir(store, "segments", pid), "part.parquet"))
         decoded += compress.decode_segments_table(seg.filter(
             pc.equal(seg.column("tier"), "4w"))).num_rows
-        observed += rollup.served_counts(pq.read_table(os.path.join(
-            manifest.partition_dir(store, "rollup_4w", pid),
-            "part.parquet")))[1]
+        observed += rollup.served_counts(manifest.read_partition(
+            store, pid, ["rollup_4w"])["rollup_4w"])[1]
     assert decoded > 0 and s["rollup_points"] == decoded
     assert _stats(store, capsys) == {
         "rollup_points": want["rollup_points"] + decoded,

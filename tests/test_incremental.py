@@ -15,6 +15,7 @@ from nrt_ray.pipelines import incremental as inc
 from nrt_ray.pipelines import monitor_pipeline as mp
 from nrt_ray.sources import extract, synthetic
 from nrt_ray.stages import rollup
+from nrt_ray.state import manifest
 
 US = 1_000_000
 CUT = np.datetime64("2021-09-01", "us")
@@ -209,9 +210,9 @@ def test_ingest_relative_path_after_chdir(ray_session, split_webtext,
 
 def _tier_files(root: str, pid: int) -> dict:
     """``{tier: stored table}`` of one partition."""
-    return {t.name: pq.read_table(os.path.join(
-        root, f"rollup_{t.name}", f"part={pid}", "part.parquet"))
-        for t in TIERS}
+    got = manifest.read_partition(root, pid,
+                                  [f"rollup_{t.name}" for t in TIERS])
+    return {t.name: got[f"rollup_{t.name}"] for t in TIERS}
 
 
 def _served_points(root: str) -> pa.Table:
@@ -347,13 +348,12 @@ def test_legacy_codec_store_migrates_on_increment(ray_session,
 
 
 def test_legacy_tier_files_drop_fills_on_load(ray_session, split_webtext,
-                                              tmp_path):
+                                              tmp_path,
+                                              earlier_tier_layout):
     """Tier files written before stores kept observed buckets only hold
     the served view (fills included, no tier metadata).  An increment
     drops their gap-filled rows on load — untouched urls' rows too — and
     the result equals a fresh run."""
-    import glob
-
     d, _ = split_webtext
     common = dict(strategy="EWMA", monitor_params={"trend": False},
                   monitor_start="2021-01-01", num_partitions=3,
@@ -368,16 +368,13 @@ def test_legacy_tier_files_drop_fills_on_load(ray_session, split_webtext,
 
     out = str(tmp_path / "out")
     mp.run_pipeline(str(d / "early.parquet"), out, **common)
-    for f in glob.glob(os.path.join(out, "rollup_1d", "part=*",
-                                    "part.parquet")):
-        pq.write_table(rollup.serve_tier_table(pq.read_table(f)), f)
+    earlier_tier_layout(out, rollup.serve_tier_table)
     assert pc.any(pc.equal(mp.read_output_table(out, "rollup_1d")
                            .column("count"), 0)).as_py()
     inc.run_increment(out, mp.ingest_webtext(str(tmp_path /
                                                   "late_half.parquet")))
-    for f in glob.glob(os.path.join(out, "rollup_1d", "part=*",
-                                    "part.parquet")):
-        t = pq.read_table(f)
+    for pid in manifest.committed_partitions(out):
+        t = manifest.read_partition(out, pid, ["rollup_1d"])["rollup_1d"]
         assert rollup.tier_meta(t) is not None
         assert not pc.any(pc.equal(t.column("count"), 0)).as_py()
 
@@ -400,8 +397,6 @@ def test_retention_advance_reencodes_fill_only_changes(ray_session,
     fills.  The partitions the advance does not rewrite keep segments
     written at the old mark, and the readers' cut at the store's mark
     still serves the one-shot run's points."""
-    import glob
-
     d, _ = split_webtext
     common = dict(strategy="EWMA", monitor_params={"trend": False},
                   monitor_start="2021-01-01", num_partitions=3,
@@ -425,11 +420,12 @@ def test_retention_advance_reencodes_fill_only_changes(ray_session,
 
     def stored_rows(root):
         n = Counter()
-        for f in glob.glob(os.path.join(root, "rollup_*", "part=*",
-                                        "part.parquet")):
-            tier = f.split("rollup_")[1].split(os.sep)[0]
-            for u in pq.read_table(f).column("url").to_pylist():
-                n[tier, u] += 1
+        for pid in manifest.committed_partitions(root):
+            for name, table in manifest.read_partition(
+                    root, pid, [f"rollup_{t.name}" for t in TIERS_1H]
+            ).items():
+                for u in table.column("url").to_pylist():
+                    n[name[len("rollup_"):], u] += 1
         return n
 
     n_old = stored_rows(out)

@@ -189,7 +189,7 @@ def test_append_merge_equals_pandas_merge(cases, tier, case):
         # the served view, no tier metadata; load drops its fills
         legacy = rollup.serve_tier_table(old).replace_schema_metadata(None)
         assert rollup.tier_meta(legacy) is None
-        old = inc._stored_rows(legacy, tier, OLD_HW)
+        old = rollup.stored_rows(legacy, tier, OLD_HW)
     got = proc._merge_tier(old, series, tier, NEW_HW)
     exp = pandas_merge_tier(proc, old, series, tier)
     # the served/observed counts it returns are the merged table's

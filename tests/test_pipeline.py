@@ -128,8 +128,7 @@ def test_resume_skips_committed_and_is_idempotent(ray_session, webtext,
     for pid in victims:
         os.remove(os.path.join(out, "manifest",
                                f"partition-{pid:05d}.json"))
-        for table in ("state", "alerts", "segments", "rollup_1d",
-                      "rollup_1w"):
+        for table in ("state", "alerts", "segments", "rollup"):
             shutil.rmtree(os.path.join(out, table, f"part={pid}"),
                           ignore_errors=True)
 

@@ -36,11 +36,10 @@ def _sorted(tbl: pa.Table) -> pa.Table:
 def _read_tier(out: str, tier: str) -> pa.Table:
     parts = []
     for pid in range(P):
-        p = os.path.join(manifest.partition_dir(out, f"rollup_{tier}",
-                                                pid), "part.parquet")
-        if os.path.exists(p):
-            parts.append(rollup.tier_table(
-                *rollup.table_rolled(pq.read_table(p))))
+        t = manifest.read_partition(out, pid, [f"rollup_{tier}"])[
+            f"rollup_{tier}"]
+        if t is not None:
+            parts.append(rollup.tier_table(*rollup.table_rolled(t)))
     return _sorted(pa.concat_tables(parts, promote_options="default"))
 
 
@@ -104,12 +103,12 @@ def test_retier_matches_fresh_run(ray_session, tmp_path):
 
     # second run is a no-op: nothing rewritten
     mtimes = {pid: os.path.getmtime(os.path.join(manifest.partition_dir(
-        out, "rollup_1w", pid), "part.parquet")) for pid in range(P)}
+        out, "rollup", pid), "part.parquet")) for pid in range(P)}
     with pytest.raises(ValueError, match="already exists"):
         retier.run_retier(out, rollup.TierSpec("1w"), source="1d")
     for pid in range(P):
         assert os.path.getmtime(os.path.join(manifest.partition_dir(
-            out, "rollup_1w", pid), "part.parquet")) == mtimes[pid]
+            out, "rollup", pid), "part.parquet")) == mtimes[pid]
 
 
 def test_retier_composes_at_the_store_mark(ray_session, tmp_path):
@@ -203,11 +202,13 @@ def test_retier_resume_and_increment(ray_session, tmp_path):
     _assert_tier_equal(_read_tier(out, "1w"), _read_tier(ref, "1w"))
 
 
-def test_earlier_tier_layout_reads_the_same(ray_session, tmp_path):
-    """Tier files in the earlier layout (``mean`` and ``gapfilled``
-    stored, no nulls) need no migration: such a store takes an increment
-    and a retier and then serves the same views and segments as a store
-    in the current layout."""
+def test_earlier_tier_layout_reads_the_same(ray_session, tmp_path,
+                                            earlier_tier_layout):
+    """Tier files in the earlier layout (a ``rollup_{tier}`` file per
+    tier, ``mean`` and ``gapfilled`` stored, no nulls) need no
+    migration: such a store takes an increment and a retier and then
+    serves the same views and segments as a store in the current
+    layout."""
     import shutil
 
     d = str(tmp_path / "wt")
@@ -230,24 +231,25 @@ def test_earlier_tier_layout_reads_the_same(ray_session, tmp_path):
     mp.run_pipeline(base_p, new, tiers=tiers, **BASE)
     old = str(tmp_path / "old")
     shutil.copytree(new, old)
-    for tier in tiers:
-        for pid in range(P):
-            f = os.path.join(manifest.partition_dir(
-                old, f"rollup_{tier.name}", pid), "part.parquet")
-            stored = pq.read_table(f)
-            earlier = rollup.tier_table(*rollup.table_rolled(stored)) \
-                .replace_schema_metadata(stored.schema.metadata)
-            assert "mean" in earlier.column_names
-            assert not earlier.column("min").null_count
-            pq.write_table(earlier, f)
+
+    def earlier(stored: pa.Table) -> pa.Table:
+        t = rollup.tier_table(*rollup.table_rolled(stored)) \
+            .replace_schema_metadata(stored.schema.metadata)
+        assert "mean" in t.column_names
+        assert not t.column("min").null_count
+        return t
+
+    earlier_tier_layout(old, earlier)
     for out in (new, old):
         inc.run_increment(out, mp.ingest_webtext(newer_p))
+        if out == old:   # some partition kept its earlier-layout files
+            files = [os.path.join(manifest.partition_dir(
+                old, "rollup_1d", pid), "part.parquet") for pid in range(P)]
+            assert any(os.path.exists(f) and "mean" in pq.read_schema(f)
+                       .names for f in files)
         retier.run_retier(out, rollup.TierSpec(
             "4w", width_us=28 * 86400 * US), source="1d")
         assert retier.verify_store(out)["issues"] == []
-    # some partition kept its earlier-layout tier files to the end
-    assert any("mean" in pq.read_schema(os.path.join(manifest.partition_dir(
-        old, "rollup_1d", pid), "part.parquet")).names for pid in range(P))
     for table in ("rollup_1h", "rollup_1d", "rollup_1w", "rollup_4w",
                   "segments"):
         assert mp.read_output_table(old, table).equals(
@@ -288,9 +290,10 @@ def test_verify_store(ray_session, tmp_path):
     st = pq.read_table(p)
     pq.write_table(st.slice(1), p)
     # truncate partition 2's rollup file → row-count mismatch
-    p2 = os.path.join(manifest.partition_dir(out, "rollup_1d", 2),
+    p2 = os.path.join(manifest.partition_dir(out, "rollup", 2),
                       "part.parquet")
     r2 = pq.read_table(p2)
+    assert set(r2.column("tier").to_pylist()) == {"1d"}
     pq.write_table(r2.slice(0, max(1, r2.num_rows - 3)), p2)
 
     rep = retier.verify_store(out)
@@ -321,9 +324,9 @@ def test_null_extremum_in_multi_observation_bucket_fails_loudly(
     mp.run_pipeline(info["webtext"], out, tiers=(rollup.TierSpec(
         "4w", width_us=28 * 86400 * US),), **BASE)
     pid = 0
-    p = os.path.join(manifest.partition_dir(out, "rollup_4w", pid),
+    p = os.path.join(manifest.partition_dir(out, "rollup", pid),
                      "part.parquet")
-    tbl = pq.read_table(p)
+    tbl = pq.read_table(p)            # the one tier: the 4w rows
     row = int(np.flatnonzero(tbl.column("count").to_numpy() >= 2)[0])
     mins = tbl.column("min").to_pylist()
     mins[row] = None
@@ -370,3 +373,74 @@ def test_verify_store_lists_uncommitted_partition(ray_session, tmp_path):
     assert s["partitions_processed"] == 1
     rep = retier.verify_store(out)
     assert rep["partitions"] == P and rep["ok"] == P and not rep["issues"]
+
+
+def test_verify_store_lists_rollup_file_without_a_config_tier(ray_session,
+                                                              tmp_path):
+    """A ``rollup`` file must hold every run-config tier: one whose 1d
+    rows and metadata are gone is listed, by the missing tier."""
+    import json
+
+    info = synthetic.generate_webtext(str(tmp_path / "wt"), n_urls=20,
+                                      seed=64)
+    out = str(tmp_path / "out")
+    mp.run_pipeline(info["webtext"], out, tiers=(
+        rollup.TierSpec("1d"), rollup.TierSpec("1w")), **BASE)
+    assert not retier.verify_store(out)["issues"]
+
+    pid = 1
+    p = os.path.join(manifest.partition_dir(out, "rollup", pid),
+                     "part.parquet")
+    t = pq.read_table(p)
+    meta = {k: v for k, v in t.schema.metadata.items()
+            if not k.startswith(b"rollup_1d:")}
+    meta[manifest.TIERS_KEY] = json.dumps(["rollup_1w"]).encode()
+    pq.write_table(t.filter(pc.equal(t.column("tier"), "1w"))
+                   .replace_schema_metadata(meta), p)
+
+    rep = retier.verify_store(out)
+    assert rep["ok"] == P - 1
+    assert f"pid {pid}: rollup file lacks tier rollup_1d" in rep["issues"]
+    assert all(i.startswith(f"pid {pid}:") for i in rep["issues"])
+
+
+def test_verify_store_lists_rollup_file_beside_tier_files(ray_session,
+                                                          tmp_path):
+    """A partition holds its tiers in one layout: a ``rollup_{tier}``
+    file of the earlier layout beside its ``rollup`` file is listed."""
+    info = synthetic.generate_webtext(str(tmp_path / "wt"), n_urls=20,
+                                      seed=64)
+    out = str(tmp_path / "out")
+    mp.run_pipeline(info["webtext"], out,
+                    tiers=(rollup.TierSpec("1d"),), **BASE)
+    pid = 2
+    manifest.write_partition_table(out, "rollup_1d", pid,
+                                   manifest.read_partition(
+                                       out, pid, ["rollup_1d"])["rollup_1d"])
+
+    rep = retier.verify_store(out)
+    assert rep["ok"] == P - 1
+    assert rep["issues"] == [f"pid {pid}: rollup file and earlier-layout "
+                             "tier files ['rollup_1d']"]
+
+
+def test_retier_skips_a_partition_forget_emptied(ray_session, tmp_path):
+    """A partition ``run_forget`` committed empty has no tiers to compose
+    from: retier leaves it empty, and fsck finds the store clean."""
+    from nrt_ray.stages.assemble import bucket_of
+
+    info = synthetic.generate_webtext(str(tmp_path / "wt"), n_urls=20,
+                                      seed=64)
+    out = str(tmp_path / "out")
+    mp.run_pipeline(info["webtext"], out,
+                    tiers=(rollup.TierSpec("1d"),), **BASE)
+    urls = sorted(set(pq.read_table(info["webtext"], columns=["url"])
+                      .column("url").to_pylist()))
+    gone = [u for u, pid in zip(urls, bucket_of(urls, P)) if pid == 0]
+    assert inc.run_forget(out, gone)["partitions_emptied"] == 1
+
+    s = retier.run_retier(out, rollup.TierSpec("1w"), source="1d")
+    assert s["partitions"] == P - 1 and s["rollup_points"] > 0
+    assert manifest.read_partition(out, 0, ["rollup_1w"]) == {
+        "rollup_1w": None}
+    assert retier.verify_store(out)["issues"] == []

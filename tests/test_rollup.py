@@ -241,9 +241,8 @@ def test_fill_on_read_matches_rollup_series_table(tmp_path, tier,
     gf = want.column("gapfilled").to_numpy(zero_copy_only=False)
     assert rollup.served_counts(stored) == (want.num_rows, int((~gf).sum()))
 
-    manifest.write_partition_table(str(tmp_path), f"rollup_{tier.name}", 0,
-                                   stored)
-    manifest.commit_partition(str(tmp_path), "test", 0, {})  # served
+    manifest.persist_partition(str(tmp_path), "test", 0,
+                               {f"rollup_{tier.name}": stored}, {})
     view = read_output_table(str(tmp_path), f"rollup_{tier.name}")
     assert view.equals(want)
 

@@ -1,7 +1,8 @@
 """A partition's segments are a pure function of its committed tiers:
 after every writer path, each committed partition's ``segments`` file
-equals ``segments_from_rollups`` over its committed tier files, in the
-run config's tier order, each at its own file's mark."""
+equals ``segments_from_rollups`` over its committed tier tables, in the
+run config's tier order, each at its own mark; and its ``segments`` and
+``rollup`` files are url-major, a url's tiers side by side."""
 
 from __future__ import annotations
 
@@ -55,24 +56,36 @@ def inputs(tmp_path_factory):
     return paths
 
 
+def _assert_url_major(table: pa.Table, tiers, key: str) -> None:
+    """Rows sorted by (url, tier in run-config order, ``key``)."""
+    rank = {t: i for i, t in enumerate(tiers)}
+    rows = list(zip(table.column("url").to_pylist(),
+                    [rank[t] for t in table.column("tier").to_pylist()],
+                    table.column(key).cast(pa.int64()).to_pylist()))
+    assert rows == sorted(rows)
+
+
 def _assert_segments_encode_tiers(out: str) -> int:
     """Every committed partition's segments equal the encode of its
-    committed tier files; returns how many partitions were checked."""
+    committed tiers, and its ``segments`` and ``rollup`` files are
+    url-major; returns how many partitions were checked."""
     tiers = [t["name"] for t in inc.read_run_config(out)["tiers"]]
-
-    def read(table, pid):
-        p = os.path.join(manifest.partition_dir(out, table, pid),
-                         "part.parquet")
-        return pq.read_table(p) if os.path.exists(p) else None
-
     checked = 0
     for pid in sorted(manifest.committed_partitions(out)):
-        stored = {t: read(f"rollup_{t}", pid) for t in tiers}
-        seg = read("segments", pid)
+        got = manifest.read_partition(
+            out, pid, ["segments", *(f"rollup_{t}" for t in tiers)])
+        stored = {t: got[f"rollup_{t}"] for t in tiers}
+        seg = got["segments"]
+        rollup_file = os.path.join(manifest.partition_dir(out, "rollup",
+                                                          pid),
+                                   "part.parquet")
         if seg is None:                    # a partition committed empty
             assert all(v is None for v in stored.values()), pid
+            assert not os.path.exists(rollup_file), pid
             continue
         assert seg.equals(compress.segments_from_rollups(stored)), pid
+        _assert_url_major(seg, tiers, "seg_start")
+        _assert_url_major(pq.read_table(rollup_file), tiers, "bucket_ts")
         checked += 1
     return checked
 

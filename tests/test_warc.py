@@ -126,7 +126,7 @@ def test_warc_run_equals_parquet_run(ray_session, tmp_path):
 
     # tier tables byte-identical partition for partition
     for pid in range(4):
-        for table in ("rollup_1d", "rollup_1w", "segments"):
+        for table in ("rollup", "segments"):
             a = open(os.path.join(manifest.partition_dir(out_p, table,
                                                          pid),
                                   "part.parquet"), "rb").read()
