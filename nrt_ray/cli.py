@@ -223,6 +223,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     if args.cmd == "stats":
+        import pyarrow.parquet as pq
+
         from nrt_ray.state import manifest as mf
         records = mf.load_manifest(args.out)
         rows = {}
@@ -238,6 +240,13 @@ def main(argv=None) -> int:
                  for t in [*rows, mf.ROLLUP]
                  if not t.startswith(mf.TIER_PREFIX)
                  and (files := mf.committed_files(args.out, t))}
+        # segment rows per codec tag: partitions no writer has rewritten
+        # since the codec changed keep the older one
+        codecs = {}
+        for f in mf.committed_files(args.out, "segments"):
+            for tag in pq.read_table(f, columns=["codec"]).column(
+                    "codec").to_pylist():
+                codecs[tag] = codecs.get(tag, 0) + 1
         print(json.dumps({
             "partitions_committed": len(records),
             "row_counts": rows,
@@ -245,6 +254,7 @@ def main(argv=None) -> int:
             # buckets among them; tier row_counts are stored rows
             **points,
             "bytes": dict(sorted(sizes.items())),   # committed files
+            "codecs": dict(sorted(codecs.items())),
             "runs": sorted({r.get("run_id") for r in records}),
         }))
         return 0

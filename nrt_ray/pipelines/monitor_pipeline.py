@@ -208,8 +208,9 @@ def ingest_webtext(input_path, verify_extract: bool = False,
     fragment id (int32 ``frag`` column, 4 B/row through the shuffle) so
     each partition's manifest commit can record exactly which input
     fragments fed it (north-rule lineage).
-    A plain scan of local Parquet files (no ``frag_ids``) records a
-    :class:`ScanRecipe`.
+    A plain scan of local Parquet files (no ``frag_ids``) returns a
+    :class:`WebtextScan`: its :class:`ScanRecipe` lists the files, and
+    the Ray Data Dataset is built only when a caller uses it.
     """
     if is_warc_input(input_path):
         # raw crawl bytes: parse WARC records, run the byte-identity
@@ -229,11 +230,14 @@ def ingest_webtext(input_path, verify_extract: bool = False,
         kw["filter"] = (pds.field("warc_ts")
                         > pa.scalar(min_warc_ts_us, pa.int64())
                         .cast(pa.timestamp("us")))
+    extract = ExtractSignal(verify=verify_extract, aux=aux)
+    files = None if frag_ids else _local_files(input_path)
+    if files:
+        return WebtextScan(ScanRecipe(tuple(files), tuple(columns),
+                                      kw.get("filter"), extract))
     if frag_ids:
         kw["include_paths"] = True
     ds = ray.data.read_parquet(input_path, columns=columns, **kw)
-    # the files this read scans (nested ones too), listed without running
-    files = sorted(map(os.path.abspath, ds.input_files()))
     if frag_ids:
         paths = pa.array(_absolute(list(frag_ids)), pa.string())
         ids = pa.array(list(frag_ids.values()), pa.int32())
@@ -251,19 +255,32 @@ def ingest_webtext(input_path, verify_extract: bool = False,
                 "frag", pc.take(ids, pos))
 
         ds = ds.map_batches(tag, batch_format="pyarrow")
-    extract = ExtractSignal(verify=verify_extract, aux=aux)
-    ds = ds.map_batches(extract, batch_format="pyarrow")
-    if not frag_ids and files and all(map(os.path.isfile, files)):
-        ds.scan_recipe = ScanRecipe(tuple(files), tuple(columns),
-                                    kw.get("filter"), extract)
-    return ds
+    return ds.map_batches(extract, batch_format="pyarrow")
+
+
+def _local_files(input_path) -> list[str] | None:
+    """The files a Parquet read of ``input_path`` scans — each local
+    file, and every file under each local directory, hidden (``.`` or
+    ``_``) entries skipped — sorted; None when a path is neither."""
+    files = []
+    for p in [input_path] if isinstance(input_path, str) else input_path:
+        if os.path.isfile(p):
+            files.append(p)
+        elif not os.path.isdir(p):
+            return None
+        for root, dirs, names in os.walk(p):
+            dirs[:] = [d for d in dirs if not d.startswith((".", "_"))]
+            files += [os.path.join(root, n) for n in names
+                      if not n.startswith((".", "_"))]
+    return sorted(files)
 
 
 @dataclass(frozen=True)
 class ScanRecipe:
-    """How :func:`ingest_webtext` built a plain Parquet scan (its
-    Dataset's ``scan_recipe``; derived Datasets carry none), so that
-    ``incremental.split_batch`` reads it file by file in plain tasks."""
+    """How :func:`ingest_webtext` scans local Parquet files (its
+    :class:`WebtextScan`'s ``scan_recipe``), so that
+    ``incremental.split_batch`` reads them file by file in plain
+    tasks."""
     files: tuple
     columns: tuple
     filter: object          # the ``min_warc_ts_us`` expression, or None
@@ -274,6 +291,32 @@ class ScanRecipe:
         return self.extract(pq.read_table(path, columns=list(self.columns),
                                           filters=self.filter,
                                           use_threads=False))
+
+    def dataset(self):
+        """The same scan as a Ray Data Dataset of flat rows."""
+        return ray.data.read_parquet(
+            list(self.files), columns=list(self.columns),
+            **({} if self.filter is None else {"filter": self.filter})) \
+            .map_batches(self.extract, batch_format="pyarrow")
+
+
+class WebtextScan:
+    """:func:`ingest_webtext`'s flat rows of local Parquet files: its
+    ``scan_recipe``, and otherwise the recipe's Ray Data Dataset, built
+    the first time a caller uses it (``.count()``, ``.map_batches``, …).
+    An increment reads the recipe and never builds it: building it runs
+    Ray Data's planning, a ``sample_fragments`` task included."""
+
+    def __init__(self, recipe: ScanRecipe):
+        self.scan_recipe = recipe
+        self._dataset = None
+
+    def __getattr__(self, name):
+        if name.startswith("__") or name == "_dataset":
+            raise AttributeError(name)
+        if self._dataset is None:
+            self._dataset = self.scan_recipe.dataset()
+        return getattr(self._dataset, name)
 
 
 #: auto-salting heuristic knobs (``salt_threshold="auto"``): a url is
@@ -733,23 +776,35 @@ def window_starts(config: dict) -> dict:
                                            hw) for t in config["tiers"]}
 
 
-def read_output_table(out_dir: str, table: str):
+def read_output_table(out_dir: str, table):
     """Read a pipeline output table back as one pyarrow Table (test/report
-    helper; committed partitions concatenated in pid order).  ``rollup_*``
-    tables come back as served: the stored observed buckets gap-filled
-    and retention-trimmed on read at the store's committed mark, or each
-    file's own without a run config (:func:`rollup.serve_tier_table`)."""
-    parts = [t for pid in sorted(manifest.committed_partitions(out_dir))
-             if (t := manifest.read_partition(out_dir, pid, [table])[table])
-             is not None]
-    if table.startswith("rollup_"):
+    helper; committed partitions concatenated in pid order), None
+    without rows.  ``rollup_*`` tables come back as served: the stored
+    observed buckets gap-filled and retention-trimmed on read at the
+    store's committed mark, or each file's own without a run config
+    (:func:`rollup.serve_tier_table`).
+
+    ``table`` may also be a list of table names: then ``{name: Table or
+    None}``, each partition read once — its tiers from one read of its
+    ``rollup`` file."""
+    names = [table] if isinstance(table, str) else list(table)
+    parts = {name: [] for name in names}
+    for pid in sorted(manifest.committed_partitions(out_dir)):
+        for name, t in manifest.read_partition(out_dir, pid,
+                                               names).items():
+            if t is not None:
+                parts[name].append(t)
+    if any(name.startswith("rollup_") for name in names):
         hw = read_run_config(out_dir)["high_water_us"] if os.path.exists(
             os.path.join(out_dir, manifest.MANIFEST_DIR, "run.json")) \
             else None
-        parts = [rollup.serve_tier_table(p, hw) for p in parts]
-    if not parts:
-        return None
-    return pa.concat_tables(parts)
+        for name in names:
+            if name.startswith("rollup_"):
+                parts[name] = [rollup.serve_tier_table(p, hw)
+                               for p in parts[name]]
+    out = {name: pa.concat_tables(p) if p else None
+           for name, p in parts.items()}
+    return out[table] if isinstance(table, str) else out
 
 
 def _serving_pid(out_dir: str, config: dict, url: str) -> int:

@@ -506,7 +506,7 @@ def segments_events(sf_dir: str, tier_name: str = "1d"):
         ts_sum, cents = [], []
         for row in seg.to_pylist():
             ts = compress.decode_dod(row["payload_ts"])
-            vals = compress.decode_xor(row["payload_value"])
+            vals = compress.decode_dec(row["payload_value"])
             n = row["n_points"]
             assert len(ts) == n == len(vals)
             off = cursor[row["url"]]
@@ -1810,7 +1810,7 @@ def range_scan_table(series: pa.Table, t0: int, t1: int,
         if b < t0 or a >= t1:
             continue  # metadata prune: payload never decoded
         ts = compress.decode_dod(bts)
-        vals = compress.decode_xor(bval)
+        vals = compress.decode_dec(bval)
         m = (ts >= t0) & (ts < t1)
         cnts = cnt_t[off:off + n]
         st = acc.setdefault(u, [0, 0, 0, 0])

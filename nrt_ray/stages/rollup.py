@@ -267,6 +267,9 @@ DEFAULT_TIERS = (
 #: high-water mark its retention was trimmed at — everything
 #: :func:`serve_tier_table` needs, so a tier table serves on its own
 TIER_META = b"nrt_ray.tier"
+#: schema-metadata key of a stored tier table: the decimal scale of its
+#: integer ``sum`` column (:func:`stored_tier_table`)
+SUM_SCALE = b"nrt_ray.sum_scale"
 
 
 def tier_meta(table: pa.Table, high_water_us: int | None = None):
@@ -285,9 +288,11 @@ def tier_meta(table: pa.Table, high_water_us: int | None = None):
 
 def tag_tier(table: pa.Table, tier: TierSpec,
              high_water_us: int | None) -> pa.Table:
-    """Attach the tier metadata :func:`tier_meta` reads back."""
-    return table.replace_schema_metadata({TIER_META: json.dumps(
-        dict(tier.to_dict(), high_water_us=high_water_us))})
+    """Attach the tier metadata :func:`tier_meta` reads back (the
+    table's other metadata, its ``sum`` scale, kept)."""
+    return table.replace_schema_metadata({
+        **(table.schema.metadata or {}), TIER_META: json.dumps(
+            dict(tier.to_dict(), high_water_us=high_water_us))})
 
 
 def stored_rows(table: pa.Table, tier: TierSpec,
@@ -296,13 +301,13 @@ def stored_rows(table: pa.Table, tier: TierSpec,
     (:func:`stored_tier_table`), the one every writer persists.  Tables
     of earlier layouts are converted: a served view without tier
     metadata (its gap-filled rows dropped, tagged with ``tier`` at
-    ``high_water_us``), and a table that stores ``mean`` and
-    ``gapfilled``."""
+    ``high_water_us``), a table that stores ``mean`` and ``gapfilled``,
+    and one whose ``sum`` is a float column."""
     meta = tier_meta(table)
     if meta is None:
         table = table.filter(pc.invert(table.column("gapfilled")))
         meta = tier, high_water_us
-    elif "mean" not in table.column_names:
+    elif "sum_float" in table.column_names:
         return table
     rolled, urls = table_rolled(table)
     return stored_tier_table(rolled, urls, *meta)
@@ -332,28 +337,56 @@ def tier_table(rolled: dict, urls) -> pa.Table:
 def stored_tier_table(rolled: dict, urls, tier: TierSpec,
                       high_water_us: int | None) -> pa.Table:
     """The stored layout of a tier's observed rows, tagged with ``tier``
-    at mark ``high_water_us``: ``url, bucket_ts, count, sum, min, max,
-    last``, ``min``/``max``/``last`` null exactly where ``count == 1``
-    (they equal ``sum`` there); no ``mean``, no ``gapfilled``."""
+    at mark ``high_water_us``: ``url, bucket_ts, count, sum, sum_float,
+    min, max, last``.  ``sum`` holds each row's sum as an int64 decimal
+    ``k`` at the scale kept under :data:`SUM_SCALE`, chosen from the
+    data (:func:`nrt_ray.stages.compress.decimal_column`), and is null
+    where ``k`` does not give the sum back bit for bit; ``sum_float``
+    holds the float sum exactly there.  ``min``/``max``/``last`` are
+    null exactly where ``count == 1`` (they equal the sum there); no
+    ``mean``, no ``gapfilled``."""
+    from nrt_ray.stages.compress import decimal_column
+    scale, ints, exact = decimal_column(rolled["sum"])
     once = rolled["count"] == 1
     return tag_tier(pa.table({
         "url": urls.take(pa.array(rolled["series_idx"])),
         "bucket_ts": pa.array(rolled["bucket_ts"],
                               pa.int64()).cast(pa.timestamp("us")),
         "count": pa.array(rolled["count"], pa.int32()),
-        "sum": pa.array(rolled["sum"], pa.float64()),
+        "sum": pa.array(ints, pa.int64(), mask=~exact),
+        "sum_float": pa.array(rolled["sum"], pa.float64(), mask=exact),
         **{k: pa.array(rolled[k], pa.float64(), mask=once)
            for k in ("min", "max", "last")},
-    }), tier, high_water_us)
+    }).replace_schema_metadata({SUM_SCALE: str(scale)}), tier,
+        high_water_us)
+
+
+def _stored_sum(table: pa.Table, fail) -> np.ndarray:
+    """The float64 ``sum`` of a stored tier table: its decimal where
+    set, else ``sum_float``; ``fail(what)`` for a row with both or
+    neither."""
+    from nrt_ray.stages.compress import from_scaled
+    k, f = table.column("sum"), table.column("sum_float")
+    has = k.is_valid().to_numpy(zero_copy_only=False)
+    other = f.is_valid().to_numpy(zero_copy_only=False)
+    if (has == other).any():
+        fail("both 'sum' and 'sum_float'" if (has & other).any()
+             else "a null 'sum'")
+    scale = (table.schema.metadata or {}).get(SUM_SCALE)
+    if scale is None:
+        fail("an integer 'sum' without its scale")
+    return np.where(has, from_scaled(k.fill_null(0).to_numpy(
+        zero_copy_only=False), int(scale)), f.to_numpy(zero_copy_only=False))
 
 
 def table_rolled(table: pa.Table):
     """``(rolled dict, per-series url array)`` of a (url, bucket_ts)-sorted
-    tier table: stored (:func:`stored_tier_table`, or the earlier layout
-    with ``mean`` and ``gapfilled``) or served.  Null ``min``/``max``/
-    ``last`` are filled from ``sum``, ``mean`` is ``sum / count`` unless
-    stored.  A stored row with a null ``count`` or ``sum``, or a null
-    extremum or ``last`` where ``count != 1``, raises ValueError."""
+    tier table: stored (:func:`stored_tier_table`, or an earlier layout:
+    a float ``sum``, or ``mean`` and ``gapfilled`` too) or served.  Null
+    ``min``/``max``/``last`` are filled from ``sum``, ``mean`` is ``sum
+    / count`` unless stored.  A stored row with a null ``count``, a
+    ``sum`` set in both or neither of its columns, or a null extremum or
+    ``last`` where ``count != 1``, raises ValueError naming the tier."""
     urls = table.column("url").combine_chunks()
     n = len(urls)
     first = np.ones(n, bool)
@@ -365,19 +398,28 @@ def table_rolled(table: pa.Table):
                                       .cast(pa.int64())
                                       .to_numpy(zero_copy_only=False))}
     meta = tier_meta(table)
+
+    def fail(what):
+        raise ValueError(f"tier {meta[0].name if meta else '?'}: a stored "
+                         f"row holds {what}")
+
     for k in ("count", "sum", "mean", "min", "max", "last"):
         if k not in table.column_names:
             continue
+        if k == "sum" and "sum_float" in table.column_names:
+            rolled[k] = _stored_sum(table, fail)
+            continue
         col = table.column(k)
+        v = col.to_numpy(zero_copy_only=False)
         bad = col.null_count
         if bad and k in ("min", "max", "last"):
-            bad = pc.any(pc.and_(pc.is_null(col), pc.not_equal(
-                table.column("count"), 1))).as_py()
-            col = pc.coalesce(col, table.column("sum"))
+            null = col.is_null().to_numpy(zero_copy_only=False)
+            bad = (null & (table.column("count").to_numpy(
+                zero_copy_only=False) != 1)).any()
+            v = np.where(null, rolled["sum"], v)
         if bad and meta is not None:
-            raise ValueError(f"tier {meta[0].name}: a stored row holds a "
-                             f"null {k!r}")
-        rolled[k] = col.to_numpy(zero_copy_only=False)
+            fail(f"a null {k!r}")
+        rolled[k] = v
     if "mean" not in rolled:
         rolled["mean"] = rolled["sum"] / rolled["count"]
     return rolled, urls.filter(pa.array(first))

@@ -261,8 +261,16 @@ def load_manifest(out_dir: str) -> list[dict]:
 
 
 def committed_partitions(out_dir: str) -> set[int]:
-    return {r["partition_id"] for r in load_manifest(out_dir)
-            if r.get("committed")}
+    """Pids with a commit record, from the records' names: a record is
+    in place only once :func:`commit_partition` committed its pid (as
+    :func:`read_partition` reads it), so no record is parsed.
+    :func:`load_manifest` parses them (fsck, stats)."""
+    d = os.path.join(out_dir, MANIFEST_DIR)
+    if not os.path.isdir(d):
+        return set()
+    return {int(name[len("partition-"):-len(".json")])
+            for name in os.listdir(d)
+            if name.startswith("partition-") and name.endswith(".json")}
 
 
 def check_partitioning(out_dir: str, num_partitions: int) -> None:

@@ -129,16 +129,35 @@ def stability_ccdc():
 @pytest.fixture(scope="session")
 def earlier_tier_layout():
     """``rewrite(out, convert=None)``: rewrite a committed store into the
-    tier layout before the ``rollup`` file — per partition, one
-    ``rollup_{tier}`` file per run-config tier (each table passed
-    through ``convert`` when given) and tier-major segments, sorted by
-    (tier, url, seg_start) — and delete its ``rollup`` files."""
+    layout before the ``rollup`` file and the decimal codec — per
+    partition, one ``rollup_{tier}`` file per run-config tier, each
+    table's ``sum`` a float column (then passed through ``convert`` when
+    given), and tier-major "dod+xor3" segments, sorted by (tier, url,
+    seg_start) — and delete its ``rollup`` files."""
     import os
 
     import pyarrow as pa
 
+    from codec_oracle import _oracle_xor
     from nrt_ray.pipelines.incremental import read_run_config
+    from nrt_ray.stages import compress, rollup
     from nrt_ray.state import manifest
+
+    def float_sum(t: pa.Table) -> pa.Table:
+        meta = dict(t.schema.metadata)
+        meta.pop(rollup.SUM_SCALE)
+        return t.drop_columns(["sum_float"]).set_column(
+            t.column_names.index("sum"), "sum",
+            pa.array(rollup.table_rolled(t)[0]["sum"])) \
+            .replace_schema_metadata(meta)
+
+    def xor3(seg: pa.Table) -> pa.Table:
+        values = [_oracle_xor(compress.decode_dec(p), compress.BLOCK)
+                  for p in seg.column("payload_value").to_pylist()]
+        for name, col in (("codec", pa.array([compress.XOR3] * len(values))),
+                          ("payload_value", pa.array(values, pa.binary()))):
+            seg = seg.set_column(seg.column_names.index(name), name, col)
+        return seg
 
     def rewrite(out: str, convert=None) -> None:
         tiers = [t["name"] for t in read_run_config(out)["tiers"]]
@@ -150,12 +169,13 @@ def earlier_tier_layout():
             if seg is None:                # committed empty
                 continue
             for name, t in got.items():
+                t = float_sum(t)
                 manifest.write_partition_table(
                     out, name, pid, convert(t) if convert else t)
             tier_rank = np.array([rank[t] for t in
                                   seg.column("tier").to_pylist()])
-            manifest.write_partition_table(out, "segments", pid, seg.take(
-                pa.array(np.argsort(tier_rank, kind="stable"))))
+            manifest.write_partition_table(out, "segments", pid, xor3(
+                seg.take(pa.array(np.argsort(tier_rank, kind="stable")))))
             os.remove(os.path.join(manifest.partition_dir(out, "rollup",
                                                           pid),
                                    "part.parquet"))

@@ -178,6 +178,8 @@ def test_cli_retier_fsck(tmp_path):
         for t in ("alerts", "rollup", "segments", "state")}
     assert all(sm["row_counts"][f"rollup_{t}"] > 0
                for t in ("1h", "1d", "1w"))
+    # codec mix: every segment row of a fresh store is dec coded
+    assert sm["codecs"] == {"dod+dec4": sm["row_counts"]["segments"]}
 
     s = _run(["retier", "--out", "out", "--tier", "4w",
               "--width-s", str(4 * 7 * 86400), "--source", "1w"], d)

@@ -185,6 +185,54 @@ def test_fsck_flags_marks_ahead_of_run_config(ray_session, store,
     assert all(f"ahead of run.json's {old_hw}" in i for i in issues)
 
 
+def test_routing_parses_no_commit_record(ray_session, store, tmp_path,
+                                         monkeypatch):
+    """Point and range reads find the committed (and merge) pids from
+    the commit records' names and parse none; fsck parses every record,
+    so a corrupt one fails loudly there."""
+    out = _build(ray_session, store, tmp_path)
+    url = _pid_urls(out, 1)[0]
+    hw = inc.read_run_config(out)["high_water_us"]
+
+    def reads():
+        return (mp.lookup_url(out, url),
+                mp.read_url_range(out, url, hw - 400 * 86400 * US, hw))
+
+    want = reads()
+
+    def parse(_):
+        raise AssertionError("a commit record was parsed")
+
+    monkeypatch.setattr(manifest, "load_manifest", parse)
+    assert reads() == want
+    monkeypatch.undo()
+    with open(os.path.join(out, manifest.MANIFEST_DIR,
+                           "partition-00002.json"), "w") as f:
+        f.write("{")
+    assert manifest.committed_partitions(out) == set(range(P))
+    assert reads() == want
+    with pytest.raises(ValueError):
+        retier.verify_store(out)
+
+
+def test_read_output_table_of_several_tables(ray_session, store, tmp_path,
+                                            monkeypatch):
+    """``read_output_table`` given several names returns each one's
+    table, equal to its own call, and reads each partition file once:
+    the tiers from one read of the partition's ``rollup`` file."""
+    out = _build(ray_session, store, tmp_path)
+    names = ["state", *(f"rollup_{t.name}" for t in TIERS)]
+    want = {name: mp.read_output_table(out, name) for name in names}
+    reads, real = [], manifest._read
+    monkeypatch.setattr(manifest, "_read",
+                        lambda path: reads.append(path) or real(path))
+    got = mp.read_output_table(out, names)
+    assert list(got) == names
+    assert all(got[name].equals(want[name]) for name in names)
+    assert len(reads) == len(set(reads)) == 2 * P
+    assert sum(os.sep + "rollup" + os.sep in r for r in reads) == P
+
+
 def test_dead_letter_replay_overwrites(ray_session, store, tmp_path):
     """Two splits of the same input at the same mark leave one
     dead-letter file per source with late rows."""

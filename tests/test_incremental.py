@@ -121,7 +121,7 @@ def test_pruned_increment_filters_in_the_split_task(ray_session,
     filter inside the split task: over the on-time rows plus replayed
     early ones, the pruned increment sees no late row, the unpruned one
     dead-letters them, their state and tiers are equal, and neither
-    runs a Ray Data execution."""
+    runs a Ray Data execution nor builds a Ray Data read."""
     import shutil
     from unittest import mock
 
@@ -146,7 +146,12 @@ def test_pruned_increment_filters_in_the_split_task(ray_session,
         calls.append(1)
         return real(self)
 
-    with mock.patch.object(ExecutionPlan, "create_executor", counting):
+    def read(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a Ray Data read was built")
+
+    with mock.patch.object(ExecutionPlan, "create_executor", counting), \
+            mock.patch.object(mp.ray.data, "read_parquet", read):
         for name, mark in (("plain", None), ("pruned", hw)):
             shutil.copytree(base, str(tmp_path / name))
             got[name] = inc.run_increment(

@@ -102,13 +102,14 @@ def pandas_merge_tier(proc, old, series, tier):
     rebuilt = rollup.stored_tier_table(
         rolled, pa.array(urls[first], pa.string()), tier, proc.new_hw)
     if passthrough is not None and passthrough.num_rows:
-        # untouched rows in the stored layout (a legacy file's have none)
-        passthrough = rollup.stored_tier_table(
-            *rollup.table_rolled(passthrough), tier, proc.new_hw)
-        rebuilt = pa.concat_tables([passthrough, rebuilt],
-                                   promote_options="default")
-        rebuilt = rebuilt.take(pc.sort_indices(rebuilt, sort_keys=[
-            ("url", "ascending"), ("bucket_ts", "ascending")]))
+        # untouched and merged rows, stored as one table: one ``sum``
+        # scale over all of them
+        rebuilt = pa.concat_tables([rollup.tier_table(
+            *rollup.table_rolled(t)) for t in (passthrough, rebuilt)])
+        rebuilt = rollup.stored_tier_table(*rollup.table_rolled(
+            rebuilt.take(pc.sort_indices(rebuilt, sort_keys=[
+                ("url", "ascending"), ("bucket_ts", "ascending")]))),
+            tier, proc.new_hw)
     return rollup.tag_tier(rebuilt, tier, proc.new_hw)
 
 
@@ -220,14 +221,16 @@ def test_append_merge_rejects_out_of_order_bucket(cases, tier):
         proc._merge_tier(_stored(old_rows, tier), early, tier, NEW_HW)
 
 
-STORED_COLUMNS = ["url", "bucket_ts", "count", "sum", "min", "max", "last"]
+STORED_COLUMNS = ["url", "bucket_ts", "count", "sum", "sum_float", "min",
+                  "max", "last"]
 
 
 @pytest.mark.parametrize("tier", rollup.DEFAULT_TIERS,
                          ids=[t.name for t in rollup.DEFAULT_TIERS])
 def test_stored_layout_round_trips_bit_for_bit(cases, tier, tmp_path):
     """A stored tier holds each bucket once — ``min``/``max``/``last``
-    null exactly where ``count == 1``, no ``mean`` or ``gapfilled`` —
+    null exactly where ``count == 1``, the sum in exactly one of the
+    decimal ``sum`` and ``sum_float``, no ``mean`` or ``gapfilled`` —
     and ``table_rolled`` of its Parquet file gives back the rollup_flat
     arrays it was written from, bit for bit: a fresh tier and one an
     increment merged a boundary bucket into."""
@@ -249,6 +252,11 @@ def test_stored_layout_round_trips_bit_for_bit(cases, tier, tmp_path):
             np.testing.assert_array_equal(
                 stored.column(k).is_null().to_numpy(zero_copy_only=False),
                 single, err_msg=k)
+        np.testing.assert_array_equal(
+            stored.column("sum").is_null().to_numpy(zero_copy_only=False),
+            stored.column("sum_float").is_valid().to_numpy(
+                zero_copy_only=False))
+        assert int(stored.schema.metadata[rollup.SUM_SCALE]) in range(23)
         manifest.write_partition_table(str(tmp_path), "rollup", i, stored)
         got, gurls = rollup.table_rolled(pq.read_table(
             os.path.join(manifest.partition_dir(str(tmp_path), "rollup", i),

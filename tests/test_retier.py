@@ -354,6 +354,34 @@ def test_null_extremum_in_multi_observation_bucket_fails_loudly(
         inc.run_increment(out, mp.ingest_webtext(newer))
 
 
+def test_verify_store_lists_a_sum_stored_twice_or_never(ray_session,
+                                                        tmp_path):
+    """A stored tier row keeps its sum in exactly one of the decimal
+    ``sum`` and ``sum_float``: a row with both set, or neither, is
+    corruption that fsck lists."""
+    d = str(tmp_path / "wt")
+    info = synthetic.generate_webtext(d, n_urls=20, seed=64)
+    out = str(tmp_path / "out")
+    mp.run_pipeline(info["webtext"], out,
+                    tiers=(rollup.TierSpec("1d"),), **BASE)
+    for pid, col in ((0, "sum_float"), (1, "sum")):
+        p = os.path.join(manifest.partition_dir(out, "rollup", pid),
+                         "part.parquet")
+        tbl = pq.read_table(p)
+        vals = tbl.column(col).to_pylist()
+        vals[0] = 0.5 if col == "sum_float" else None
+        pq.write_table(tbl.set_column(tbl.column_names.index(col), col,
+                                      pa.array(vals, tbl.schema.field(
+                                          col).type)), p)
+    rep = retier.verify_store(out)
+    assert rep["ok"] == P - 2
+    assert rep["issues"] == [
+        "pid 0: rollup_1d unreadable: tier 1d: a stored row holds both "
+        "'sum' and 'sum_float'",
+        "pid 1: rollup_1d unreadable: tier 1d: a stored row holds a null "
+        "'sum'"]
+
+
 def test_verify_store_lists_uncommitted_partition(ray_session, tmp_path):
     """A partition whose files are on disk without a commit record (an
     uncommit, or a run that died before committing it) is an fsck issue

@@ -1,7 +1,9 @@
 """The tier layout: each partition keeps its tier tables in one url-major
-``rollup`` file.  A store written before that — a ``rollup_{tier}`` file
-per tier and tier-major segments — serves the same answers, and each
-partition moves to the one file when a writer rewrites it."""
+``rollup`` file, tier sums as decimals, segment values dec coded.  A
+store written before that — a ``rollup_{tier}`` file per tier with float
+sums, and tier-major "dod+xor3" segments — serves the same answers, and
+each partition moves to the one file and the decimal codec when a writer
+rewrites it."""
 
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from nrt_ray.pipelines import incremental as inc
 from nrt_ray.pipelines import monitor_pipeline as mp
 from nrt_ray.pipelines import retier
 from nrt_ray.sources import synthetic
-from nrt_ray.stages import rollup
+from nrt_ray.stages import compress, rollup
 from nrt_ray.state import manifest
 from nrt_ray.util import url_major_order
 
@@ -51,8 +53,9 @@ def _sorted(table: pa.Table, *keys: str) -> pa.Table:
 
 
 def _assert_serves_the_same(a: str, b: str, urls) -> None:
-    """Equal served views of every table (segments in any row order),
-    point lookups and range reads of every url over 1h- and 1w-sized
+    """Equal served views of every table, equal segment rows (in any row
+    order, payloads compared by the points they decode to), point
+    lookups and range reads of every url over 1h- and 1w-sized
     ranges."""
     tiers = [t["name"] for t in inc.read_run_config(a)["tiers"]]
     for table in ["state", "alerts", *(f"rollup_{t}" for t in tiers)]:
@@ -60,7 +63,13 @@ def _assert_serves_the_same(a: str, b: str, urls) -> None:
             mp.read_output_table(b, table)), table
     sa, sb = (_sorted(mp.read_output_table(root, "segments"), "tier", "url",
                       "seg_start") for root in (a, b))
-    assert sa.equals(sb)
+    payload = ["codec", "payload_ts", "payload_value"]
+    assert sa.drop_columns(payload).equals(sb.drop_columns(payload))
+    pa_, pb = (_sorted(compress.decode_segments_table(s), "tier", "url",
+                       "bucket_ts") for s in (sa, sb))
+    assert pa_.drop_columns(["mean"]).equals(pb.drop_columns(["mean"]))
+    assert np.array_equal(pa_.column("mean").to_numpy().view(np.uint64),
+                          pb.column("mean").to_numpy().view(np.uint64))
     hw = inc.read_run_config(a)["high_water_us"]
     assert hw == inc.read_run_config(b)["high_water_us"]
     for url in urls:
@@ -68,6 +77,15 @@ def _assert_serves_the_same(a: str, b: str, urls) -> None:
         for days in (5, 400):
             assert mp.read_url_range(a, url, hw - days * DAY, hw) \
                 == mp.read_url_range(b, url, hw - days * DAY, hw), url
+
+
+def _codecs(out: str, pid: int) -> tuple[set, set]:
+    """``(segment codec tags, tier sum types)`` of partition ``pid``."""
+    got = manifest.read_partition(out, pid, ["segments", *(
+        f"rollup_{x.name}" for x in TIERS)])
+    seg = got.pop("segments")
+    return (set(seg.column("codec").to_pylist()),
+            {str(t.schema.field("sum").type) for t in got.values()})
 
 
 def test_earlier_layout_store_serves_then_migrates(ray_session, tmp_path,
@@ -95,6 +113,7 @@ def test_earlier_layout_store_serves_then_migrates(ray_session, tmp_path,
     for pid in range(P):
         assert not _exists(old, "rollup", pid)
         assert all(_exists(old, f"rollup_{x.name}", pid) for x in TIERS)
+        assert _codecs(old, pid) == ({compress.XOR3}, {"double"})
     _assert_serves_the_same(old, new, urls)
 
     for root in (new, old):
@@ -103,10 +122,14 @@ def test_earlier_layout_store_serves_then_migrates(ray_session, tmp_path,
                if r.get("increment")}
     assert touched and len(touched) < P
     for pid in range(P):
-        # a rewrite writes the one file, then deletes the tier files
+        # a rewrite writes the one file, then deletes the tier files;
+        # its segments and tier sums move to the decimal codec
         assert _exists(old, "rollup", pid) == (pid in touched)
         assert all(_exists(old, f"rollup_{x.name}", pid) != (pid in touched)
                    for x in TIERS)
+        assert _codecs(old, pid) == (({compress.CODEC}, {"int64"})
+                                     if pid in touched else
+                                     ({compress.XOR3}, {"double"}))
     _assert_serves_the_same(old, new, urls)
     assert retier.verify_store(old)["issues"] == []
 
@@ -115,5 +138,6 @@ def test_earlier_layout_store_serves_then_migrates(ray_session, tmp_path,
         retier.run_retier(root, four, source="1w")
     assert not any(_exists(old, f"rollup_{x.name}", pid)
                    for x in TIERS for pid in range(P))
+    assert all(_codecs(old, pid)[0] == {compress.CODEC} for pid in range(P))
     _assert_serves_the_same(old, new, urls)
     assert retier.verify_store(old)["issues"] == []
