@@ -56,8 +56,8 @@ from nrt_ray.stages import compress, rollup
 from nrt_ray.stages.assemble import (add_bucket_column, assemble_series,
                                      bucket_of, padded_matrices)
 from nrt_ray.stages.fit_monitor import SeriesFitMonitor, regressor_tensor
-from nrt_ray.stages.exchange import (_iter_block_refs, _split_block,
-                                     reduce_tables)
+from nrt_ray.stages.exchange import (_split_block, read_source,
+                                     reduce_tables, split_sources)
 from nrt_ray.state import manifest
 from nrt_ray.util import full as nrfull
 
@@ -386,13 +386,13 @@ def _hw_scalar(high_water_us: int) -> pa.Scalar:
 @ray.remote
 def _split_source(source, recipe, high_water_us: int, dl_dir: str,
                   num_partitions: int, merge_route, p_total: int):
-    """One micro-batch source (a file read by ``recipe``, or a block if
-    ``recipe`` is None): its late rows go to a ``dl_dir`` file named by
-    their Arrow IPC digest, so a replay overwrites it (tmp + rename; the
-    tmp name does not end in ``.parquet``); its new rows are routed
-    (:func:`route_new`) and sliced by partition.  Returns ``((late
-    rows, max(newest warc_ts, mark)), *sub-tables)``."""
-    block = source if recipe is None else recipe.read(source)
+    """One micro-batch source (:func:`exchange.read_source`): its late
+    rows go to a ``dl_dir`` file named by their Arrow IPC digest, so a
+    replay overwrites it (tmp + rename; the tmp name does not end in
+    ``.parquet``); its new rows are routed (:func:`route_new`) and
+    sliced by partition.  Returns ``((late rows, max(newest warc_ts,
+    mark)), *sub-tables)``."""
+    block = read_source(source, recipe)
     parts = _split_block(block, p_total, 1, route_new, high_water_us,
                          num_partitions, merge_route)
     parts = parts if p_total > 1 else (parts,)
@@ -418,15 +418,13 @@ def split_batch(flat_dataset, high_water_us: int, out_dir: str,
     """The split hop both increment modes share: one plain task per
     source (:func:`_split_source`), dead-lettering each source's late
     rows to one ``dead_letter/`` file named by their content.  The
-    sources of a Dataset carrying ``ingest_webtext``'s ``scan_recipe``
-    are its input files, read in the tasks, so no Ray Data executor
-    starts; any other Dataset runs once and its blocks are the
-    sources.  The driver gets only the late counts and newest
-    ``warc_ts``.  Returns ``(per-source lists of p_total sub-table
-    refs, late rows, new high-water mark)``."""
-    recipe = getattr(flat_dataset, "scan_recipe", None)
-    sources = recipe.files if recipe is not None \
-        else _iter_block_refs(flat_dataset)
+    sources are the exchange's (:func:`exchange.split_sources`): an
+    ``ingest_webtext`` scan's row groups, read in the tasks so no Ray
+    Data executor starts, or any other Dataset's blocks.  The driver
+    gets only the late counts and newest ``warc_ts``.  Returns
+    ``(per-source lists of p_total sub-table refs, late rows, new
+    high-water mark)``."""
+    sources, recipe = split_sources(flat_dataset)
     split = _split_source.options(num_returns=p_total + 1)
     outs = [split.remote(src, recipe, high_water_us,
                          os.path.join(out_dir, "dead_letter"),
@@ -572,6 +570,15 @@ def run_forget(out_dir: str, urls, run_id: str = "forget") -> dict:
     }
 
 
+@ray.remote
+def _late_pids(path: str, num_partitions: int, merge_route):
+    """One dead-letter file's row count and the pids its urls route to."""
+    t = pq.read_table(path, columns=["url"])
+    pid = add_bucket_column(t, num_partitions, merge_route=merge_route) \
+        .column("pid").to_numpy(zero_copy_only=False)
+    return t.num_rows, set(np.unique(pid).tolist())
+
+
 def run_backfill(out_dir: str, input_path, run_id: str = "backfill") -> dict:
     """Fold the dead-lettered LATE rows into the committed output by
     rebuilding only the partitions that own them — the repair path for
@@ -582,7 +589,7 @@ def run_backfill(out_dir: str, input_path, run_id: str = "backfill") -> dict:
 
     ``input_path`` must cover EVERYTHING the run has ingested INCLUDING
     the late rows' source batches (original input plus every increment
-    batch — ``read_parquet`` accepts a list): affected partitions
+    batch, as a list of paths): affected partitions
     rebuild from source, and the dead-letter table is only used to
     locate them (its url set routes to exactly the partitions whose
     state is missing late data: hash pids, and merge pids for a salted
@@ -596,8 +603,6 @@ def run_backfill(out_dir: str, input_path, run_id: str = "backfill") -> dict:
     ``dead_letter_applied/{run_id}/`` (append-only audit, never
     re-applied).  Returns a summary dict.
     """
-    import ray.data as _rd
-
     from nrt_ray.pipelines import monitor_pipeline as mp
 
     config = read_run_config(out_dir)
@@ -605,27 +610,17 @@ def run_backfill(out_dir: str, input_path, run_id: str = "backfill") -> dict:
     hot_sorted, m_tasks, _ = salted_layout(out_dir, config)
     mr = (hot_sorted, m_tasks) if m_tasks else None
     dl_dir = os.path.join(out_dir, "dead_letter")
-    if not os.path.isdir(dl_dir) or not any(
-            f.endswith(".parquet") for f in os.listdir(dl_dir)):
+    files = mp.input_files(dl_dir) if os.path.isdir(dl_dir) else []
+    if not files:
         return {"late_rows_applied": 0, "partitions_rebuilt": 0,
                 "affected_pids": [],
                 "high_water_us": int(config["high_water_us"])}
 
-    # affected partitions, computed distributed: per-batch distinct pid
-    # partials — the driver sees at most P+M values, never the url set
-    dl = _rd.read_parquet(dl_dir)
-    late_rows = dl.count()
-
-    def pid_partial(t: pa.Table) -> pa.Table:
-        routed = add_bucket_column(t, P, merge_route=mr)
-        pids = np.unique(routed.column("pid")
-                         .to_numpy(zero_copy_only=False)) \
-            .astype(np.int64)
-        return pa.table({"pid": pa.array(pids)})
-
-    pids = sorted(int(p) for p in
-                  dl.map_batches(pid_partial, batch_format="pyarrow")
-                  .unique("pid"))
+    # affected partitions, one task per dead-letter file: the driver
+    # sees at most P+M pids per file, never the url set
+    found = ray.get([_late_pids.remote(f, P, mr) for f in files])
+    late_rows = sum(n for n, _ in found)
+    pids = sorted(set().union(*(p for _, p in found)))
     manifest.uncommit_partitions(out_dir, pids)
     summary = mp.run_pipeline(
         input_path, out_dir, **run_settings(config),

@@ -1,13 +1,21 @@
-"""End-to-end Ray Data pipeline: ingest → fit/monitor → rollup → segments.
+"""End-to-end pipeline: ingest → fit/monitor → rollup → segments.
 
-One streaming DAG over ``ray.data.Dataset``:
+One hash exchange (``stages.exchange``) over the input's flat rows:
 
-    read_parquet(columns pruned)            # html/binary never leaves the read
-      → map_batches(ExtractSignal)          # wide text cols dropped here
-      → map_batches(add bucket column)      # hash(url) % P, P pinned in manifest
-      → [resume filter: drop committed partitions]
-      → groupby(pid).map_groups(PartitionProcessor)   # THE wide step
+    split tasks, one per source (a local Parquet input's row groups,
+    or any other Dataset's blocks):
+      read the row group (url, warc_ts, text; html never leaves it)
+      → tag its file's fragment id → ExtractSignal (text dropped here)
+      → route: pid = hash(url) % P, P pinned in the manifest
+      → [resume filter: drop committed partitions and forgotten urls]
+      → slice by pid
+    reduce tasks, one per partition: PartitionProcessor   # THE wide step
       → lineage rows (tiny) collected on the driver
+
+Local Parquet starts no Ray Data execution: ``ingest_webtext`` returns a
+scan recipe the split tasks read themselves.  WARC input, other Parquet
+locations and ``flat_dataset=`` are Ray Data Datasets whose blocks feed
+the same split tasks.
 
 ``PartitionProcessor`` does everything for its partition in one task —
 series assembly, fused fit/monitor, tier rollups, segment compression,
@@ -22,8 +30,8 @@ cores`` absorbs.  For a single url exceeding partition capacity the SURVEY
 §4 salting path is ON BY DEFAULT (``salt_threshold="auto"``): detection is
 a plain task graph of url-column pruned per-file counts, key-disjoint
 hash folds and one gather (threshold = max(8× mean rows/url, half a
-mean partition share, 10k rows)), run OVERLAPPED with read/extract (its
-ObjectRef feeds the split-side prep), so it costs almost no wall.  Pass
+mean partition share, 10k rows)), submitted before the exchange: its
+ObjectRef is an argument of the split tasks, so only they wait on it.  Pass
 ``salt_threshold=None`` to disable, or a fixed ``hot_urls`` set to skip
 detection.  A run that starts with nothing committed time-slices the hot
 urls across partitions, and a tiny merge phase re-concatenates the
@@ -39,6 +47,7 @@ route hot urls to their committed merge partitions.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import shutil
@@ -53,7 +62,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from nrt_ray.pipelines.incremental import (NOTHING, PartitionWriter,
-                                           read_run_config,
+                                           _hw_scalar, read_run_config,
                                            write_run_config)
 from nrt_ray.sources.extract import ExtractSignal, timestamp_features
 from nrt_ray.stages import rollup
@@ -76,10 +85,11 @@ def _url_fragments(group: pa.Table, urls: pa.Array) -> dict:
 
 
 class PartitionProcessor(PartitionWriter):
-    """Per-partition fused processor (runs inside ``map_groups``):
-    assemble the partition's series, set salted hot urls' sub-series
-    aside for the merge phase, then the shared update onto nothing
-    stored (:meth:`PartitionWriter.update_series`) and one persist.
+    """Per-partition fused processor (runs in the exchange's reduce
+    task): assemble the partition's series, set salted hot urls'
+    sub-series aside for the merge phase, then the shared update onto
+    nothing stored (:meth:`PartitionWriter.update_series`) and one
+    persist.
 
     Takes :class:`PartitionWriter`'s arguments plus ``hot_urls`` (a set,
     any iterable, or the ObjectRef of an overlapped detection) and the
@@ -154,16 +164,26 @@ class PartitionProcessor(PartitionWriter):
 
 
 def input_files(input_path) -> list[str]:
-    """Enumerate the concrete parquet files (lineage fragments) behind
-    ``input_path`` (a file, directory, glob, or list thereof)."""
-    import glob as _glob
-    paths = []
-    for p in ([input_path] if isinstance(input_path, str) else input_path):
-        paths.extend(sorted(_glob.glob(p)) if "*" in p else
-                     ([os.path.join(p, f) for f in sorted(os.listdir(p))
-                       if f.endswith(".parquet")] if os.path.isdir(p)
-                      else [p]))
-    return paths
+    """The Parquet files behind ``input_path`` (a file, directory, glob,
+    or a list of them), as a Parquet read scans them: each file, every
+    file under each directory (nested ones too, hidden ``.``/``_``
+    entries skipped) and each glob's matches, each path's files sorted;
+    a path that is none of these (a remote url) as given.  Lineage
+    fragments, hot-url counts, the high-water mark and the scan all
+    use this one listing."""
+    files = []
+    for p in [input_path] if isinstance(input_path, str) else input_path:
+        for m in sorted(glob.glob(p)) if glob.has_magic(p) else [p]:
+            if not os.path.isdir(m):
+                files.append(m)
+                continue
+            found = []
+            for root, dirs, names in os.walk(m):
+                dirs[:] = [d for d in dirs if not d.startswith((".", "_"))]
+                found += [os.path.join(root, n) for n in names
+                          if not n.startswith((".", "_"))]
+            files += sorted(found)
+    return files
 
 
 def _absolute(input_path):
@@ -204,13 +224,17 @@ def ingest_webtext(input_path, verify_extract: bool = False,
     is skipped for them — use it when the archive is append-only and
     audit is not needed (the CLI exposes it as ``--prune-ingested``).
 
-    ``frag_ids`` ({file path: int id}): tag every row with its source
-    fragment id (int32 ``frag`` column, 4 B/row through the shuffle) so
-    each partition's manifest commit can record exactly which input
-    fragments fed it (north-rule lineage).
-    A plain scan of local Parquet files (no ``frag_ids``) returns a
-    :class:`WebtextScan`: its :class:`ScanRecipe` lists the files, and
-    the Ray Data Dataset is built only when a caller uses it.
+    ``frag_ids`` ({absolute file path: int id}): tag every row with its
+    source fragment id (int32 ``frag`` column, 4 B/row through the
+    shuffle) so each partition's manifest commit can record exactly
+    which input fragments fed it (north-rule lineage).
+
+    Local Parquet files (:func:`input_files`) give a
+    :class:`WebtextScan`: the exchange's split tasks read its
+    :class:`ScanRecipe` row group by row group, and the Ray Data Dataset
+    is built only when a caller uses it.  Other Parquet inputs give that
+    Dataset (``read_parquet``, the ``frag`` tag, ``ExtractSignal``);
+    WARC input gives ``warc_to_flat``'s.
     """
     if is_warc_input(input_path):
         # raw crawl bytes: parse WARC records, run the byte-identity
@@ -222,31 +246,37 @@ def ingest_webtext(input_path, verify_extract: bool = False,
     # Ray Data lists and samples the files in worker processes, whose
     # working directory need not be the driver's
     input_path = _absolute(input_path)
-    columns = ["url", "warc_ts", "text"] + (
-        ["html"] if verify_extract else [])
+    columns = ("url", "warc_ts", "text") + (
+        ("html",) if verify_extract else ())
+    extract = ExtractSignal(verify=verify_extract, aux=aux)
+    files = input_files(input_path)
+    if not files or not all(map(os.path.isfile, files)):
+        return _read_dataset(input_path, columns, min_warc_ts_us, extract,
+                             frag_ids)
+    return WebtextScan(ScanRecipe(
+        tuple(files), columns, min_warc_ts_us, extract,
+        tuple(frag_ids[f] for f in files) if frag_ids else None))
+
+
+def _read_dataset(paths, columns, min_warc_ts_us, extract, frag_ids):
+    """Ray Data's scan of ``paths``: ``read_parquet``, each row's
+    ``frag`` id looked up from its path when ``frag_ids`` is given,
+    then ``extract``."""
     kw = {}
     if min_warc_ts_us is not None:
         import pyarrow.dataset as pds
-        kw["filter"] = (pds.field("warc_ts")
-                        > pa.scalar(min_warc_ts_us, pa.int64())
-                        .cast(pa.timestamp("us")))
-    extract = ExtractSignal(verify=verify_extract, aux=aux)
-    files = None if frag_ids else _local_files(input_path)
-    if files:
-        return WebtextScan(ScanRecipe(tuple(files), tuple(columns),
-                                      kw.get("filter"), extract))
+        kw["filter"] = pds.field("warc_ts") > _hw_scalar(min_warc_ts_us)
+    ds = ray.data.read_parquet(paths, columns=list(columns),
+                               include_paths=bool(frag_ids), **kw)
     if frag_ids:
-        kw["include_paths"] = True
-    ds = ray.data.read_parquet(input_path, columns=columns, **kw)
-    if frag_ids:
-        paths = pa.array(_absolute(list(frag_ids)), pa.string())
+        known = pa.array(list(frag_ids), pa.string())
         ids = pa.array(list(frag_ids.values()), pa.int32())
 
         def tag(t: pa.Table) -> pa.Table:
             # map each row's path to its small int id (one Arrow hash
             # lookup per row) and drop the string column
             path = t.column("path")
-            pos = pc.index_in(path, value_set=paths.cast(path.type))
+            pos = pc.index_in(path, value_set=known.cast(path.type))
             if pos.null_count:
                 missing = path.filter(pc.is_null(pos))[0].as_py()
                 raise KeyError(f"input row from unlisted fragment "
@@ -258,54 +288,75 @@ def ingest_webtext(input_path, verify_extract: bool = False,
     return ds.map_batches(extract, batch_format="pyarrow")
 
 
-def _local_files(input_path) -> list[str] | None:
-    """The files a Parquet read of ``input_path`` scans — each local
-    file, and every file under each local directory, hidden (``.`` or
-    ``_``) entries skipped — sorted; None when a path is neither."""
-    files = []
-    for p in [input_path] if isinstance(input_path, str) else input_path:
-        if os.path.isfile(p):
-            files.append(p)
-        elif not os.path.isdir(p):
-            return None
-        for root, dirs, names in os.walk(p):
-            dirs[:] = [d for d in dirs if not d.startswith((".", "_"))]
-            files += [os.path.join(root, n) for n in names
-                      if not n.startswith((".", "_"))]
-    return sorted(files)
+def _ts_max_us(md, rg: int, col: int) -> int | None:
+    """Row group ``rg``'s max ``warc_ts`` statistic (column ``col`` of
+    footer ``md``) in µs, or None when the footer has none."""
+    stats = md.row_group(rg).column(col).statistics
+    if stats is None or not stats.has_min_max:
+        return None
+    return int(pa.scalar(stats.max, pa.timestamp("us")).cast(pa.int64())
+               .as_py())
 
 
 @dataclass(frozen=True)
 class ScanRecipe:
     """How :func:`ingest_webtext` scans local Parquet files (its
-    :class:`WebtextScan`'s ``scan_recipe``), so that
-    ``incremental.split_batch`` reads them file by file in plain
-    tasks."""
+    :class:`WebtextScan`'s ``scan_recipe``): the exchange's split tasks
+    (``stages.exchange.split_sources``) read it one row group at a time,
+    so no Ray Data executor starts."""
     files: tuple
     columns: tuple
-    filter: object          # the ``min_warc_ts_us`` expression, or None
+    min_warc_ts_us: int | None     # keep rows with ``warc_ts`` above it
     extract: ExtractSignal
+    frag_ids: tuple | None = None  # each file's lineage id, or no ``frag``
 
-    def read(self, path: str) -> pa.Table:
+    def units(self) -> list[tuple[int, int]]:
+        """``(file index, row group)`` of each row group to read, from
+        the footers; with ``min_warc_ts_us`` set, one whose max
+        ``warc_ts`` statistic is at or below it is skipped."""
         import pyarrow.parquet as pq
-        return self.extract(pq.read_table(path, columns=list(self.columns),
-                                          filters=self.filter,
-                                          use_threads=False))
+        out = []
+        for i, f in enumerate(self.files):
+            md = pq.read_metadata(f)
+            col = md.schema.to_arrow_schema().get_field_index("warc_ts")
+            for rg in range(md.num_row_groups):
+                mx = None if self.min_warc_ts_us is None \
+                    else _ts_max_us(md, rg, col)
+                if mx is None or mx > self.min_warc_ts_us:
+                    out.append((i, rg))
+        return out
+
+    def read(self, unit: tuple[int, int]) -> pa.Table:
+        """One unit's flat rows: the row group, rows at or below
+        ``min_warc_ts_us`` dropped, the file's ``frag`` id appended,
+        then ``extract``."""
+        import pyarrow.parquet as pq
+        i, rg = unit
+        t = pq.ParquetFile(self.files[i]).read_row_group(
+            rg, columns=list(self.columns), use_threads=False)
+        if self.min_warc_ts_us is not None:
+            t = t.filter(pc.greater(t.column("warc_ts"),
+                                    _hw_scalar(self.min_warc_ts_us)))
+        if self.frag_ids is not None:
+            t = t.append_column("frag", pa.array(
+                np.full(t.num_rows, self.frag_ids[i], np.int32)))
+        return self.extract(t)
 
     def dataset(self):
         """The same scan as a Ray Data Dataset of flat rows."""
-        return ray.data.read_parquet(
-            list(self.files), columns=list(self.columns),
-            **({} if self.filter is None else {"filter": self.filter})) \
-            .map_batches(self.extract, batch_format="pyarrow")
+        return _read_dataset(
+            list(self.files), self.columns, self.min_warc_ts_us,
+            self.extract, None if self.frag_ids is None
+            else dict(zip(self.files, self.frag_ids)))
 
 
 class WebtextScan:
     """:func:`ingest_webtext`'s flat rows of local Parquet files: its
     ``scan_recipe``, and otherwise the recipe's Ray Data Dataset, built
     the first time a caller uses it (``.count()``, ``.map_batches``, …).
-    An increment reads the recipe and never builds it: building it runs
-    Ray Data's planning, a ``sample_fragments`` task included."""
+    The exchange and the increment split read the recipe and never
+    build it: building it runs Ray Data's planning, a
+    ``sample_fragments`` task included."""
 
     def __init__(self, recipe: ScanRecipe):
         self.scan_recipe = recipe
@@ -480,22 +531,16 @@ def global_high_water_us(input_path) -> int:
     deterministically).  Prefers Parquet row-group statistics (no data
     scan); falls back to a column-pruned max() scan."""
     import pyarrow.parquet as pq
-    paths = input_files(input_path)
     try:
-        hw = None
-        for f in paths:
+        hw = []
+        for f in input_files(input_path):
             md = pq.read_metadata(f)
-            ci = md.schema.to_arrow_schema().get_field_index("warc_ts")
-            for rg in range(md.num_row_groups):
-                stats = md.row_group(rg).column(ci).statistics
-                if stats is None or not stats.has_min_max:
-                    raise ValueError("missing stats")
-                mx = stats.max
-                hw = mx if hw is None else max(hw, mx)
-        if hw is None:
-            raise ValueError("no row groups")
-        return int(pa.scalar(hw, pa.timestamp("us")).cast(pa.int64())
-                   .as_py())
+            col = md.schema.to_arrow_schema().get_field_index("warc_ts")
+            hw += [_ts_max_us(md, rg, col)
+                   for rg in range(md.num_row_groups)]
+        if not hw or None in hw:
+            raise ValueError("missing stats")
+        return max(hw)
     except Exception:
         ds = ray.data.read_parquet(input_path, columns=["warc_ts"])
         hw = ds.max("warc_ts")
@@ -621,9 +666,9 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
             and flat_dataset is None and not is_warc_input(input_path):
         # OVERLAPPED detection (only where counting is a cheap pruned
         # parquet read): a plain ray task graph whose final ObjectRef
-        # feeds the exchange's split-side prep — the read/extract stream
-        # executes concurrently with detection, and only the split tasks
-        # (which need routing) wait on the tiny hot set
+        # feeds the exchange's split-side prep — the driver plans the
+        # exchange meanwhile, and only the split tasks (which need
+        # routing) wait on the tiny hot set
         detect_t0 = time.perf_counter()
         detect_ref = _submit_detect_auto(input_path, num_partitions)
         # both ends on the driver's clock: stamped when the ref
@@ -732,8 +777,8 @@ def run_pipeline(input_path, out_dir: str, *, strategy: str = "EWMA",
                                           default=0.0)), 2),
         # driver wall from submitting the auto-detection graph to its
         # result resolving (None when no detection ran); NOT serial
-        # pipeline time — on a run from nothing it runs concurrently
-        # with read/extract and only the split tasks wait on its result
+        # pipeline time — on a run from nothing only the split tasks
+        # wait on its result
         "salt_detect_sec": salt_detect_sec,
     }
     return summary

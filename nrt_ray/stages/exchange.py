@@ -7,7 +7,7 @@ every row through a sample + serial SortMap (measured ~10–15 s of
 non-scaling wall on a 4.4 M-row shuffle), while this exchange is a classic
 two-phase shuffle:
 
-    split phase:  one task per input block, slices the block into P
+    split phase:  one task per input source, slices its rows into P
                   sub-tables by the precomputed ``pid`` column
                   (zero-copy Arrow ``take``/``slice``), P object refs out;
     reduce phase: one task per partition, concatenates its sub-tables and
@@ -18,13 +18,17 @@ store exactly once (any shuffle materializes its input).  Partitioning is
 by the same pinned ``hash(url) % P`` column, so resume/increment
 co-partitioning is unchanged.
 
-Pipelining: input blocks are consumed via ``iter_internal_ref_bundles``,
-so split tasks launch while the upstream Dataset is still executing (no
-driver-side materialization barrier before the shuffle), and each reduce
-task starts as soon as its own split inputs exist — Ray's ref scheduling
-provides the only barrier a shuffle inherently needs.  Reduce results are
-collected with ``ray.wait`` as they finish rather than one final
-``ray.get`` gate.
+Sources: the split hop's inputs come from one rule
+(:func:`split_sources`).  A Dataset carrying ``ingest_webtext``'s
+``scan_recipe`` (local Parquet files) has one source per ``(file, row
+group)`` unit, which its split task reads itself — no Ray Data executor,
+read task or ``map_batches`` stage starts, and a large file still fans
+out over several split tasks.  Any other Dataset's sources are its
+blocks, consumed via ``iter_internal_ref_bundles`` so split tasks launch
+while it is still executing.  Either way each reduce task starts as soon
+as its own split inputs exist — Ray's ref scheduling provides the only
+barrier a shuffle inherently needs.  Reduce results are collected with
+``ray.wait`` as they finish rather than one final ``ray.get`` gate.
 
 Scale bound: the flat exchange creates ``blocks × P`` object refs, and a
 reduce task takes ``blocks`` refs as arguments — fine for the P≈10²-10³
@@ -65,10 +69,29 @@ def split_by_pid(table: pa.Table, pid: np.ndarray, n: int) -> list:
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _split_block(block: pa.Table, num_partitions: int, divisor: int = 1,
-                 prep_fn=None, *prep_args):
+def split_sources(ds):
+    """The split hop's sources of ``ds`` and the recipe that reads one
+    (:func:`read_source`): a ``scan_recipe``'s ``(file, row group)``
+    units, or the blocks of any other Dataset as it streams them (recipe
+    None)."""
+    recipe = getattr(ds, "scan_recipe", None)
+    if recipe is not None:
+        return recipe.units(), recipe
+    return _iter_block_refs(ds), None
+
+
+def read_source(source, recipe) -> pa.Table:
+    """One split task's input table: the block, or the recipe's read of
+    its unit."""
+    return source if recipe is None else recipe.read(source)
+
+
+def _split_block(block, num_partitions: int, divisor: int = 1,
+                 prep_fn=None, *prep_args, recipe=None):
     """Slice one block into per-``pid // divisor`` sub-tables (sort by
-    key + boundary slicing — zero-copy on the value buffers).
+    key + boundary slicing — zero-copy on the value buffers).  With a
+    ``recipe``, ``block`` is a source unit the task reads first
+    (:func:`read_source`).
 
     ``prep_fn(block, *prep_args) -> block`` runs first when given — the
     hook that lets callers fold a routing/filter stage INTO the split
@@ -76,7 +99,8 @@ def _split_block(block: pa.Table, num_partitions: int, divisor: int = 1,
     ``prep_args`` may contain ``ObjectRef``s: they arrive RESOLVED (Ray
     resolves top-level task args), so a small broadcast side input
     computed concurrently (e.g. the hot-url set) gates only the split
-    tasks, never the upstream read/extract stream."""
+    tasks, never an upstream Dataset's stages."""
+    block = read_source(block, recipe)
     if prep_fn is not None and block.num_rows:
         # (0-row blocks can surface with an EMPTY schema — e.g. a fully
         # filtered upstream batch — which prep_fn's column access would
@@ -120,32 +144,33 @@ def _exchange_reduce_refs(ds, num_partitions: int, process_fn, empty_fn,
                           num_cpus_per_reduce: float,
                           hierarchical: bool | None = None,
                           prep_fn=None, prep_args=()) -> list:
-    """Common plan of both exchange entry points: split ``ds``'s blocks
-    by pid (flat or two-level) and submit one reduce task per partition;
-    returns the P output refs.  Each reduce is :func:`reduce_tables`.
-    ``prep_fn``/``prep_args`` run inside the (first) split hop — see
-    :func:`_split_block`."""
+    """Common plan of both exchange entry points: split ``ds``'s sources
+    (:func:`split_sources`) by pid (flat or two-level) and submit one
+    reduce task per partition; returns the P output refs.  Each reduce
+    is :func:`reduce_tables`.  ``prep_fn``/``prep_args`` run inside the
+    (first) split hop — see :func:`_split_block`."""
 
     def _reduce(pid: int, *tables):
         return reduce_tables(process_fn, empty_fn, *tables)
 
     reduce_remote = ray.remote(num_cpus=num_cpus_per_reduce)(_reduce)
+    sources, recipe = split_sources(ds)
     if num_partitions == 1:
-        if prep_fn is None:
-            block_refs = list(_iter_block_refs(ds))
-            return [reduce_remote.remote(0, *block_refs)]
+        if prep_fn is None and recipe is None:
+            return [reduce_remote.remote(0, *sources)]
         prep_remote = ray.remote(_split_block)
-        block_refs = [prep_remote.remote(ref, 1, 1, prep_fn, *prep_args)
-                      for ref in _iter_block_refs(ds)]
-        return [reduce_remote.remote(0, *block_refs)]
+        return [reduce_remote.remote(0, *[
+            prep_remote.remote(src, 1, 1, prep_fn, *prep_args,
+                               recipe=recipe)
+            for src in sources])]
     if hierarchical is None:
         hierarchical = num_partitions >= _HIERARCHICAL_MIN_P
     if not hierarchical:
         split_remote = ray.remote(num_returns=num_partitions)(_split_block)
-        # submit split tasks as upstream blocks stream in (pipelined)
-        split_refs = [split_remote.remote(ref, num_partitions, 1,
-                                          prep_fn, *prep_args)
-                      for ref in _iter_block_refs(ds)]
+        # submit split tasks as upstream sources stream in (pipelined)
+        split_refs = [split_remote.remote(src, num_partitions, 1, prep_fn,
+                                          *prep_args, recipe=recipe)
+                      for src in sources]
         return [reduce_remote.remote(p,
                                      *[split_refs[b][p]
                                        for b in range(len(split_refs))])
@@ -156,9 +181,9 @@ def _exchange_reduce_refs(ds, num_partitions: int, process_fn, empty_fn,
         if n_coarse > 1 else ray.remote(_split_block)
     resplit_remote = ray.remote(num_returns=fanout)(_resplit) \
         if fanout > 1 else ray.remote(_resplit)
-    coarse_refs = [coarse_remote.remote(ref, n_coarse, fanout,
-                                        prep_fn, *prep_args)
-                   for ref in _iter_block_refs(ds)]
+    coarse_refs = [coarse_remote.remote(src, n_coarse, fanout, prep_fn,
+                                        *prep_args, recipe=recipe)
+                   for src in sources]
     out = []
     for c in range(n_coarse):
         fine = resplit_remote.remote(

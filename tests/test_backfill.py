@@ -234,3 +234,99 @@ def test_dead_letter_contents_then_backfill(ray_session, tmp_path, mode,
     ref = str(tmp_path / "ref")
     mp.run_pipeline(info["webtext"], ref, **COMMON)
     _assert_tables_equal(out, ref)
+
+
+def _decoded(out):
+    """Decoded segment points of a store, sorted."""
+    from nrt_ray.stages import compress
+    t = compress.decode_segments_table(
+        mp.read_output_table(out, "segments"),
+        window=mp.window_starts(inc.read_run_config(out)))
+    keys = [(c, "ascending") for c in ("url", "tier", "bucket_ts")]
+    return t.take(pc.sort_indices(t, sort_keys=keys))
+
+
+def test_write_paths_start_no_ray_data_execution(ray_session, tmp_path):
+    """``run_pipeline``, a resumed ``run_pipeline`` and ``run_backfill``
+    over two Parquet files of several row groups each read them in the
+    exchange's split tasks: no Ray Data executor starts and no Ray Data
+    read is built.  Each store equals a ``flat_dataset=`` run of the
+    same rows through Ray Data (state checksums of the partitions built
+    from source, served tiers, segments and their decoded points), and
+    each partition built from source records exactly the files that fed
+    it."""
+    import shutil
+    from unittest import mock
+
+    import ray.data
+    from ray.data._internal.plan import ExecutionPlan
+
+    from nrt_ray.sources.extract import ExtractSignal
+    from nrt_ray.stages.assemble import bucket_of
+
+    d = str(tmp_path / "wt")
+    info = synthetic.generate_webtext(d, n_urls=30, seed=71)
+    t = pq.read_table(info["webtext"])
+    urls = np.asarray(t.column("url").to_pandas(), dtype=object)
+    ts = t.column("warc_ts").cast(pa.int64()).to_numpy()
+    cut = int(CUT.astype(np.int64))
+    held_back = np.isin(urls, np.unique(urls)[:3]) \
+        & (ts > cut - 20 * 86400 * US) & (ts <= cut)
+    early, batch = (ts <= cut) & ~held_back, (ts > cut) | held_back
+    files = [str(tmp_path / "early.parquet"), str(tmp_path / "batch.parquet")]
+    for f, keep, groups in zip(files, (early, batch), (3, 2)):
+        pq.write_table(t.filter(pa.array(keep)), f,
+                       row_group_size=int(keep.sum()) // groups + 1)
+        assert pq.ParquetFile(f).num_row_groups == groups
+    assert len(mp.ingest_webtext(files).scan_recipe.units()) == 5
+    P = COMMON["num_partitions"]
+    pids_of = [set(bucket_of(urls[keep], P).tolist())
+               for keep in (early, batch)]
+
+    ref = str(tmp_path / "ref")
+    mp.run_pipeline(files, ref, flat_dataset=ray.data.read_parquet(
+        files, columns=["url", "warc_ts", "text"]).map_batches(
+        ExtractSignal(), batch_format="pyarrow"), **COMMON)
+    ref_sums = {r["partition_id"]: r["state_checksum"]
+                for r in manifest.load_manifest(ref)}
+
+    def check(out, pids):
+        _assert_tables_equal(out, ref)
+        assert _decoded(out).equals(_decoded(ref))
+        frag = {p: int(i) for i, p in
+                inc.read_run_config(out)["fragments"].items()}
+        recs = {r["partition_id"]: r for r in manifest.load_manifest(out)}
+        for pid in pids:
+            assert recs[pid]["state_checksum"] == ref_sums[pid], pid
+            assert recs[pid]["input_fragments"] == sorted(
+                frag[f] for f, got in zip(files, pids_of) if pid in got), \
+                pid
+
+    real = ExecutionPlan.create_executor
+    calls = []
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    def read(*args, **kwargs):
+        raise AssertionError("a Ray Data read was built")
+
+    full, resumed, bf = (str(tmp_path / n) for n in ("full", "resumed",
+                                                      "backfill"))
+    with mock.patch.object(ExecutionPlan, "create_executor", counting), \
+            mock.patch.object(ray.data, "read_parquet", read):
+        mp.run_pipeline(files, full, **COMMON)
+        shutil.copytree(full, resumed)
+        manifest.uncommit_partitions(resumed, [0, 2])
+        s_resumed = mp.run_pipeline(files, resumed, **COMMON)
+        mp.run_pipeline(files[0], bf, **COMMON)
+        assert inc.run_increment(bf, mp.ingest_webtext(files[1]))[
+            "late_rows"] == int(held_back.sum())
+        s_bf = inc.run_backfill(bf, files)
+    assert not calls
+    check(full, range(P))
+    assert s_resumed["partitions_processed"] == 2
+    check(resumed, range(P))
+    assert 0 < len(s_bf["affected_pids"]) < P
+    check(bf, s_bf["affected_pids"])

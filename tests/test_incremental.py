@@ -185,6 +185,29 @@ def test_scan_recipe_lists_the_files_ray_data_reads(ray_session,
     assert not hasattr(ds.map_batches(lambda b: b), "scan_recipe")
 
 
+def test_scan_recipe_reads_by_row_group(split_webtext, tmp_path):
+    """A recipe's units are its files' row groups.  With a mark, a row
+    group whose ``warc_ts`` maximum is at or below it is skipped and the
+    others are filtered, so the units read exactly the rows above it."""
+    d, _ = split_webtext
+    t = pq.read_table(str(d / "late.parquet"),
+                      columns=["url", "warc_ts", "text"])
+    t = t.take(pc.sort_indices(t, sort_keys=[("warc_ts", "ascending")]))
+    size = t.num_rows // 4 + 1
+    p = str(tmp_path / "sorted.parquet")
+    pq.write_table(t, p, row_group_size=size)
+    assert mp.ingest_webtext(p).scan_recipe.units() == [
+        (0, rg) for rg in range(4)]
+    ts = t.column("warc_ts").cast(pa.int64()).to_numpy()
+    mark = int(ts[t.num_rows // 2])
+    kept = [(0, rg) for rg in range(4)
+            if ts[rg * size:(rg + 1) * size].max() > mark]
+    recipe = mp.ingest_webtext(p, min_warc_ts_us=mark).scan_recipe
+    assert recipe.units() == kept and 0 < len(kept) < 4
+    got = pa.concat_tables([recipe.read(u) for u in recipe.units()])
+    assert got.equals(extract.ExtractSignal()(t.filter(pa.array(ts > mark))))
+
+
 def test_ingest_relative_path_after_chdir(ray_session, split_webtext,
                                          tmp_path, monkeypatch):
     """A driver that changed directory after ``ray.init`` reads relative

@@ -603,3 +603,43 @@ def test_partition_processor_coerces_hot_url_iterables(make, tmp_path):
     assert got.column("series").to_pylist() == [len(urls) - 1]
     assert got.drop_columns(["seconds"]).equals(
         want.drop_columns(["seconds"]))
+
+
+def test_nested_input_is_one_listing(ray_session, skewed_webtext, tmp_path):
+    """A Hive-style directory (``dt=a/``, ``dt=b/`` and a hidden
+    ``_SUCCESS``) is one listing for hot-url detection, lineage, the
+    high-water mark and the scan: the hot url is salted, the run config
+    lists both files, every partition records input fragments, and the
+    store equals the single-file run's."""
+    from nrt_ray.pipelines import incremental as inc
+    from nrt_ray.state import manifest
+
+    path, _ = skewed_webtext
+    t = pq.read_table(path)
+    d = tmp_path / "crawl"
+    files = []
+    for name, part in (("dt=a", t.slice(0, t.num_rows // 2)),
+                       ("dt=b", t.slice(t.num_rows // 2))):
+        (d / name).mkdir(parents=True)
+        files.append(str(d / name / "part-0.parquet"))
+        pq.write_table(part, files[-1])
+    (d / "_SUCCESS").write_text("")
+    assert mp.input_files(str(d)) == files
+    common = dict(strategy="EWMA", monitor_params={"trend": False},
+                  monitor_start="2021-01-01", num_partitions=4,
+                  tiers=TIERS)
+    nested, single = str(tmp_path / "nested"), str(tmp_path / "single")
+    mp.run_pipeline(str(d), nested, **common)
+    mp.run_pipeline(path, single, **common)
+    cfg, want = inc.read_run_config(nested), inc.read_run_config(single)
+    assert cfg["hot_urls"] == want["hot_urls"] == [HOT_URL]
+    assert cfg["high_water_us"] == want["high_water_us"]
+    assert sorted(cfg["fragments"].values()) == files
+    recs = manifest.load_manifest(nested)
+    assert recs and all(r["input_fragments"] for r in recs)
+    assert {r["partition_id"]: r["state_checksum"] for r in recs} == {
+        r["partition_id"]: r["state_checksum"]
+        for r in manifest.load_manifest(single)}
+    for name in ("state", "alerts", "rollup_1d", "rollup_1w", "segments"):
+        assert _read_all(nested, name).equals(_read_all(single, name)), \
+            name
